@@ -11,9 +11,10 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 from . import grid_calculus as gc
+from . import initial_data
 from .flow_engine import FlowConfig
 from .errors import ValidationError
 
@@ -38,6 +39,8 @@ def _opt_float(text):
     return float(text)
 
 
+_BY_ANNOTATION = {"int": _INT, "float": _FLOAT, "str": _STR, "float | None": _opt_float}
+
 # section -> key -> (coercer for INI strings, default)
 _SCHEMA = {
     "lattice": {
@@ -50,20 +53,8 @@ _SCHEMA = {
         "seed": (_INT, 0),
         "modes": (_INT, 1),
     },
-    "flow": {
-        "dt": (_opt_float, None),
-        "cfl": (_opt_float, 0.2),
-        "t_end": (_opt_float, None),
-        "max_steps": (_INT, 100),
-        "stencil_order": (_INT, 4),
-        "diag_cadence": (_INT, 10),
-        "degeneration_threshold": (_FLOAT, 1e-6),
-        "fiber_samples": (_INT, 8),
-        "seed": (_INT, 0),
-        "method": (_STR, "rk4"),
-        "checkpoint_cadence": (_INT, 0),
-        "drift_constant": (_FLOAT, 0.0),
-    },
+    # every FlowConfig field with its default, coerced by its annotation
+    "flow": {f.name: (_BY_ANNOTATION[f.type], f.default) for f in fields(FlowConfig)},
     "output": {
         "dir": (_STR, "runs/out"),
     },
@@ -82,10 +73,12 @@ class ExperimentConfig:
     out_dir: str = "runs/out"
 
     def validate(self) -> "ExperimentConfig":
-        gc.Lattice(tuple(self.lattice_n), tuple(self.lattice_L))  # raises on bad axes
+        try:
+            self.lattice()
+        except ValueError as exc:
+            raise ValidationError(f"bad lattice: {exc}") from exc
         self.flow.validate()
-        if self.generator not in ("hyperkahler-standard", "t3-invariant",
-                                  "exact-perturbation"):
+        if self.generator not in initial_data.GENERATORS:
             raise ValidationError(f"unknown generator {self.generator!r}")
         if self.amplitude < 0:
             raise ValidationError("amplitude must be nonnegative")
@@ -178,8 +171,5 @@ def loads(text: str) -> ExperimentConfig:
 
 
 def load(path) -> ExperimentConfig:
-    try:
-        with open(path) as fh:
-            return loads(fh.read())
-    except OSError:
-        raise
+    with open(path) as fh:
+        return loads(fh.read())

@@ -48,9 +48,6 @@ class FlowConfig:
     seed: int = 0
     method: str = "rk4"            # "euler" available for integrator checks
     checkpoint_cadence: int = 0    # snapshots every N steps; 0 = final only
-    # additive constant of the modified 4-form evolution law; the reduction
-    # implemented here requires 0 (the torsion-trace term vanishes identically)
-    drift_constant: float = 0.0
 
     def validate(self):
         if (self.dt is None) == (self.cfl is None):
@@ -65,8 +62,6 @@ class FlowConfig:
             raise ValidationError("stencil order must be 2 or 4")
         if self.method not in ("rk4", "euler"):
             raise ValidationError(f"unknown method {self.method!r}")
-        if self.drift_constant != 0.0:
-            raise ValidationError("nonzero drift constant is unsupported")
         if self.diag_cadence < 1:
             raise ValidationError("diag_cadence must be >= 1")
         return self
@@ -74,34 +69,39 @@ class FlowConfig:
 
 @dataclass
 class FlowState:
-    """Evolving triple plus cached per-point normalization and run baselines."""
+    """Evolving triple, run baselines, and what is computed once per state:
+    normalization, the guard's Gram eigenvalue extremes, the RHS per order."""
 
     time: float
     tf: gc.TripleField
     q: np.ndarray | None = None
     g: np.ndarray | None = None
     mu: np.ndarray | None = None
+    q_eig_max: np.ndarray | None = None   # per-point largest Gram eigenvalue
+    q_eig_min: float | None = None        # smallest Gram eigenvalue anywhere
     base_periods: np.ndarray | None = None
     sample_points: tuple = ()
     diagnostics: dict = field(default_factory=dict)
+    rhs_by_order: dict = field(default_factory=dict)
 
     def ensure_fields(self, threshold: float = 1e-6):
         if self.q is None:
-            self.q, self.g, self.mu = gc.pointwise_normalize(self.tf, threshold)
+            self.q, self.g, self.mu, (self.q_eig_max, self.q_eig_min) = \
+                gc._normalize_fields(self.tf.c, threshold, eig_guard=True)
         return self.q, self.g, self.mu
 
 
 def evaluate_rhs(lat: gc.Lattice, c: np.ndarray, order: int = 4,
-                 threshold: float = 1e-6, fields=None):
-    """One right-hand side evaluation on raw coefficients.
+                 threshold: float = 1e-6, fields=None) -> np.ndarray:
+    """One right-hand side evaluation on raw coefficients; shape (grid, 3, 6).
 
-    Returns ``(rhs, q, g, mu)``.  The update is assembled strictly as
-    d(applied to 1-form fields), so it lies in the image of the discrete d.
-    Mid-stage evaluations guard positivity by principal minors only; the
+    The update is assembled strictly as d(applied to 1-form fields), so it
+    lies in the image of the discrete d.  Without ``fields`` (q, g, mu), as
+    at mid-stages, positivity is guarded by principal minors only; the
     eigenvalue threshold is enforced on committed states.
     """
     if fields is None:
-        q, g, mu = gc._normalize_fields(c, threshold, eig_guard=False)
+        q, g, mu, _ = gc._normalize_fields(c, threshold, eig_guard=False)
     else:
         q, g, mu = fields
     qinv = ta.adj3(q)                       # det q = 1, so adjugate = inverse
@@ -109,26 +109,30 @@ def evaluate_rhs(lat: gc.Lattice, c: np.ndarray, order: int = 4,
     h = np.linalg.inv(g)
     eta = gc.codiff2(lat, sigma, g, mu, order, h=h)
     zeta = np.matmul(q, eta)
-    return gc.d(lat, zeta, 1, order), q, g, mu
+    return gc.d(lat, zeta, 1, order)
 
 
 def rhs(state: FlowState, order: int = 4, threshold: float = 1e-6) -> np.ndarray:
-    """Right-hand side at a state; shape (grid, 3, 6)."""
-    fields = state.ensure_fields(threshold)
-    out, *_ = evaluate_rhs(state.tf.lattice, state.tf.c, order, threshold, fields)
-    return out
+    """Right-hand side at a state; shape (grid, 3, 6), read-only.  Kept per
+    stencil order, so a diagnostics row is also the next step's first stage."""
+    if order not in state.rhs_by_order:
+        fields = state.ensure_fields(threshold)
+        out = evaluate_rhs(state.tf.lattice, state.tf.c, order, threshold, fields)
+        out.flags.writeable = False
+        state.rhs_by_order[order] = out
+    return state.rhs_by_order[order]
 
 
-def stable_dt(lat: gc.Lattice, q: np.ndarray, g: np.ndarray, cfl: float) -> float:
-    """Heuristic parabolic bound cfl * min(h)^2 / Lambda.
+def stable_dt(state: FlowState, cfl: float) -> float:
+    """Heuristic parabolic bound cfl * min(h)^2 / Lambda for a guarded state.
 
     Lambda is the worst-point product of the largest Gram eigenvalue and the
     largest inverse-metric eigenvalue, a proxy for the diffusion coefficient.
+    The Gram eigenvalues come from the guard in ``state.ensure_fields``.
     """
-    lam_q = np.linalg.eigvalsh(q)[..., -1]
-    lam_ginv = 1.0 / np.linalg.eigvalsh(g)[..., 0]
-    lam = float((lam_q * lam_ginv).max())
-    hmin = min(lat.h)
+    lam_ginv = 1.0 / np.linalg.eigvalsh(state.g)[..., 0]
+    lam = float((state.q_eig_max * lam_ginv).max())
+    hmin = min(state.tf.lattice.h)
     return cfl * hmin * hmin / lam
 
 
@@ -144,14 +148,13 @@ def step(state: FlowState, dt: float, config: FlowConfig) -> FlowState:
     thr = config.degeneration_threshold
     c0 = state.tf.c
     try:
-        fields = state.ensure_fields(thr)
-        k1, *_ = evaluate_rhs(lat, c0, order, thr, fields)
+        k1 = rhs(state, order, thr)
         if config.method == "euler":
             c_new = c0 + dt * k1
         else:
-            k2, *_ = evaluate_rhs(lat, c0 + 0.5 * dt * k1, order, thr)
-            k3, *_ = evaluate_rhs(lat, c0 + 0.5 * dt * k2, order, thr)
-            k4, *_ = evaluate_rhs(lat, c0 + dt * k3, order, thr)
+            k2 = evaluate_rhs(lat, c0 + 0.5 * dt * k1, order, thr)
+            k3 = evaluate_rhs(lat, c0 + 0.5 * dt * k2, order, thr)
+            k4 = evaluate_rhs(lat, c0 + dt * k3, order, thr)
             c_new = c0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         new_state = FlowState(state.time + dt, gc.TripleField(lat, c_new),
                               base_periods=state.base_periods,
@@ -193,16 +196,14 @@ def diagnostics(state: FlowState, config: FlowConfig, step_index: int = 0,
     """Named diagnostic values of a state (see DIAG_COLUMNS)."""
     lat = state.tf.lattice
     order = config.stencil_order
-    q, g, mu = state.ensure_fields(config.degeneration_threshold)
+    q = state.ensure_fields(config.degeneration_threshold)[0]
     max_dw = state.tf.max_dabs(order)
-    min_eig_q = float(np.linalg.eigvalsh(q)[..., 0].min())
     det_dev = float(np.abs(ta.det3(q) - 1.0).max())
     if state.base_periods is not None:
         drift = float(np.abs(state.tf.periods() - state.base_periods).max())
     else:
         drift = 0.0
-    r, *_ = evaluate_rhs(lat, state.tf.c, order, config.degeneration_threshold,
-                      (q, g, mu))
+    r = rhs(state, order, config.degeneration_threshold)
     rhs_l2 = float(np.sqrt((r * r).sum() * lat.cell_volume))
     qbar = q.mean(axis=(0, 1, 2, 3))
     q_dev = float(np.sqrt(((q - qbar) ** 2).sum(axis=(-2, -1))).max())
@@ -211,7 +212,7 @@ def diagnostics(state: FlowState, config: FlowConfig, step_index: int = 0,
         "time": state.time,
         "dt": dt,
         "max_dw": max_dw,
-        "min_eig_Q": min_eig_q,
+        "min_eig_Q": state.q_eig_min,
         "max_abs_detQ_minus_1": det_dev,
         "period_drift": drift,
         "rhs_l2": rhs_l2,
@@ -263,29 +264,26 @@ def run(config: FlowConfig, initial: gc.TripleField, row_sink=None,
     """
     state = init_state(config, initial)
     rows = []
+    cad = config.checkpoint_cadence
 
     def emit(row):
         rows.append(row)
         if row_sink is not None:
             row_sink(row)
 
-    def maybe_checkpoint(step_index, st, force=False):
-        if checkpoint_sink is None:
-            return
-        cad = config.checkpoint_cadence
-        if force or (cad and step_index % cad == 0 and step_index > 0):
-            checkpoint_sink(step_index, st)
+    def done():
+        return step_index >= config.max_steps or (
+            config.t_end is not None and state.time >= config.t_end)
 
-    dt = config.dt if config.dt is not None else stable_dt(
-        initial.lattice, state.q, state.g, config.cfl)
+    def on_cadence(i):   # snapshots in the loop; an off-cadence last state after it
+        return cad > 0 and i > 0 and i % cad == 0
+
+    step_index, aborted = 0, None
+    dt = config.dt if config.cfl is None else stable_dt(state, config.cfl)
     emit(diagnostics(state, config, 0, dt))
-    aborted = None
-    step_index = 0
-    while step_index < config.max_steps:
-        if config.t_end is not None and state.time >= config.t_end:
-            break
-        if config.cfl is not None:
-            dt = stable_dt(initial.lattice, state.q, state.g, config.cfl)
+    while not done():
+        if config.cfl is not None and step_index > 0:   # step 1 takes row 0's dt
+            dt = stable_dt(state, config.cfl)
         if config.t_end is not None:
             dt = min(dt, config.t_end - state.time)
         try:
@@ -294,10 +292,10 @@ def run(config: FlowConfig, initial: gc.TripleField, row_sink=None,
             aborted = f"aborted at step {step_index + 1}: {exc}"
             break
         step_index += 1
-        if step_index % config.diag_cadence == 0 or step_index == config.max_steps:
+        if step_index % config.diag_cadence == 0 or done():
             emit(diagnostics(state, config, step_index, dt))
-        maybe_checkpoint(step_index, state)
-    if not aborted and rows and rows[-1]["step"] != step_index:
-        emit(diagnostics(state, config, step_index, dt))
-    maybe_checkpoint(step_index, state, force=True)
+        if checkpoint_sink is not None and on_cadence(step_index):
+            checkpoint_sink(step_index, state)
+    if checkpoint_sink is not None and not on_cadence(step_index):
+        checkpoint_sink(step_index, state)
     return FlowResult(rows, state, aborted)

@@ -179,6 +179,8 @@ def constant_triple_field(lat: Lattice, triple: np.ndarray) -> TripleField:
 
 
 def _normalize_fields(c: np.ndarray, threshold: float, eig_guard: bool):
+    """``(q, g, mu, eig)``: see pointwise_normalize.  ``eig`` is the Gram eigenvalues'
+    (per-point largest, overall smallest) from the ``eig_guard`` check, else None."""
     K = ta.metric_density(c)
     d1, d2, d3m, d4 = ta._pd_minors4(K)
     ok = (d1 > 0) & (d2 > 0) & (d3m > 0) & (d4 > 0)
@@ -188,14 +190,17 @@ def _normalize_fields(c: np.ndarray, threshold: float, eig_guard: bool):
     s = d4 ** (1.0 / 6.0)
     g = K / s[..., None, None]
     q = ta.gram(c, s)
-    if eig_guard:
-        min_eig = np.linalg.eigvalsh(q)[..., 0]
-        if not np.all(min_eig > threshold):
-            idx = tuple(int(v) for v in np.argwhere(min_eig <= threshold)[0])
-            raise NotPositive(
-                f"Gram matrix eigenvalue {float(min_eig.min()):.3e} <= {threshold:g} "
-                f"at lattice index {idx}")
-    return q, g, s
+    if not eig_guard:
+        return q, g, s, None
+    lam = np.linalg.eigvalsh(q)
+    min_eig = lam[..., 0]
+    if not np.all(min_eig > threshold):
+        idx = tuple(int(v) for v in np.argwhere(min_eig <= threshold)[0])
+        raise NotPositive(
+            f"Gram matrix eigenvalue {float(min_eig.min()):.3e} <= {threshold:g} "
+            f"at lattice index {idx}")
+    # a copy: a view would keep the whole (grid, 3) eigenvalue array alive
+    return q, g, s, (lam[..., -1].copy(), float(min_eig.min()))
 
 
 def pointwise_normalize(tf: TripleField, threshold: float = 1e-6):
@@ -207,4 +212,4 @@ def pointwise_normalize(tf: TripleField, threshold: float = 1e-6):
     first offending lattice index, when the metric density degenerates or the
     smallest Gram eigenvalue drops to ``threshold`` or below.
     """
-    return _normalize_fields(tf.c, threshold, eig_guard=True)
+    return _normalize_fields(tf.c, threshold, eig_guard=True)[:3]

@@ -36,7 +36,6 @@ def _sample_potential(lat: gc.Lattice, generator: str, amplitude: float,
                 if not np.any(k):
                     k[int(rng.integers(0, 4))] = 1
             phase = rng.uniform(0.0, 2.0 * np.pi)
-            wave = np.zeros(lat.shape)
             acc = np.zeros(lat.shape)
             for a in axes_allowed:
                 acc = acc + 2.0 * np.pi * k[a] * x[a] / lat.L[a]

@@ -53,7 +53,10 @@ def read_snapshot(path):
         L = tuple(vals[4:8])
         time = vals[8]
         nforms = vals[9]
-        lat = gc.Lattice(n, L)
+        try:
+            lat = gc.Lattice(n, L)
+        except ValueError as exc:
+            raise ValidationError(f"{path}: bad lattice in header: {exc}") from exc
         count = lat.num_points * 6
         fields = []
         for _ in range(nforms):

@@ -1,4 +1,5 @@
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,9 @@ import pytest
 
 from hsflow import cli
 from hsflow import config as config_mod
+from hsflow import grid_calculus as gc
 from hsflow import snapshot as snap
+from hsflow import triple_algebra as ta
 from hsflow.errors import ValidationError
 
 INI = """\
@@ -125,6 +128,12 @@ class TestCliFlow:
         p.write_text("[flow]\nmax_steps = soon\n")
         assert cli.main(["flow", "--config", str(p)]) == 1
 
+    def test_bad_lattice_is_validation_error(self, tmp_path, capsys):
+        p = tmp_path / "exp.ini"
+        p.write_text(INI.format(out=tmp_path / "r").replace("8 4 4 4", "2 4 4 4"))
+        assert cli.main(["flow", "--config", str(p)]) == 1
+        assert "validation error" in capsys.readouterr().err
+
     def test_degeneration_exit_code(self, tmp_path):
         p = tmp_path / "exp.ini"
         p.write_text(INI.format(out=tmp_path / "r")
@@ -136,6 +145,17 @@ class TestCliFlow:
         p = tmp_path / "exp.ini"
         p.write_text(INI.format(out=tmp_path / "r").replace("0.05", "9.5"))
         assert cli.main(["flow", "--config", str(p)]) == 2
+
+
+def test_lift_bad_header_lattice_is_validation_error(tmp_path, capsys):
+    path = tmp_path / "state.hsf"
+    lat = gc.Lattice((4, 4, 4, 4))
+    snap.write_snapshot(path, gc.constant_triple_field(lat, ta.standard_triple()))
+    raw = bytearray(path.read_bytes())
+    raw[4:8] = struct.pack("<I", 2)    # first grid size of the header
+    path.write_bytes(bytes(raw))
+    assert cli.main(["lift", "--snapshot", str(path)]) == 1
+    assert "validation error" in capsys.readouterr().err
 
 
 class TestCliVerify:

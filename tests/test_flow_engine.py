@@ -24,10 +24,6 @@ class TestConfigValidation:
         with pytest.raises(ValidationError):
             fe.FlowConfig(dt=None, cfl=None).validate()
 
-    def test_drift_constant_must_vanish(self):
-        with pytest.raises(ValidationError):
-            fe.FlowConfig(drift_constant=0.5).validate()
-
     def test_cfl_range(self):
         with pytest.raises(ValidationError):
             fe.FlowConfig(cfl=1.5).validate()
@@ -62,6 +58,15 @@ class TestRhs:
         zeta = np.einsum('...ik,...km->...im', q, eta)
         expected = gc.d(lat, zeta, 1)
         assert np.abs(got - expected).max() <= 1e-11
+
+    def test_kept_per_stencil_order(self):
+        tf = t3_field()
+        state = fe.init_state(fe.FlowConfig(), tf)
+        r4 = fe.rhs(state, 4)
+        r2 = fe.rhs(state, 2)
+        assert np.array_equal(r2, fe.evaluate_rhs(tf.lattice, tf.c, order=2))
+        assert fe.rhs(state, 4) is r4
+        assert not np.array_equal(r2, r4)
 
     def test_update_is_discrete_exact(self):
         tf = t3_field()
@@ -126,11 +131,11 @@ class TestRhsConvergence:
 
         ref_n = 8 * n_pair[1]
         lat_ref, c_ref = sample(ref_n)
-        r_ref, *_ = fe.evaluate_rhs(lat_ref, c_ref, order)
+        r_ref = fe.evaluate_rhs(lat_ref, c_ref, order)
         errs = []
         for n in n_pair:
             lat, c = sample(n)
-            r, *_ = fe.evaluate_rhs(lat, c, order)
+            r = fe.evaluate_rhs(lat, c, order)
             errs.append(np.abs(r - r_ref[::ref_n // n]).max())
         ratio = errs[0] / errs[1]
         assert abs(ratio - 2 ** order) <= 0.15 * 2 ** order
@@ -142,7 +147,7 @@ class TestStableDt:
         for n, expect in ((8, (1 / 8) ** 2), (16, (1 / 16) ** 2)):
             lat = gc.Lattice((n, 4, 4, 4))
             state = fe.init_state(cfg, gc.constant_triple_field(lat, STD))
-            dt = fe.stable_dt(lat, state.q, state.g, 0.2)
+            dt = fe.stable_dt(state, 0.2)
             assert dt == pytest.approx(0.2 * expect)
 
 
@@ -201,6 +206,37 @@ class TestRun:
         res = fe.run(cfg, tf)
         assert res.aborted is not None
         assert "positive cone" in res.aborted
+
+
+def count_calls(monkeypatch, name):
+    calls = []
+    fn = getattr(fe, name)
+    monkeypatch.setattr(fe, name, lambda *args, **kw: calls.append(name) or fn(*args, **kw))
+    return calls
+
+
+class TestReuse:
+    """Each committed state is normalized, bounded and evaluated once."""
+
+    @pytest.mark.parametrize("method,stages", [("rk4", 4), ("euler", 1)])
+    def test_call_counts(self, monkeypatch, method, stages):
+        dts = count_calls(monkeypatch, "stable_dt")
+        rhss = count_calls(monkeypatch, "evaluate_rhs")
+        cfg = fe.FlowConfig(max_steps=5, diag_cadence=2, fiber_samples=0, method=method)
+        res = fe.run(cfg, t3_field())
+        assert res.aborted is None and res.rows[-1]["step"] == 5
+        assert len(dts) == 5
+        # rows at steps 0, 2 and 4 are the first stages of steps 1, 3 and 5
+        assert len(rhss) == stages * 5 + 1
+
+    @pytest.mark.parametrize("max_steps,expect", [(20, [10, 20]), (25, [10, 20, 25])])
+    def test_checkpoint_once_per_step(self, max_steps, expect):
+        written = []
+        cfg = fe.FlowConfig(dt=1e-5, cfl=None, max_steps=max_steps, diag_cadence=5,
+                            checkpoint_cadence=10, fiber_samples=0)
+        fe.run(cfg, t3_field(),
+               checkpoint_sink=lambda i, st: written.append((i, st.diagnostics["step"])))
+        assert written == [(i, i) for i in expect]
 
 
 class TestDescentConsistency:
