@@ -108,7 +108,8 @@ def cmd_flow(args) -> int:
 def _lift_report(tf: gc.TripleField, time: float, samples: int, seed: int) -> dict:
     from . import fiber_g2 as fg
     lat = tf.lattice
-    q, g, mu = gc.pointwise_normalize(tf)
+    state = fe.FlowState(time, tf)
+    q, g, mu = state.ensure_fields()
     sigma = np.matmul(ta.adj3(q), tf.c)
     dsig = gc.d(lat, sigma, 2, 4)
     dome = gc.d(lat, tf.c, 2, 4)
@@ -132,8 +133,8 @@ def _lift_report(tf: gc.TripleField, time: float, samples: int, seed: int) -> di
     return {"time": time, "points_sampled": int(k),
             "max_star7_residual": float(star_worst),
             "max_torsion_trace": float(torsion_worst),
-            "max_dw": tf.max_dabs(),
-            "min_eig_Q": float(np.linalg.eigvalsh(q)[..., 0].min())}
+            "max_dw": float(np.abs(dome).max()),
+            "min_eig_Q": state.q_eig_min}
 
 
 def cmd_lift(args) -> int:

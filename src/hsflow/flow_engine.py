@@ -70,25 +70,33 @@ class FlowConfig:
 @dataclass
 class FlowState:
     """Evolving triple, run baselines, and what is computed once per state:
-    normalization, the guard's Gram eigenvalue extremes, the RHS per order."""
+    normalization, the guard's Gram eigenvalue extremes, and in ``kept`` the
+    periods and, per stencil order, the closedness defect and the RHS."""
 
     time: float
     tf: gc.TripleField
     q: np.ndarray | None = None
     g: np.ndarray | None = None
     mu: np.ndarray | None = None
+    h: np.ndarray | None = None           # inverse metric
     q_eig_max: np.ndarray | None = None   # per-point largest Gram eigenvalue
     q_eig_min: float | None = None        # smallest Gram eigenvalue anywhere
     base_periods: np.ndarray | None = None
     sample_points: tuple = ()
     diagnostics: dict = field(default_factory=dict)
-    rhs_by_order: dict = field(default_factory=dict)
+    kept: dict = field(default_factory=dict)
 
     def ensure_fields(self, threshold: float = 1e-6):
         if self.q is None:
-            self.q, self.g, self.mu, (self.q_eig_max, self.q_eig_min) = \
+            self.q, self.g, self.mu, self.h, (self.q_eig_max, self.q_eig_min) = \
                 gc._normalize_fields(self.tf.c, threshold, eig_guard=True)
         return self.q, self.g, self.mu
+
+    def keep(self, key, compute):
+        """``compute()`` on the first request for ``key``, the kept result after."""
+        if key not in self.kept:
+            self.kept[key] = compute()
+        return self.kept[key]
 
 
 def evaluate_rhs(lat: gc.Lattice, c: np.ndarray, order: int = 4,
@@ -96,17 +104,16 @@ def evaluate_rhs(lat: gc.Lattice, c: np.ndarray, order: int = 4,
     """One right-hand side evaluation on raw coefficients; shape (grid, 3, 6).
 
     The update is assembled strictly as d(applied to 1-form fields), so it
-    lies in the image of the discrete d.  Without ``fields`` (q, g, mu), as
-    at mid-stages, positivity is guarded by principal minors only; the
+    lies in the image of the discrete d.  Without ``fields`` (q, g, mu, h),
+    as at mid-stages, positivity is guarded by principal minors only; the
     eigenvalue threshold is enforced on committed states.
     """
     if fields is None:
-        q, g, mu, _ = gc._normalize_fields(c, threshold, eig_guard=False)
+        q, g, mu, h, _ = gc._normalize_fields(c, threshold, eig_guard=False)
     else:
-        q, g, mu = fields
+        q, g, mu, h = fields
     qinv = ta.adj3(q)                       # det q = 1, so adjugate = inverse
     sigma = np.matmul(qinv, c)
-    h = np.linalg.inv(g)
     eta = gc.codiff2(lat, sigma, g, mu, order, h=h)
     zeta = np.matmul(q, eta)
     return gc.d(lat, zeta, 1, order)
@@ -115,12 +122,12 @@ def evaluate_rhs(lat: gc.Lattice, c: np.ndarray, order: int = 4,
 def rhs(state: FlowState, order: int = 4, threshold: float = 1e-6) -> np.ndarray:
     """Right-hand side at a state; shape (grid, 3, 6), read-only.  Kept per
     stencil order, so a diagnostics row is also the next step's first stage."""
-    if order not in state.rhs_by_order:
-        fields = state.ensure_fields(threshold)
+    def compute():
+        fields = state.ensure_fields(threshold) + (state.h,)
         out = evaluate_rhs(state.tf.lattice, state.tf.c, order, threshold, fields)
         out.flags.writeable = False
-        state.rhs_by_order[order] = out
-    return state.rhs_by_order[order]
+        return out
+    return state.keep(("rhs", order), compute)
 
 
 def stable_dt(state: FlowState, cfl: float) -> float:
@@ -197,10 +204,11 @@ def diagnostics(state: FlowState, config: FlowConfig, step_index: int = 0,
     lat = state.tf.lattice
     order = config.stencil_order
     q = state.ensure_fields(config.degeneration_threshold)[0]
-    max_dw = state.tf.max_dabs(order)
+    max_dw = state.keep(("max_dw", order), lambda: state.tf.max_dabs(order))
     det_dev = float(np.abs(ta.det3(q) - 1.0).max())
     if state.base_periods is not None:
-        drift = float(np.abs(state.tf.periods() - state.base_periods).max())
+        periods = state.keep("periods", state.tf.periods)
+        drift = float(np.abs(periods - state.base_periods).max())
     else:
         drift = 0.0
     r = rhs(state, order, config.degeneration_threshold)
@@ -234,16 +242,18 @@ class FlowResult:
 
 
 def init_state(config: FlowConfig, tf: gc.TripleField) -> FlowState:
-    """Validate initial data and attach run baselines (periods, fiber samples)."""
+    """Validate initial data and attach run baselines (periods, fiber samples).
+    The closedness defect and periods computed here are kept for row 0."""
     config.validate()
-    max_dw = tf.max_dabs(config.stencil_order)
+    order = config.stencil_order
+    state = FlowState(0.0, tf)
+    max_dw = state.keep(("max_dw", order), lambda: tf.max_dabs(order))
     if max_dw > CLOSEDNESS_GATE:
         raise ValidationError(
             f"initial triple field is not closed: max |dw| = {max_dw:.3e} "
             f"> {CLOSEDNESS_GATE:g}")
-    state = FlowState(0.0, tf)
     state.ensure_fields(config.degeneration_threshold)
-    state.base_periods = tf.periods()
+    state.base_periods = state.keep("periods", tf.periods)
     rng = np.random.default_rng(config.seed)
     npts = tf.lattice.num_points
     k = min(config.fiber_samples, npts)

@@ -121,16 +121,15 @@ def codiff2(lat: Lattice, beta: np.ndarray, g: np.ndarray, mu_g: np.ndarray,
 
     ``g`` is the pointwise metric field (grid..., 4, 4) and ``mu_g`` its
     volume coefficient sqrt(det g).  Pass ``h`` to reuse a precomputed
-    inverse metric.  ``beta`` may carry one batch axis before the component
-    axis (e.g. a whole triple at once).
+    inverse metric, as the flow does with the one its normalization keeps.
+    Without it, ``g`` must be positive definite (NotPositive names the first
+    point where it is not) and g^-1 is its adjugate over its determinant.
+    ``beta`` may carry one batch axis before the component axis (e.g. a
+    whole triple at once).
     """
     if h is None:
-        d1, d2, d3, d4 = ta._pd_minors4(g)
-        ok = (d1 > 0) & (d2 > 0) & (d3 > 0) & (d4 > 0)
-        if not np.all(ok):
-            idx = tuple(int(v) for v in np.argwhere(~ok)[0])
-            raise NotPositive(f"codiff2: metric not positive definite at {idx}")
-        h = np.linalg.inv(g)
+        cof, det = ta._pd_cofactors4(g, "codiff2: metric")
+        h = ta._adjugate4(cof) / det[..., None, None]
     starred = ta.star2(beta, h, mu_g)
     three = d(lat, starred, 2, order)
     return -ta.star3(three, g, mu_g)
@@ -179,19 +178,17 @@ def constant_triple_field(lat: Lattice, triple: np.ndarray) -> TripleField:
 
 
 def _normalize_fields(c: np.ndarray, threshold: float, eig_guard: bool):
-    """``(q, g, mu, eig)``: see pointwise_normalize.  ``eig`` is the Gram eigenvalues'
-    (per-point largest, overall smallest) from the ``eig_guard`` check, else None."""
+    """``(q, g, mu, h, eig)``: see pointwise_normalize; ``h`` is the inverse
+    metric.  ``eig`` is the Gram eigenvalues' (per-point largest, overall
+    smallest) from the ``eig_guard`` check, else None."""
     K = ta.metric_density(c)
-    d1, d2, d3m, d4 = ta._pd_minors4(K)
-    ok = (d1 > 0) & (d2 > 0) & (d3m > 0) & (d4 > 0)
-    if not np.all(ok):
-        idx = tuple(int(v) for v in np.argwhere(~ok)[0])
-        raise NotPositive(f"metric density not positive definite at lattice index {idx}")
-    s = d4 ** (1.0 / 6.0)
+    cof, det = ta._pd_cofactors4(K, "metric density")
+    s = det ** (1.0 / 6.0)
     g = K / s[..., None, None]
+    h = ta._adjugate4(cof) * (s / det)[..., None, None]   # g^-1 = s adj(K) / det K
     q = ta.gram(c, s)
     if not eig_guard:
-        return q, g, s, None
+        return q, g, s, h, None
     lam = np.linalg.eigvalsh(q)
     min_eig = lam[..., 0]
     if not np.all(min_eig > threshold):
@@ -200,7 +197,7 @@ def _normalize_fields(c: np.ndarray, threshold: float, eig_guard: bool):
             f"Gram matrix eigenvalue {float(min_eig.min()):.3e} <= {threshold:g} "
             f"at lattice index {idx}")
     # a copy: a view would keep the whole (grid, 3) eigenvalue array alive
-    return q, g, s, (lam[..., -1].copy(), float(min_eig.min()))
+    return q, g, s, h, (lam[..., -1].copy(), float(min_eig.min()))
 
 
 def pointwise_normalize(tf: TripleField, threshold: float = 1e-6):

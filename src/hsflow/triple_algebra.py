@@ -41,15 +41,6 @@ _W32 = exterior.pairing_matrix(LAMBDA3_TUPLES, LAMBDA1_TUPLES, 4)
 _W2INV = np.linalg.inv(WEDGE2)
 _W32INV = np.linalg.inv(_W32)
 
-# Coefficients -> antisymmetric matrix B with B[a, b] = beta(e_a, e_b).
-_CMAT = np.zeros((6, 4, 4))
-for _m, (_a, _b) in enumerate(LAMBDA2_TUPLES):
-    _CMAT[_m, _a, _b] = 1.0
-    _CMAT[_m, _b, _a] = -1.0
-
-# Metric-free duality on coefficients: eps^{cdef} Z_{ef} swaps the two halves.
-_SWAP = np.array([3, 4, 5, 0, 1, 2])
-
 EPS3 = np.zeros((3, 3, 3))
 for _p in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
     EPS3[_p] = 1.0
@@ -60,9 +51,44 @@ for _p in ((0, 2, 1), (2, 1, 0), (1, 0, 2)):
 _OMITTED = np.array([3, 2, 1, 0])           # coordinate missing from each lex 3-tuple
 _SIGMA3 = np.array([-1.0, 1.0, -1.0, 1.0])  # (-1)^omitted
 
-_I2 = np.array([list(t) for t in LAMBDA2_TUPLES])
 _W32INV_T = np.ascontiguousarray(_W32INV.T)
 _W12INV_T = np.ascontiguousarray(np.linalg.inv(_W12).T)
+
+
+def _density_table():
+    """The metric density as a cubic form in the 18 triple coefficients.
+
+    Expands K_ab e0123 = (1/6) eps_ijk (e_a ⌟ w_i) ∧ (e_b ⌟ w_j) ∧ w_k with the
+    interior and wedge tables.  Each monomial takes one coefficient from each
+    form, so it is named by three indices into the flattened (3, 6) triple.
+    6 K has integer coefficients; rounding them makes the table exact.
+    """
+    inner = exterior.interior_table(LAMBDA2_TUPLES, LAMBDA1_TUPLES, 4)
+    wedge11 = exterior.wedge_table(LAMBDA1_TUPLES, LAMBDA1_TUPLES, LAMBDA2_TUPLES)
+    # (e_a ⌟ u) ∧ (e_b ⌟ v) ∧ w for basis 2-forms u, v, w, indexed [a, b, u, v, w]
+    slots = np.einsum('amq,bnr,qrp,pl->abmnl', inner, inner, wedge11, WEDGE2,
+                      optimize=True)
+    six_k = np.zeros((4, 4, 6, 6, 6))
+    for i, j, k in zip(*np.nonzero(EPS3)):
+        slot_of = {i: 0, j: 1, k: 2}   # w_i fills the first slot, w_j the second
+        six_k += EPS3[i, j, k] * slots.transpose(
+            (0, 1) + tuple(2 + slot_of[form] for form in range(3)))
+    coef = np.rint(six_k.reshape(16, 216)) / 6.0
+    used = np.flatnonzero(np.any(coef != 0.0, axis=0))
+    m0, m1, m2 = np.unravel_index(used, (6, 6, 6))
+    return coef[:, used], np.stack([m0, 6 + m1, 12 + m2])
+
+
+# K.ravel() = DENSITY_COEF @ (x[f0] * x[f1] * x[f2]) over the flattened triple x,
+# with (f0, f1, f2) the columns of DENSITY_FACTORS: 96 monomials, coefficients ±1/2, ±1
+DENSITY_COEF, DENSITY_FACTORS = _density_table()
+# K is symmetric: multiply by its ten rows on and above the diagonal, then
+# copy them out to all sixteen entries, so K is exactly symmetric
+_UPPER4 = [(a, b) for a in range(4) for b in range(a, 4)]
+_DENSITY_UPPER_T = np.ascontiguousarray(DENSITY_COEF[[4 * a + b for a, b in _UPPER4]].T)
+_UPPER4_OF = np.array([_UPPER4.index((min(a, b), max(a, b)))
+                       for a in range(4) for b in range(4)])
+_DENSITY_BLOCK = 1024   # points per gather: 1024 x 96 monomials is 0.8 MB of temporaries
 
 
 def _apply_pointwise(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -77,6 +103,19 @@ def _match_rank(scalar, like: np.ndarray) -> np.ndarray:
     """Append singleton axes so a pointwise scalar broadcasts against ``like``."""
     s = np.asarray(scalar, dtype=float)
     return s.reshape(s.shape + (1,) * (like.ndim - s.ndim))
+
+
+def _entries(m: np.ndarray) -> np.ndarray:
+    """A (..., n, n) stack as (n, n, ...): ``e[a, b]`` is one contiguous
+    array over the batch, or a scalar for a single matrix."""
+    m = np.asarray(m, dtype=float)
+    batch = tuple(range(m.ndim - 2))
+    return np.ascontiguousarray(m.transpose((m.ndim - 2, m.ndim - 1) + batch))
+
+
+def _from_entries(e: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`_entries`: (n, n, ...) back to a C-ordered (..., n, n)."""
+    return np.ascontiguousarray(e.transpose(tuple(range(2, e.ndim)) + (0, 1)))
 
 
 def two_form(c01=0.0, c02=0.0, c03=0.0, c23=0.0, c31=0.0, c12=0.0) -> np.ndarray:
@@ -178,43 +217,71 @@ def metric_density(triple: np.ndarray) -> np.ndarray:
     """Matrix K = g sqrt(det g) of the triple metric in the coordinate frame.
 
     K_ab * e0123 = (1/6) eps_ijk (e_a ⌟ w_i) ∧ (e_b ⌟ w_j) ∧ w_k.  Independent
-    of any reference volume form.  Per-term the contraction reduces to matrix
-    products: with B_i the antisymmetric matrix of w_i and S_k the matrix of
-    the half-swapped coefficients, eps^{cdef} B_i[a,c] B_j[b,d] B_k[e,f]
-    equals 2 (B_i S_k B_j^T)[a,b].
+    of any reference volume form.  Evaluated as the cubic form of
+    DENSITY_COEF, one block of points at a time; a single fiber is a block of
+    one.
     """
     triple = np.asarray(triple, dtype=float)
-    flat = _CMAT.reshape(6, 16)
-    B = np.matmul(triple, flat).reshape(triple.shape[:-1] + (4, 4))
-    S = np.matmul(triple[..., _SWAP], flat).reshape(triple.shape[:-1] + (4, 4))
-    Bi = [B[..., i, :, :] for i in range(3)]
-    Si = [S[..., i, :, :] for i in range(3)]
-    Bt = [np.swapaxes(b, -1, -2) for b in Bi]
-
-    def term(i, k, j):
-        return np.matmul(np.matmul(Bi[i], Si[k]), Bt[j])
-
-    k = (term(0, 2, 1) + term(1, 0, 2) + term(2, 1, 0)
-         - term(0, 1, 2) - term(2, 0, 1) - term(1, 2, 0))
-    k /= 6.0
-    return 0.5 * (k + np.swapaxes(k, -1, -2))   # exact symmetry up to roundoff
+    x = triple.reshape(-1, 18)
+    out = np.empty((x.shape[0], 16))
+    f0, f1, f2 = DENSITY_FACTORS
+    for start in range(0, x.shape[0], _DENSITY_BLOCK):
+        block = x[start:start + _DENSITY_BLOCK]
+        mono = np.take(block, f0, axis=1)
+        mono *= np.take(block, f1, axis=1)
+        mono *= np.take(block, f2, axis=1)
+        np.take(mono @ _DENSITY_UPPER_T, _UPPER4_OF, axis=1,
+                out=out[start:start + _DENSITY_BLOCK])
+    return out.reshape(triple.shape[:-2] + (4, 4))
 
 
-def _det4(m: np.ndarray) -> np.ndarray:
-    """Determinant of a 4x4 stack by expansion along the first row."""
-    rows = m[..., 1:, :]
-    cols = [rows[..., :, [1, 2, 3]], rows[..., :, [0, 2, 3]],
-            rows[..., :, [0, 1, 3]], rows[..., :, [0, 1, 2]]]
-    return (m[..., 0, 0] * det3(cols[0]) - m[..., 0, 1] * det3(cols[1])
-            + m[..., 0, 2] * det3(cols[2]) - m[..., 0, 3] * det3(cols[3]))
+def _pd_cofactors4(m: np.ndarray, what: str, tol: float = 0.0):
+    """Cofactors and determinant of a symmetric 4x4 stack that must be
+    positive definite.
+
+    Returns ``(cof, det)``: ``cof`` maps ``(a, b)``, a <= b, to the (a, b)
+    cofactor, built from the 2x2 minors of rows (0, 1) and (2, 3); ``det`` is
+    row 0 times its cofactors.  Raises NotPositive, naming ``what`` and the
+    first failing batch index, unless every leading principal minor exceeds
+    ``tol`` (the third is the (3, 3) cofactor).
+    """
+    e = _entries(m)
+
+    def minors(r, t):
+        return {(j, k): e[r, j] * e[t, k] - e[r, k] * e[t, j]
+                for j in range(4) for k in range(j + 1, 4)}
+
+    s, c = minors(0, 1), minors(2, 3)
+    cof = {
+        (0, 0): e[1, 1] * c[2, 3] - e[1, 2] * c[1, 3] + e[1, 3] * c[1, 2],
+        (0, 1): -(e[1, 0] * c[2, 3] - e[1, 2] * c[0, 3] + e[1, 3] * c[0, 2]),
+        (0, 2): e[1, 0] * c[1, 3] - e[1, 1] * c[0, 3] + e[1, 3] * c[0, 1],
+        (0, 3): -(e[1, 0] * c[1, 2] - e[1, 1] * c[0, 2] + e[1, 2] * c[0, 1]),
+        (1, 1): e[0, 0] * c[2, 3] - e[0, 2] * c[0, 3] + e[0, 3] * c[0, 2],
+        (1, 2): -(e[0, 0] * c[1, 3] - e[0, 1] * c[0, 3] + e[0, 3] * c[0, 1]),
+        (1, 3): e[0, 0] * c[1, 2] - e[0, 1] * c[0, 2] + e[0, 2] * c[0, 1],
+        (2, 2): e[3, 0] * s[1, 3] - e[3, 1] * s[0, 3] + e[3, 3] * s[0, 1],
+        (2, 3): -(e[3, 0] * s[1, 2] - e[3, 1] * s[0, 2] + e[3, 2] * s[0, 1]),
+        (3, 3): e[2, 0] * s[1, 2] - e[2, 1] * s[0, 2] + e[2, 2] * s[0, 1],
+    }
+    det = (e[0, 0] * cof[0, 0] + e[0, 1] * cof[0, 1]
+           + e[0, 2] * cof[0, 2] + e[0, 3] * cof[0, 3])
+    ok = (e[0, 0] > tol) & (s[0, 1] > tol) & (cof[3, 3] > tol) & (det > tol)
+    if not np.all(ok):
+        where = ""
+        if np.ndim(ok):
+            where = f" at lattice index {tuple(int(v) for v in np.argwhere(~ok)[0])}"
+        raise NotPositive(f"{what} not positive definite{where}")
+    return cof, det
 
 
-def _pd_minors4(m: np.ndarray):
-    d1 = m[..., 0, 0]
-    d2 = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-    d3 = det3(m[..., :3, :3])
-    d4 = _det4(m)
-    return d1, d2, d3, d4
+def _adjugate4(cof: dict) -> np.ndarray:
+    """The (..., 4, 4) adjugate from the cofactors of :func:`_pd_cofactors4`;
+    each is copied to both sides of the diagonal, so it is exactly symmetric."""
+    adj = np.empty((4, 4) + np.shape(cof[0, 0]))
+    for (a, b), v in cof.items():
+        adj[a, b] = adj[b, a] = v
+    return _from_entries(adj)
 
 
 def metric_from_triple(triple: np.ndarray, mu=1.0, tol: float = 1e-12):
@@ -231,10 +298,8 @@ def metric_from_triple(triple: np.ndarray, mu=1.0, tol: float = 1e-12):
     positivity plus right-handedness of the triple inside its span).
     """
     K = metric_density(triple)
-    d1, d2, d3, d4 = _pd_minors4(K)
-    if not np.all((d1 > tol) & (d2 > tol) & (d3 > tol) & (d4 > tol)):
-        raise NotPositive("metric density is not positive definite")
-    s = d4 ** (1.0 / 6.0)
+    _, det = _pd_cofactors4(K, "metric density", tol)
+    s = det ** (1.0 / 6.0)
     g = K / s[..., None, None]
     return g, s
 
@@ -251,10 +316,19 @@ def normalize(triple: np.ndarray, mu=1.0):
 
 
 def lambda2_gram(h: np.ndarray) -> np.ndarray:
-    """Inner products of the Lambda^2 basis for inverse metric ``h`` (..., 6, 6)."""
-    p, q = _I2[:, 0], _I2[:, 1]
-    return (h[..., p[:, None], p[None, :]] * h[..., q[:, None], q[None, :]]
-            - h[..., p[:, None], q[None, :]] * h[..., q[:, None], p[None, :]])
+    """Inner products of the Lambda^2 basis for inverse metric ``h`` (..., 6, 6).
+
+    Entry (m, l) is the 2x2 minor of ``h`` on the index pairs of basis
+    elements m and l.  The 21 entries on and above the diagonal are computed
+    from the entries of ``h`` and copied below it (``h`` is symmetric).
+    """
+    e = _entries(h)
+    out = np.empty((6, 6) + e.shape[2:])
+    for m, (a, b) in enumerate(LAMBDA2_TUPLES):
+        for l in range(m, 6):
+            c, d = LAMBDA2_TUPLES[l]
+            out[m, l] = out[l, m] = e[a, c] * e[b, d] - e[a, d] * e[b, c]
+    return _from_entries(out)
 
 
 def star2(coeffs: np.ndarray, h: np.ndarray, sqrt_det_g) -> np.ndarray:
@@ -296,9 +370,5 @@ def hodge2(b: np.ndarray, g: np.ndarray, mu_g) -> np.ndarray:
     for all 2-forms beta.  Requires ``mu_g = sqrt(det g)``; an involution and
     an isometry for Riemannian ``g``.  Raises NotPositive on indefinite g.
     """
-    g = np.asarray(g, dtype=float)
-    d1, d2, d3, d4 = _pd_minors4(g)
-    if not np.all((d1 > 0) & (d2 > 0) & (d3 > 0) & (d4 > 0)):
-        raise NotPositive("hodge2 requires a positive definite metric")
-    h = np.linalg.inv(g)
-    return star2(b, h, mu_g)
+    cof, det = _pd_cofactors4(g, "hodge2: metric")
+    return star2(b, _adjugate4(cof) / np.asarray(det)[..., None, None], mu_g)

@@ -188,3 +188,36 @@ def star_oracle(coeffs, g, tuples_k, tuples_comp, n):
 
 def star7_oracle(coeffs, g7, tuples_k, tuples_comp):
     return star_oracle(coeffs, g7, tuples_k, tuples_comp, 7)
+
+
+# Frozen six-product metric density, as the package evaluated it before it
+# switched to a monomial table: reference for that table to roundoff.
+_CMAT = np.zeros((6, 4, 4))
+for _m, (_a, _b) in enumerate(PAIRS):
+    _CMAT[_m, _a, _b] = 1.0
+    _CMAT[_m, _b, _a] = -1.0
+# metric-free duality on coefficients: eps^{cdef} Z_{ef} swaps the two halves
+_SWAP = np.array([3, 4, 5, 0, 1, 2])
+
+
+def metric_density_six_products(triple) -> np.ndarray:
+    """K = (1/6) eps_ijk ... as six matrix products 2 B_i S_k B_j^T, batched.
+
+    B_i is the antisymmetric matrix of w_i and S_k that of its half-swapped
+    coefficients; the result is symmetrized, (K + K^T) / 2.
+    """
+    triple = np.asarray(triple, dtype=float)
+    flat = _CMAT.reshape(6, 16)
+    B = np.matmul(triple, flat).reshape(triple.shape[:-1] + (4, 4))
+    S = np.matmul(triple[..., _SWAP], flat).reshape(triple.shape[:-1] + (4, 4))
+    Bi = [B[..., i, :, :] for i in range(3)]
+    Si = [S[..., i, :, :] for i in range(3)]
+    Bt = [np.swapaxes(b, -1, -2) for b in Bi]
+
+    def term(i, k, j):
+        return np.matmul(np.matmul(Bi[i], Si[k]), Bt[j])
+
+    k = (term(0, 2, 1) + term(1, 0, 2) + term(2, 1, 0)
+         - term(0, 1, 2) - term(2, 0, 1) - term(1, 2, 0))
+    k /= 6.0
+    return 0.5 * (k + np.swapaxes(k, -1, -2))

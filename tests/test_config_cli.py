@@ -8,6 +8,7 @@ import pytest
 from hsflow import cli
 from hsflow import config as config_mod
 from hsflow import grid_calculus as gc
+from hsflow import initial_data
 from hsflow import snapshot as snap
 from hsflow import triple_algebra as ta
 from hsflow.errors import ValidationError
@@ -156,6 +157,32 @@ def test_lift_bad_header_lattice_is_validation_error(tmp_path, capsys):
     path.write_bytes(bytes(raw))
     assert cli.main(["lift", "--snapshot", str(path)]) == 1
     assert "validation error" in capsys.readouterr().err
+
+
+def test_lift_evaluates_each_field_once(tmp_path, monkeypatch, capsys):
+    # w is differentiated once (its d gives max_dw) and the Gram eigenvalues
+    # are computed once (the guard's smallest gives min_eig_Q)
+    lat = gc.Lattice((4, 4, 4, 4))
+    path = tmp_path / "state.hsf"
+    snap.write_snapshot(path, initial_data.generate_initial(
+        lat, "exact-perturbation", 0.05, 3))
+    calls = {"d": [], "eigvalsh": [], "max_dabs": 0}
+    d, eigvalsh, max_dabs = gc.d, np.linalg.eigvalsh, gc.TripleField.max_dabs
+
+    def counted_max_dabs(self, *args, **kw):
+        calls["max_dabs"] += 1
+        return max_dabs(self, *args, **kw)
+    monkeypatch.setattr(gc, "d", lambda lat_, f, *a, **kw: calls["d"].append(f.shape)
+                        or d(lat_, f, *a, **kw))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m, *a, **kw: calls["eigvalsh"].append(
+        m.shape) or eigvalsh(m, *a, **kw))
+    monkeypatch.setattr(gc.TripleField, "max_dabs", counted_max_dabs)
+    assert cli.main(["lift", "--snapshot", str(path), "--samples", "4"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert calls["d"] == [lat.shape + (3, 6)] * 2      # the dual triple and w
+    assert [s for s in calls["eigvalsh"] if s[:4] == lat.shape] == [lat.shape + (3, 3)]
+    assert calls["max_dabs"] == 0
+    assert report["max_dw"] <= 1e-10 and report["min_eig_Q"] > 0.0
 
 
 class TestCliVerify:

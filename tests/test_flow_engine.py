@@ -239,6 +239,63 @@ class TestReuse:
         assert written == [(i, i) for i in expect]
 
 
+class TestInitialRow:
+    def test_row_zero_reuses_init_state(self, monkeypatch):
+        counts = {"max_dabs": 0, "periods": 0}
+        for name in counts:
+            fn = getattr(gc.TripleField, name)
+
+            def counted(self, *args, _fn=fn, _name=name, **kw):
+                counts[_name] += 1
+                return _fn(self, *args, **kw)
+            monkeypatch.setattr(gc.TripleField, name, counted)
+        res = fe.run(fe.FlowConfig(max_steps=0, fiber_samples=0), t3_field())
+        assert counts == {"max_dabs": 1, "periods": 1}
+        assert res.rows[0]["period_drift"] == 0.0
+        assert res.rows[0]["max_dw"] == res.final_state.kept[("max_dw", 4)]
+
+
+# reference pipeline for the equivalence tests: the frozen six-product
+# density, a generic determinant and inverse, and a gathered Lambda^2 Gram
+_P, _Q = (np.array(ix) for ix in zip(*ta.LAMBDA2_TUPLES))
+
+
+def reference_rhs(lat, c, order=4):
+    K = oracles.metric_density_six_products(c)
+    mu = np.linalg.det(K) ** (1.0 / 6.0)
+    g = K / mu[..., None, None]
+    h = np.linalg.inv(g)
+    q = ta.gram(c, mu)
+    G2 = (h[..., _P[:, None], _P[None, :]] * h[..., _Q[:, None], _Q[None, :]]
+          - h[..., _P[:, None], _Q[None, :]] * h[..., _Q[:, None], _P[None, :]])
+    sigma = np.matmul(ta.adj3(q), c)
+    starred = np.matmul(np.matmul(sigma, G2), np.linalg.inv(ta.WEDGE2)) * mu[..., None, None]
+    eta = -ta.star3(gc.d(lat, starred, 2, order), g, mu)
+    return gc.d(lat, np.matmul(q, eta), 1, order)
+
+
+class TestKernelEquivalence:
+    """RHS and one RK4 step agree with the reference pipeline to roundoff."""
+
+    @pytest.mark.parametrize("generator", ["exact-perturbation", "t3-invariant"])
+    def test_rhs_and_rk4_step(self, generator):
+        lat = gc.Lattice((8, 4, 4, 4))
+        tf = initial_data.generate_initial(lat, generator, 0.05, 7)
+        cfg = fe.FlowConfig()
+        state = fe.init_state(cfg, tf)
+        r_ref = reference_rhs(lat, tf.c)
+        assert np.abs(fe.rhs(state) - r_ref).max() <= 1e-13 * np.abs(r_ref).max()
+
+        dt = fe.stable_dt(state, cfg.cfl)
+        k1 = r_ref
+        k2 = reference_rhs(lat, tf.c + 0.5 * dt * k1)
+        k3 = reference_rhs(lat, tf.c + 0.5 * dt * k2)
+        k4 = reference_rhs(lat, tf.c + dt * k3)
+        inc_ref = (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        inc = fe.step(state, dt, cfg).tf.c - tf.c
+        assert np.abs(inc - inc_ref).max() <= 1e-13 * np.abs(inc_ref).max()
+
+
 class TestDescentConsistency:
     def test_lift_identities_along_the_flow(self, rng):
         # the evolved triple's 7-dimensional lift keeps *7 psi = phi and a

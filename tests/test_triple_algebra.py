@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
+from hsflow import grid_calculus as gc
 from hsflow import triple_algebra as ta
 from hsflow.errors import NotPositive, SingularMatrix
 
@@ -348,3 +349,97 @@ class TestBatchedBroadcasting:
             gi, mi = ta.metric_from_triple(ts[i])
             assert np.allclose(g[i], gi, atol=1e-14)
             assert mu_w[i] == pytest.approx(mi, abs=1e-14)
+
+
+class TestDensityTable:
+    """The monomial-table density against the frozen six-product formula."""
+
+    def test_table_shape_and_coefficients(self):
+        assert ta.DENSITY_COEF.shape == (16, 96)
+        assert ta.DENSITY_FACTORS.shape == (3, 96)
+        assert set(np.unique(ta.DENSITY_COEF)) == {-1.0, -0.5, 0.0, 0.5, 1.0}
+        assert np.all(np.any(ta.DENSITY_COEF != 0.0, axis=0))
+        f0, f1, f2 = ta.DENSITY_FACTORS
+        # one coefficient from each form; no monomial listed twice
+        assert f0.max() < 6 and 6 <= f1.min() and f1.max() < 12 and 12 <= f2.min()
+        assert len(set(zip(f0, f1, f2))) == 96
+        # K is symmetric as a polynomial: rows ab and ba agree
+        rows = ta.DENSITY_COEF.reshape(4, 4, 96)
+        assert np.array_equal(rows, rows.transpose(1, 0, 2))
+
+    def test_lattice_against_six_products(self, rng):
+        shape = (7, 5, 3, 11)   # 1155 points: one full block and a partial one
+        npts = int(np.prod(shape))
+        assert npts > ta._DENSITY_BLOCK and npts % ta._DENSITY_BLOCK != 0
+        c = (np.broadcast_to(STD, shape + (3, 6))
+             + 0.3 * rng.uniform(-1, 1, shape + (3, 6)))
+        got = ta.metric_density(c)
+        expected = oracles.metric_density_six_products(c)
+        assert got.shape == shape + (4, 4)
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+        assert np.array_equal(got, np.swapaxes(got, -1, -2))
+
+    def test_single_fibers_against_six_products(self, rng):
+        for _ in range(50):
+            t = random_triple(rng) if rng.uniform() < 0.5 else rng.uniform(-1, 1, (3, 6))
+            got = ta.metric_density(t)
+            expected = oracles.metric_density_six_products(t)
+            assert got.shape == (4, 4)
+            assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    def test_broadcast_batch_matches_fibers(self, rng):
+        # same table either way; BLAS may sum a one-row product differently
+        ts = np.stack([random_triple(rng) for _ in range(5)])
+        batch = ta.metric_density(ts)
+        for i in range(5):
+            one = ta.metric_density(ts[i])
+            assert np.abs(batch[i] - one).max() <= 1e-15 * np.abs(one).max()
+
+
+class TestInverseMetric:
+    """g^-1 from the cofactors of K, and the Lambda^2 Gram built from it."""
+
+    def field(self, rng, shape=(6, 4, 4, 5)):
+        x = rng.uniform(-1, 1, shape + (3, 6))
+        return np.broadcast_to(STD, shape + (3, 6)) + 0.2 * x
+
+    def test_normalization_inverse_metric(self, rng):
+        q, g, mu, h, _ = gc._normalize_fields(self.field(rng), 1e-6, eig_guard=False)
+        assert np.array_equal(h, np.swapaxes(h, -1, -2))
+        assert np.abs(h @ g - np.eye(4)).max() <= 1e-13
+        assert np.abs(h - np.linalg.inv(g)).max() <= 1e-13 * np.abs(h).max()
+
+    def test_standard_triple_exact(self):
+        lat = gc.Lattice((4, 4, 4, 4))
+        _, _, mu, h, _ = gc._normalize_fields(
+            gc.constant_triple_field(lat, STD).c, 1e-6, eig_guard=False)
+        assert np.array_equal(h, np.broadcast_to(np.eye(4), h.shape))
+        assert np.all(mu == 1.0)
+
+    def test_adjugate_and_minors(self, rng):
+        for _ in range(20):
+            a = rng.uniform(-1, 1, (4, 4))
+            m = a @ a.T + 0.5 * np.eye(4)
+            cof, det = ta._pd_cofactors4(m, "test matrix")
+            adj = ta._adjugate4(cof)
+            assert det == pytest.approx(np.linalg.det(m), rel=1e-13)
+            assert np.array_equal(adj, adj.T)
+            assert np.abs(adj @ m / det - np.eye(4)).max() <= 1e-13
+
+    def test_indefinite_point_is_named(self):
+        m = np.broadcast_to(np.eye(4), (3, 2, 4, 4)).copy()
+        m[2, 1, 3, 3] = -1.0
+        with pytest.raises(NotPositive, match=r"test matrix not .* \(2, 1\)"):
+            ta._pd_cofactors4(m, "test matrix")
+
+    def test_lambda2_gram_entries_are_minors(self, rng):
+        # entry (m, l) is det h[I_m, I_l] in the stored index order of the basis
+        _, g, _, h, _ = gc._normalize_fields(self.field(rng, (4, 4, 4, 4)), 1e-6, False)
+        got = ta.lambda2_gram(h)
+        pairs = ta.LAMBDA2_TUPLES
+        expected = np.stack([np.stack([np.linalg.det(h[..., I, :][..., :, J])
+                                       for J in map(list, pairs)], -1)
+                             for I in map(list, pairs)], -2)
+        assert np.array_equal(got, np.swapaxes(got, -1, -2))
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+        assert np.array_equal(ta.lambda2_gram(h[1, 2, 3, 0]), got[1, 2, 3, 0])
