@@ -107,30 +107,21 @@ def cmd_flow(args) -> int:
 
 def _lift_report(tf: gc.TripleField, time: float, samples: int, seed: int) -> dict:
     from . import fiber_g2 as fg
-    lat = tf.lattice
     state = fe.FlowState(time, tf)
-    q, g, mu = state.ensure_fields()
-    sigma = np.matmul(ta.adj3(q), tf.c)
-    dsig = gc.d(lat, sigma, 2, 4)
-    dome = gc.d(lat, tf.c, 2, 4)
-    rng = np.random.default_rng(seed)
-    k = min(samples, lat.num_points)
-    flat = rng.choice(lat.num_points, size=k, replace=False)
+    q, _, mu = state.ensure_fields()
+    dome = gc.d(tf.lattice, tf.c, 2, 4)
+    points = fe.draw_points(tf.lattice, samples, seed)
     star_worst, torsion_worst = 0.0, 0.0
-    for f in flat:
-        idx = tuple(int(v) for v in np.unravel_index(f, lat.shape))
+    for idx in points:
         phi = fg.build_phi(tf.c[idx])
-        psi = fg.build_psi(sigma[idx], mu[idx])
+        psi = fg.build_psi(np.matmul(ta.adj3(q[idx]), tf.c[idx]), mu[idx])
         g7, _ = fg.metric_from_phi(phi)
         star_worst = max(star_worst, fg.check_star7(phi, psi, g7))
-        # torsion of both lifts; the dual triple is the non-closed one
         torsion_worst = max(
-            torsion_worst,
-            abs(fg.torsion_trace(phi, fg.assemble_dphi(dome[idx]), g7)),
-            abs(fg.torsion_trace(fg.build_phi(sigma[idx]),
-                                 fg.assemble_dphi(dsig[idx]),
-                                 fg.metric7_block(ta.adj3(q[idx]), g[idx]))))
-    return {"time": time, "points_sampled": int(k),
+            torsion_worst, abs(fg.torsion_trace(phi, fg.assemble_dphi(dome[idx]), g7)))
+    # the dual triple's lift is the non-closed one
+    torsion_worst = max(torsion_worst, fe.dual_lift_torsion(state, points))
+    return {"time": time, "points_sampled": len(points),
             "max_star7_residual": float(star_worst),
             "max_torsion_trace": float(torsion_worst),
             "max_dw": float(np.abs(dome).max()),
@@ -138,6 +129,8 @@ def _lift_report(tf: gc.TripleField, time: float, samples: int, seed: int) -> di
 
 
 def cmd_lift(args) -> int:
+    if args.samples < 0:
+        raise ValidationError("--samples must be nonnegative")
     tf, time = snap.read_snapshot(args.snapshot)
     report = _lift_report(tf, time, args.samples, args.seed)
     report["snapshot"] = str(args.snapshot)

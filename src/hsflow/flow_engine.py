@@ -64,6 +64,12 @@ class FlowConfig:
             raise ValidationError(f"unknown method {self.method!r}")
         if self.diag_cadence < 1:
             raise ValidationError("diag_cadence must be >= 1")
+        if not self.degeneration_threshold > 0:
+            raise ValidationError("degeneration_threshold must be positive")
+        if self.fiber_samples < 0:
+            raise ValidationError("fiber_samples must be nonnegative")
+        if self.checkpoint_cadence < 0:
+            raise ValidationError("checkpoint_cadence must be nonnegative")
         return self
 
 
@@ -89,7 +95,7 @@ class FlowState:
     def ensure_fields(self, threshold: float = 1e-6):
         if self.q is None:
             self.q, self.g, self.mu, self.h, (self.q_eig_max, self.q_eig_min) = \
-                gc._normalize_fields(self.tf.c, threshold, eig_guard=True)
+                gc._normalize_fields(self.tf.c, threshold)
         return self.q, self.g, self.mu
 
     def keep(self, key, compute):
@@ -100,16 +106,16 @@ class FlowState:
 
 
 def evaluate_rhs(lat: gc.Lattice, c: np.ndarray, order: int = 4,
-                 threshold: float = 1e-6, fields=None) -> np.ndarray:
+                 fields=None) -> np.ndarray:
     """One right-hand side evaluation on raw coefficients; shape (grid, 3, 6).
 
     The update is assembled strictly as d(applied to 1-form fields), so it
     lies in the image of the discrete d.  Without ``fields`` (q, g, mu, h),
-    as at mid-stages, positivity is guarded by principal minors only; the
-    eigenvalue threshold is enforced on committed states.
+    as at mid-stages, ``c`` is normalized here with no eigenvalue guard, only
+    the metric density's minors; the threshold guards committed states.
     """
     if fields is None:
-        q, g, mu, h, _ = gc._normalize_fields(c, threshold, eig_guard=False)
+        q, g, mu, h, _ = gc._normalize_fields(c)
     else:
         q, g, mu, h = fields
     qinv = ta.adj3(q)                       # det q = 1, so adjugate = inverse
@@ -119,12 +125,13 @@ def evaluate_rhs(lat: gc.Lattice, c: np.ndarray, order: int = 4,
     return gc.d(lat, zeta, 1, order)
 
 
-def rhs(state: FlowState, order: int = 4, threshold: float = 1e-6) -> np.ndarray:
-    """Right-hand side at a state; shape (grid, 3, 6), read-only.  Kept per
-    stencil order, so a diagnostics row is also the next step's first stage."""
+def rhs(state: FlowState, order: int = 4) -> np.ndarray:
+    """Right-hand side at a state's guarded fields (``state.ensure_fields()``);
+    shape (grid, 3, 6), read-only.  Kept per stencil order, so a diagnostics
+    row is also the next step's first stage."""
     def compute():
-        fields = state.ensure_fields(threshold) + (state.h,)
-        out = evaluate_rhs(state.tf.lattice, state.tf.c, order, threshold, fields)
+        fields = state.ensure_fields() + (state.h,)
+        out = evaluate_rhs(state.tf.lattice, state.tf.c, order, fields)
         out.flags.writeable = False
         return out
     return state.keep(("rhs", order), compute)
@@ -155,13 +162,13 @@ def step(state: FlowState, dt: float, config: FlowConfig) -> FlowState:
     thr = config.degeneration_threshold
     c0 = state.tf.c
     try:
-        k1 = rhs(state, order, thr)
+        k1 = rhs(state, order)
         if config.method == "euler":
             c_new = c0 + dt * k1
         else:
-            k2 = evaluate_rhs(lat, c0 + 0.5 * dt * k1, order, thr)
-            k3 = evaluate_rhs(lat, c0 + 0.5 * dt * k2, order, thr)
-            k4 = evaluate_rhs(lat, c0 + dt * k3, order, thr)
+            k2 = evaluate_rhs(lat, c0 + 0.5 * dt * k1, order)
+            k3 = evaluate_rhs(lat, c0 + 0.5 * dt * k2, order)
+            k4 = evaluate_rhs(lat, c0 + dt * k3, order)
             c_new = c0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         new_state = FlowState(state.time + dt, gc.TripleField(lat, c_new),
                               base_periods=state.base_periods,
@@ -175,22 +182,30 @@ def step(state: FlowState, dt: float, config: FlowConfig) -> FlowState:
     return new_state
 
 
-def _torsion_sample(state: FlowState, order: int) -> float:
-    """Max |torsion trace| of the dual-triple lift at the sampled points.
+def draw_points(lat: gc.Lattice, k: int, seed: int) -> tuple:
+    """``min(k, lat.num_points)`` distinct lattice indices, drawn from ``seed``;
+    the flow's fiber samples and ``hsflow lift`` both draw them here."""
+    rng = np.random.default_rng(seed)
+    k = min(k, lat.num_points)
+    flat = rng.choice(lat.num_points, size=k, replace=False) if k else []
+    return tuple(tuple(int(v) for v in np.unravel_index(i, lat.shape)) for i in flat)
 
-    The dual triple is not closed away from fixed points, so this exercises
-    the lift on genuinely non-closed data; the trace still vanishes because
-    the product under the star pairs nothing.
+
+def dual_lift_torsion(state: FlowState, points, order: int = 4) -> float:
+    """Max |torsion trace| of the dual-triple lift at ``points`` of a state.
+
+    The dual triple sigma_i = (Q^-1)_ik w_k is not closed away from fixed
+    points, so this exercises the lift on genuinely non-closed data; the
+    trace still vanishes because the product under the star pairs nothing.
     """
-    if not state.sample_points:
+    if not points:
         return 0.0
     from . import fiber_g2 as fg
-    lat = state.tf.lattice
-    q, g, mu = state.q, state.g, state.mu
+    q, g, _ = state.ensure_fields()
     sigma = np.matmul(ta.adj3(q), state.tf.c)
-    dsig = gc.d(lat, sigma, 2, order)
+    dsig = gc.d(state.tf.lattice, sigma, 2, order)
     worst = 0.0
-    for idx in state.sample_points:
+    for idx in points:
         phi = fg.build_phi(sigma[idx])
         dphi = fg.assemble_dphi(dsig[idx])
         g7 = fg.metric7_block(ta.adj3(q[idx]), g[idx])
@@ -211,7 +226,7 @@ def diagnostics(state: FlowState, config: FlowConfig, step_index: int = 0,
         drift = float(np.abs(periods - state.base_periods).max())
     else:
         drift = 0.0
-    r = rhs(state, order, config.degeneration_threshold)
+    r = rhs(state, order)
     rhs_l2 = float(np.sqrt((r * r).sum() * lat.cell_volume))
     qbar = q.mean(axis=(0, 1, 2, 3))
     q_dev = float(np.sqrt(((q - qbar) ** 2).sum(axis=(-2, -1))).max())
@@ -225,7 +240,7 @@ def diagnostics(state: FlowState, config: FlowConfig, step_index: int = 0,
         "period_drift": drift,
         "rhs_l2": rhs_l2,
         "q_dev": q_dev,
-        "torsion_sample": _torsion_sample(state, order),
+        "torsion_sample": dual_lift_torsion(state, state.sample_points, order),
     }
     state.diagnostics = row
     return row
@@ -254,12 +269,7 @@ def init_state(config: FlowConfig, tf: gc.TripleField) -> FlowState:
             f"> {CLOSEDNESS_GATE:g}")
     state.ensure_fields(config.degeneration_threshold)
     state.base_periods = state.keep("periods", tf.periods)
-    rng = np.random.default_rng(config.seed)
-    npts = tf.lattice.num_points
-    k = min(config.fiber_samples, npts)
-    flat = rng.choice(npts, size=k, replace=False) if k else []
-    state.sample_points = tuple(
-        tuple(int(v) for v in np.unravel_index(i, tf.lattice.shape)) for i in flat)
+    state.sample_points = draw_points(tf.lattice, config.fiber_samples, config.seed)
     return state
 
 

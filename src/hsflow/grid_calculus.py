@@ -123,13 +123,12 @@ def codiff2(lat: Lattice, beta: np.ndarray, g: np.ndarray, mu_g: np.ndarray,
     volume coefficient sqrt(det g).  Pass ``h`` to reuse a precomputed
     inverse metric, as the flow does with the one its normalization keeps.
     Without it, ``g`` must be positive definite (NotPositive names the first
-    point where it is not) and g^-1 is its adjugate over its determinant.
-    ``beta`` may carry one batch axis before the component axis (e.g. a
-    whole triple at once).
+    point where it is not) and g^-1 comes from the same adjugate-over-
+    determinant helper as ``hodge2``.  ``beta`` may carry one batch axis
+    before the component axis (e.g. a whole triple at once).
     """
     if h is None:
-        cof, det = ta._pd_cofactors4(g, "codiff2: metric")
-        h = ta._adjugate4(cof) / det[..., None, None]
+        h = ta._inverse4(g, "codiff2: metric")
     starred = ta.star2(beta, h, mu_g)
     three = d(lat, starred, 2, order)
     return -ta.star3(three, g, mu_g)
@@ -177,17 +176,15 @@ def constant_triple_field(lat: Lattice, triple: np.ndarray) -> TripleField:
     return TripleField(lat, c)
 
 
-def _normalize_fields(c: np.ndarray, threshold: float, eig_guard: bool):
+def _normalize_fields(c: np.ndarray, threshold: float | None = None):
     """``(q, g, mu, h, eig)``: see pointwise_normalize; ``h`` is the inverse
-    metric.  ``eig`` is the Gram eigenvalues' (per-point largest, overall
-    smallest) from the ``eig_guard`` check, else None."""
-    K = ta.metric_density(c)
-    cof, det = ta._pd_cofactors4(K, "metric density")
-    s = det ** (1.0 / 6.0)
-    g = K / s[..., None, None]
+    metric.  The Gram eigenvalue guard runs exactly when a ``threshold`` is
+    given; ``eig`` is then the eigenvalues' (per-point largest, overall
+    smallest), else None."""
+    g, s, cof, det = ta._metric_parts(c, 0.0)
     h = ta._adjugate4(cof) * (s / det)[..., None, None]   # g^-1 = s adj(K) / det K
     q = ta.gram(c, s)
-    if not eig_guard:
+    if threshold is None:
         return q, g, s, h, None
     lam = np.linalg.eigvalsh(q)
     min_eig = lam[..., 0]
@@ -209,4 +206,4 @@ def pointwise_normalize(tf: TripleField, threshold: float = 1e-6):
     first offending lattice index, when the metric density degenerates or the
     smallest Gram eigenvalue drops to ``threshold`` or below.
     """
-    return _normalize_fields(tf.c, threshold, eig_guard=True)[:3]
+    return _normalize_fields(tf.c, threshold)[:3]

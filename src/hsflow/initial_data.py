@@ -50,7 +50,7 @@ def _max_admissible(lat: gc.Lattice, base: np.ndarray, dpot: np.ndarray,
 
     def ok(s):
         try:
-            gc._normalize_fields(base + s * dpot, threshold, eig_guard=True)
+            gc._normalize_fields(base + s * dpot, threshold)
             return True
         except NotPositive:
             return False

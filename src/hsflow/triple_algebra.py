@@ -36,7 +36,6 @@ LAMBDA3_TUPLES = exterior.lex_tuples(4, 3)
 # this is the half-swap [[0, I], [I, 0]].
 WEDGE2 = exterior.pairing_matrix(LAMBDA2_TUPLES, LAMBDA2_TUPLES, 4)
 
-_W12 = exterior.pairing_matrix(LAMBDA1_TUPLES, LAMBDA3_TUPLES, 4)
 _W32 = exterior.pairing_matrix(LAMBDA3_TUPLES, LAMBDA1_TUPLES, 4)
 _W2INV = np.linalg.inv(WEDGE2)
 _W32INV = np.linalg.inv(_W32)
@@ -52,7 +51,6 @@ _OMITTED = np.array([3, 2, 1, 0])           # coordinate missing from each lex 3
 _SIGMA3 = np.array([-1.0, 1.0, -1.0, 1.0])  # (-1)^omitted
 
 _W32INV_T = np.ascontiguousarray(_W32INV.T)
-_W12INV_T = np.ascontiguousarray(np.linalg.inv(_W12).T)
 
 
 def _density_table():
@@ -284,34 +282,45 @@ def _adjugate4(cof: dict) -> np.ndarray:
     return _from_entries(adj)
 
 
-def metric_from_triple(triple: np.ndarray, mu=1.0, tol: float = 1e-12):
+def _inverse4(g: np.ndarray, what: str) -> np.ndarray:
+    """Inverse of a symmetric positive definite 4x4 stack, adj(g) / det g;
+    NotPositive names ``what`` and the first failing batch index."""
+    cof, det = _pd_cofactors4(g, what)
+    return _adjugate4(cof) / np.asarray(det)[..., None, None]
+
+
+def _metric_parts(triple: np.ndarray, tol: float):
+    """``(g, s, cof, det)`` for a triple: the metric ``g = K / s`` with
+    ``s = det(K)^{1/6}`` the volume coefficient, and the cofactors and
+    determinant of its density ``K`` (see :func:`_pd_cofactors4`)."""
+    K = metric_density(triple)
+    cof, det = _pd_cofactors4(K, "metric density", tol)
+    s = det ** (1.0 / 6.0)
+    return K / s[..., None, None], s, cof, det
+
+
+def metric_from_triple(triple: np.ndarray, tol: float = 1e-12):
     """Riemannian metric and volume coefficient determined by a positive triple.
 
     Returns ``(g, mu_w)`` where ``g`` solves K = g sqrt(det g) for the density
     of :func:`metric_density` (``g = K det(K)^{-1/6}``) and ``mu_w`` is the
-    coefficient of the Riemannian volume form, ``mu_w = det(K)^{1/6}``.  Both
-    are independent of the reference volume ``mu``; the argument is kept so
-    callers can state which Gram normalization they pair the result with, and
-    ``mu_w`` always equals ``det(gram(triple, mu))^{1/3} * mu``.
+    coefficient of the Riemannian volume form, ``mu_w = det(K)^{1/6}``, equal
+    to ``det(gram(triple, mu))^{1/3} * mu`` for any reference volume ``mu``.
 
-    Raises NotPositive when the density fails positive-definiteness (Gram
-    positivity plus right-handedness of the triple inside its span).
+    Raises NotPositive unless every leading minor of the density exceeds
+    ``tol`` (Gram positivity plus right-handedness of the triple in its span).
     """
-    K = metric_density(triple)
-    _, det = _pd_cofactors4(K, "metric density", tol)
-    s = det ** (1.0 / 6.0)
-    g = K / s[..., None, None]
-    return g, s
+    return _metric_parts(triple, tol)[:2]
 
 
-def normalize(triple: np.ndarray, mu=1.0):
+def normalize(triple: np.ndarray):
     """Gram matrix against the triple's own Riemannian volume; det Q* = 1.
 
     Returns ``(q_star, mu_w)`` with ``q_star = gram(triple, mu_w)``.  This is
     the normalization that makes the determinant identically one, which the
     closed-form Hodge tables on the 3-torus fiber assume.
     """
-    _, mu_w = metric_from_triple(triple, mu)
+    _, mu_w = metric_from_triple(triple)
     return gram(triple, mu_w), mu_w
 
 
@@ -356,13 +365,6 @@ def star3(coeffs: np.ndarray, g: np.ndarray, sqrt_det_g) -> np.ndarray:
     return out / _match_rank(sqrt_det_g, out)
 
 
-def star1(coeffs: np.ndarray, h: np.ndarray, sqrt_det_g) -> np.ndarray:
-    """Hodge star Lambda^1 -> Lambda^3 (1-form basis in, lex 3-form basis out)."""
-    raised = _apply_pointwise(h, np.asarray(coeffs, dtype=float))
-    out = np.matmul(raised, _W12INV_T)
-    return out * _match_rank(sqrt_det_g, out)
-
-
 def hodge2(b: np.ndarray, g: np.ndarray, mu_g) -> np.ndarray:
     """Hodge star of a 2-form for metric ``g`` with volume coefficient ``mu_g``.
 
@@ -370,5 +372,4 @@ def hodge2(b: np.ndarray, g: np.ndarray, mu_g) -> np.ndarray:
     for all 2-forms beta.  Requires ``mu_g = sqrt(det g)``; an involution and
     an isometry for Riemannian ``g``.  Raises NotPositive on indefinite g.
     """
-    cof, det = _pd_cofactors4(g, "hodge2: metric")
-    return star2(b, _adjugate4(cof) / np.asarray(det)[..., None, None], mu_g)
+    return star2(b, _inverse4(g, "hodge2: metric"), mu_g)

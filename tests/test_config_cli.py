@@ -7,6 +7,7 @@ import pytest
 
 from hsflow import cli
 from hsflow import config as config_mod
+from hsflow import flow_engine as fe
 from hsflow import grid_calculus as gc
 from hsflow import initial_data
 from hsflow import snapshot as snap
@@ -135,6 +136,15 @@ class TestCliFlow:
         assert cli.main(["flow", "--config", str(p)]) == 1
         assert "validation error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["fiber_samples = -2", "checkpoint_cadence = -1",
+                                      "degeneration_threshold = 0"])
+    def test_schema_limit_is_validation_error(self, tmp_path, capsys, line):
+        p = tmp_path / "exp.ini"
+        p.write_text(INI.format(out=tmp_path / "r").replace("[output]", line + "\n\n[output]"))
+        assert cli.main(["flow", "--config", str(p)]) == 1
+        assert "validation error" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_degeneration_exit_code(self, tmp_path):
         p = tmp_path / "exp.ini"
         p.write_text(INI.format(out=tmp_path / "r")
@@ -183,6 +193,34 @@ def test_lift_evaluates_each_field_once(tmp_path, monkeypatch, capsys):
     assert [s for s in calls["eigvalsh"] if s[:4] == lat.shape] == [lat.shape + (3, 3)]
     assert calls["max_dabs"] == 0
     assert report["max_dw"] <= 1e-10 and report["min_eig_Q"] > 0.0
+
+
+def _exact_snapshot(tmp_path, n=(4, 4, 4, 4)):
+    path = tmp_path / "state.hsf"
+    snap.write_snapshot(path, initial_data.generate_initial(
+        gc.Lattice(n), "exact-perturbation", 0.05, 3))
+    return path
+
+
+def test_lift_negative_samples_is_validation_error(tmp_path, capsys):
+    assert cli.main(["lift", "--snapshot", str(_exact_snapshot(tmp_path)),
+                     "--samples", "-1"]) == 1
+    assert "validation error" in capsys.readouterr().err
+
+
+def test_lift_samples_like_the_flow(tmp_path, monkeypatch, capsys):
+    # same seed and count give the flow's fiber samples; the dual lift's
+    # torsion comes from the function the diagnostics rows use
+    path = _exact_snapshot(tmp_path, (8, 4, 4, 4))
+    calls = []
+    torsion = fe.dual_lift_torsion
+    monkeypatch.setattr(fe, "dual_lift_torsion", lambda st, points, *a: calls.append(
+        points) or torsion(st, points, *a))
+    assert cli.main(["lift", "--snapshot", str(path), "--samples", "5", "--seed", "9"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    tf, _ = snap.read_snapshot(path)
+    state = fe.init_state(fe.FlowConfig(fiber_samples=5, seed=9), tf)
+    assert calls == [state.sample_points] and report["points_sampled"] == 5
 
 
 class TestCliVerify:

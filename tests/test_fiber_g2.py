@@ -246,7 +246,10 @@ class TestHodge7:
         g4, mu4 = ta.metric_from_triple(t)
         g7 = fg.metric7_block(q, g4)
         h4 = np.linalg.inv(g4)
-        star_e0 = ta.star1(np.eye(4)[0], h4, mu4)      # X4 3-form, lex basis
+        w13_inv = np.linalg.inv(exterior.pairing_matrix(
+            ta.LAMBDA1_TUPLES, ta.LAMBDA3_TUPLES, 4))
+        star_e0 = exterior.star_via_pairing(            # X4 3-form, lex basis
+            np.eye(4)[0], h4, mu4, ta.LAMBDA1_TUPLES, w13_inv)
         hat_tuples = (((1, 2), 1), ((0, 2), -1), ((0, 1), 1))
         x3_tuples = [(3, 4, 5), (3, 4, 6), (3, 5, 6), (4, 5, 6)]
         for j, (pair, psign) in enumerate(hat_tuples):

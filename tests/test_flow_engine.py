@@ -28,9 +28,17 @@ class TestConfigValidation:
         with pytest.raises(ValidationError):
             fe.FlowConfig(cfl=1.5).validate()
 
+    @pytest.mark.parametrize("bad", [{"fiber_samples": -2}, {"checkpoint_cadence": -1},
+                                     {"degeneration_threshold": 0.0},
+                                     {"degeneration_threshold": -1e-6}])
+    def test_schema_limits(self, bad):
+        with pytest.raises(ValidationError, match=next(iter(bad))):
+            fe.FlowConfig(**bad).validate()
+
     def test_good_config(self):
         fe.FlowConfig().validate()
         fe.FlowConfig(dt=1e-4, cfl=None, method="euler").validate()
+        fe.FlowConfig(fiber_samples=0, checkpoint_cadence=0).validate()
 
 
 class TestRhs:
@@ -237,6 +245,35 @@ class TestReuse:
         fe.run(cfg, t3_field(),
                checkpoint_sink=lambda i, st: written.append((i, st.diagnostics["step"])))
         assert written == [(i, i) for i in expect]
+
+
+class TestSampling:
+    """Fiber samples are drawn, and the dual lift's torsion taken, in one place."""
+
+    def test_none_requested(self):
+        assert fe.draw_points(gc.Lattice((4, 4, 4, 4)), 0, 3) == ()
+
+    def test_clamped_to_lattice(self):
+        lat = gc.Lattice((4, 4, 4, 4))
+        points = fe.draw_points(lat, lat.num_points + 5, 3)
+        assert len(points) == lat.num_points
+        assert set(points) == set(np.ndindex(*lat.shape))
+
+    def test_distinct_points_from_seed(self):
+        lat = gc.Lattice((8, 4, 4, 4))
+        points = fe.draw_points(lat, 12, 5)
+        assert len(set(points)) == 12 and points == fe.draw_points(lat, 12, 5)
+        assert all(0 <= i < n for p in points for i, n in zip(p, lat.shape))
+
+    def test_row_uses_dual_lift_torsion(self, monkeypatch):
+        calls = []
+        torsion = fe.dual_lift_torsion
+        monkeypatch.setattr(fe, "dual_lift_torsion", lambda st, points, *a: calls.append(
+            points) or torsion(st, points, *a))
+        state = fe.init_state(fe.FlowConfig(fiber_samples=3, seed=2), t3_field())
+        row = fe.diagnostics(state, fe.FlowConfig(fiber_samples=3, seed=2))
+        assert calls == [state.sample_points] and len(state.sample_points) == 3
+        assert row["torsion_sample"] == torsion(state, state.sample_points)
 
 
 class TestInitialRow:

@@ -404,15 +404,14 @@ class TestInverseMetric:
         return np.broadcast_to(STD, shape + (3, 6)) + 0.2 * x
 
     def test_normalization_inverse_metric(self, rng):
-        q, g, mu, h, _ = gc._normalize_fields(self.field(rng), 1e-6, eig_guard=False)
+        q, g, mu, h, _ = gc._normalize_fields(self.field(rng))
         assert np.array_equal(h, np.swapaxes(h, -1, -2))
         assert np.abs(h @ g - np.eye(4)).max() <= 1e-13
         assert np.abs(h - np.linalg.inv(g)).max() <= 1e-13 * np.abs(h).max()
 
     def test_standard_triple_exact(self):
         lat = gc.Lattice((4, 4, 4, 4))
-        _, _, mu, h, _ = gc._normalize_fields(
-            gc.constant_triple_field(lat, STD).c, 1e-6, eig_guard=False)
+        _, _, mu, h, _ = gc._normalize_fields(gc.constant_triple_field(lat, STD).c)
         assert np.array_equal(h, np.broadcast_to(np.eye(4), h.shape))
         assert np.all(mu == 1.0)
 
@@ -434,7 +433,7 @@ class TestInverseMetric:
 
     def test_lambda2_gram_entries_are_minors(self, rng):
         # entry (m, l) is det h[I_m, I_l] in the stored index order of the basis
-        _, g, _, h, _ = gc._normalize_fields(self.field(rng, (4, 4, 4, 4)), 1e-6, False)
+        _, g, _, h, _ = gc._normalize_fields(self.field(rng, (4, 4, 4, 4)))
         got = ta.lambda2_gram(h)
         pairs = ta.LAMBDA2_TUPLES
         expected = np.stack([np.stack([np.linalg.det(h[..., I, :][..., :, J])
