@@ -8,8 +8,12 @@ triple and its dual this module builds the associated 3-form and 4-form,
 reconstructs the product metric, implements the 3-torus and 7-dimensional
 Hodge stars, and evaluates the torsion trace.
 
-Everything here is O(1)-sized and pure; the flow samples these checks at a
-handful of lattice points per diagnostics row.
+Every function is pure and broadcasts over leading batch axes: ``hsflow
+lift``, ``hsflow verify`` and the flow's torsion sample hand all their
+points or trials to each kernel in one call.  The two costly kernels, the
+metric density (a cubic form with 735 monomials) and the 7-dimensional
+Hodge star, run ``_BLOCK`` points at a time, so their working set stays
+bounded whatever the batch.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import numpy as np
 
 from . import exterior
 from . import triple_algebra as ta
-from .errors import DetNotOne, NotPositive
+from .errors import DetNotOne
 
 LAMBDA3_7 = exterior.lex_tuples(7, 3)
 LAMBDA4_7 = exterior.lex_tuples(7, 4)
@@ -31,9 +35,23 @@ _POS4 = {t: i for i, t in enumerate(LAMBDA4_7)}
 _INT3 = exterior.interior_table(LAMBDA3_7, _LAMBDA2_7, 7)        # e_a . Lambda^3 -> Lambda^2
 _W22_4 = exterior.wedge_table(_LAMBDA2_7, _LAMBDA2_7, LAMBDA4_7)  # Lambda^2 ∧ Lambda^2
 _W43 = exterior.pairing_matrix(LAMBDA4_7, LAMBDA3_7, 7)
-_W34 = exterior.pairing_matrix(LAMBDA3_7, LAMBDA4_7, 7)
+_W34 = _W43.T       # a 3-form and a 4-form commute under the wedge
 _W43INV = _W43.T    # signed permutation
 _W34INV = _W34.T
+
+_BLOCK = 32   # points per block of the 7-dimensional kernels: 32 x 735 monomials is 188 kB
+
+
+def _density_table() -> exterior.CubicMatrix:
+    """The metric density as a cubic form in the 35 coefficients of phi:
+    6 K_ab e(0..6) = (e_a ⌟ phi) ∧ (e_b ⌟ phi) ∧ phi, expanded over the
+    nonzero entries of the interior, wedge and pairing tables."""
+    a, b, u, v, w, s = exterior.slot_terms(_INT3, _W22_4, _W43)
+    return exterior.CubicMatrix(7, a, b, np.stack([u, v, w]), s, _BLOCK)
+
+
+# 735 monomials, coefficients ±1/2, ±1
+DENSITY7 = _density_table()
 
 # embedding of the R^4 2-form basis (package order) as signed sorted pairs on
 # coframe indices 3..6
@@ -81,11 +99,9 @@ def build_psi(sigma: np.ndarray, mu_sigma) -> np.ndarray:
 
 
 def metric_density7(phi: np.ndarray) -> np.ndarray:
-    """K_ab with K_ab * e(0..6) = (1/6)(e_a ⌟ phi) ∧ (e_b ⌟ phi) ∧ phi."""
-    ia = np.einsum('amq,...m->...aq', _INT3, phi)
-    four = np.einsum('...am,...bn,mnp->...abp', ia, ia, _W22_4)
-    k = np.einsum('...abp,pq,...q->...ab', four, _W43, phi) / 6.0
-    return 0.5 * (k + np.swapaxes(k, -1, -2))
+    """K_ab with K_ab * e(0..6) = (1/6)(e_a ⌟ phi) ∧ (e_b ⌟ phi) ∧ phi,
+    evaluated as the cubic form :data:`DENSITY7`."""
+    return DENSITY7(phi)
 
 
 def metric_from_phi(phi: np.ndarray):
@@ -93,17 +109,17 @@ def metric_from_phi(phi: np.ndarray):
 
     Solves K = g sqrt(det g) in dimension 7 (det K = det(g)^{9/2}), giving
     ``g = K det(K)^{-1/9}`` and volume coefficient ``det(K)^{1/9}``.  Raises
-    NotPositive when the extraction fails.
+    NotPositive, naming the first failing batch index, when the extraction
+    fails.
     """
     K = metric_density7(phi)
     d = np.linalg.det(K)
-    if not np.all(d > 0):
-        raise NotPositive("3-form is not definite (non-positive density determinant)")
+    ta._require_positive(d > 0, "3-form is not definite (non-positive density determinant)",
+                         "batch index")
     s = d ** (1.0 / 9.0)
     g = K / s[..., None, None]
-    ev = np.linalg.eigvalsh(g)
-    if not np.all(ev[..., 0] > 0):
-        raise NotPositive("3-form metric is not positive definite")
+    ta._require_positive(np.linalg.eigvalsh(g)[..., 0] > 0,
+                         "3-form metric is not positive definite", "batch index")
     return g, s
 
 
@@ -142,22 +158,32 @@ def hodge7(coeffs: np.ndarray, g7: np.ndarray, degree: int) -> np.ndarray:
 
     Defined by alpha ∧ *beta = <alpha, beta>_g vol_g.  Both degree spaces
     have 35 components, so the input degree must be given explicitly.
+    Broadcasts over leading axes, evaluated ``_BLOCK`` points at a time;
+    NotPositive names the first batch index whose metric is not positive
+    definite.
     """
+    if degree not in (3, 4):
+        raise ValueError("degree must be 3 or 4")
+    tuples, w_inv = (LAMBDA3_7, _W34INV) if degree == 3 else (LAMBDA4_7, _W43INV)
+    coeffs = np.asarray(coeffs, dtype=float)
     g7 = np.asarray(g7, dtype=float)
-    ev = np.linalg.eigvalsh(g7)
-    if not np.all(ev[..., 0] > 0):
-        raise NotPositive("hodge7 requires a positive definite metric")
-    h = np.linalg.inv(g7)
-    sg = np.sqrt(np.linalg.det(g7))
-    if degree == 3:
-        return exterior.star_via_pairing(coeffs, h, sg, LAMBDA3_7, _W34INV)
-    if degree == 4:
-        return exterior.star_via_pairing(coeffs, h, sg, LAMBDA4_7, _W43INV)
-    raise ValueError("degree must be 3 or 4")
+    ta._require_positive(np.linalg.eigvalsh(g7)[..., 0] > 0,
+                         "hodge7 requires a positive definite metric", "batch index")
+    shape = np.broadcast_shapes(coeffs.shape[:-1], g7.shape[:-2])
+    c = np.broadcast_to(coeffs, shape + (35,)).reshape(-1, 35)
+    g = np.broadcast_to(g7, shape + (7, 7)).reshape(-1, 7, 7)
+    out = np.empty_like(c)
+    for start in range(0, len(c), _BLOCK):
+        gb = g[start:start + _BLOCK]
+        out[start:start + _BLOCK] = exterior.star_via_pairing(
+            c[start:start + _BLOCK], np.linalg.inv(gb), np.sqrt(np.linalg.det(gb)),
+            tuples, w_inv)
+    return out.reshape(shape + (35,))
 
 
 def check_star7(phi: np.ndarray, psi: np.ndarray, g7: np.ndarray) -> float:
-    """Sup-norm of *7(psi) - phi; zero when psi is the dual-lift of phi's triple."""
+    """Sup-norm of *7(psi) - phi, over any batch; zero when psi is the
+    dual-lift of phi's triple."""
     return float(np.abs(hodge7(psi, g7, 4) - phi).max())
 
 

@@ -204,13 +204,10 @@ def dual_lift_torsion(state: FlowState, points, order: int = 4) -> float:
     q, g, _ = state.ensure_fields()
     sigma = np.matmul(ta.adj3(q), state.tf.c)
     dsig = gc.d(state.tf.lattice, sigma, 2, order)
-    worst = 0.0
-    for idx in points:
-        phi = fg.build_phi(sigma[idx])
-        dphi = fg.assemble_dphi(dsig[idx])
-        g7 = fg.metric7_block(ta.adj3(q[idx]), g[idx])
-        worst = max(worst, abs(fg.torsion_trace(phi, dphi, g7)))
-    return worst
+    at = tuple(np.transpose(points))   # one index array per lattice axis
+    trace = fg.torsion_trace(fg.build_phi(sigma[at]), fg.assemble_dphi(dsig[at]),
+                             fg.metric7_block(ta.adj3(q[at]), g[at]))
+    return float(np.abs(trace).max())
 
 
 def diagnostics(state: FlowState, config: FlowConfig, step_index: int = 0,

@@ -21,7 +21,6 @@ import numpy as np
 
 from . import exterior
 from . import triple_algebra as ta
-from .errors import NotPositive
 
 NCOMP = {0: 1, 1: 4, 2: 6, 3: 4, 4: 1}
 
@@ -188,13 +187,11 @@ def _normalize_fields(c: np.ndarray, threshold: float | None = None):
         return q, g, s, h, None
     lam = np.linalg.eigvalsh(q)
     min_eig = lam[..., 0]
-    if not np.all(min_eig > threshold):
-        idx = tuple(int(v) for v in np.argwhere(min_eig <= threshold)[0])
-        raise NotPositive(
-            f"Gram matrix eigenvalue {float(min_eig.min()):.3e} <= {threshold:g} "
-            f"at lattice index {idx}")
+    lowest = float(min_eig.min())
+    ta._require_positive(min_eig > threshold,
+                         f"Gram matrix eigenvalue {lowest:.3e} <= {threshold:g}")
     # a copy: a view would keep the whole (grid, 3) eigenvalue array alive
-    return q, g, s, h, (lam[..., -1].copy(), float(min_eig.min()))
+    return q, g, s, h, (lam[..., -1].copy(), lowest)
 
 
 def pointwise_normalize(tf: TripleField, threshold: float = 1e-6):

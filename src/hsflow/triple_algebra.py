@@ -53,40 +53,30 @@ _SIGMA3 = np.array([-1.0, 1.0, -1.0, 1.0])  # (-1)^omitted
 _W32INV_T = np.ascontiguousarray(_W32INV.T)
 
 
-def _density_table():
+def _density_table() -> exterior.CubicMatrix:
     """The metric density as a cubic form in the 18 triple coefficients.
 
-    Expands K_ab e0123 = (1/6) eps_ijk (e_a ⌟ w_i) ∧ (e_b ⌟ w_j) ∧ w_k with the
-    interior and wedge tables.  Each monomial takes one coefficient from each
-    form, so it is named by three indices into the flattened (3, 6) triple.
-    6 K has integer coefficients; rounding them makes the table exact.
+    Expands K_ab e0123 = (1/6) eps_ijk (e_a ⌟ w_i) ∧ (e_b ⌟ w_j) ∧ w_k over
+    the interior and wedge tables.  Each monomial takes one coefficient from
+    each form, so it is named by three indices into the flattened (3, 6)
+    triple, one per form.
     """
-    inner = exterior.interior_table(LAMBDA2_TUPLES, LAMBDA1_TUPLES, 4)
-    wedge11 = exterior.wedge_table(LAMBDA1_TUPLES, LAMBDA1_TUPLES, LAMBDA2_TUPLES)
-    # (e_a ⌟ u) ∧ (e_b ⌟ v) ∧ w for basis 2-forms u, v, w, indexed [a, b, u, v, w]
-    slots = np.einsum('amq,bnr,qrp,pl->abmnl', inner, inner, wedge11, WEDGE2,
-                      optimize=True)
-    six_k = np.zeros((4, 4, 6, 6, 6))
-    for i, j, k in zip(*np.nonzero(EPS3)):
-        slot_of = {i: 0, j: 1, k: 2}   # w_i fills the first slot, w_j the second
-        six_k += EPS3[i, j, k] * slots.transpose(
-            (0, 1) + tuple(2 + slot_of[form] for form in range(3)))
-    coef = np.rint(six_k.reshape(16, 216)) / 6.0
-    used = np.flatnonzero(np.any(coef != 0.0, axis=0))
-    m0, m1, m2 = np.unravel_index(used, (6, 6, 6))
-    return coef[:, used], np.stack([m0, 6 + m1, 12 + m2])
+    a, b, u, v, w, s = exterior.slot_terms(
+        exterior.interior_table(LAMBDA2_TUPLES, LAMBDA1_TUPLES, 4),
+        exterior.wedge_table(LAMBDA1_TUPLES, LAMBDA1_TUPLES, LAMBDA2_TUPLES), WEDGE2)
+    perms = list(zip(*np.nonzero(EPS3)))   # w_i fills the first slot, w_j the second
+    return exterior.CubicMatrix(
+        4, np.tile(a, len(perms)), np.tile(b, len(perms)),
+        np.concatenate([np.stack([6 * i + u, 6 * j + v, 6 * k + w]) for i, j, k in perms],
+                       axis=1),
+        np.concatenate([EPS3[i, j, k] * s for i, j, k in perms]), _DENSITY_BLOCK)
 
 
+_DENSITY_BLOCK = 1024   # points per gather: 1024 x 96 monomials is 0.8 MB of temporaries
 # K.ravel() = DENSITY_COEF @ (x[f0] * x[f1] * x[f2]) over the flattened triple x,
 # with (f0, f1, f2) the columns of DENSITY_FACTORS: 96 monomials, coefficients ±1/2, ±1
-DENSITY_COEF, DENSITY_FACTORS = _density_table()
-# K is symmetric: multiply by its ten rows on and above the diagonal, then
-# copy them out to all sixteen entries, so K is exactly symmetric
-_UPPER4 = [(a, b) for a in range(4) for b in range(a, 4)]
-_DENSITY_UPPER_T = np.ascontiguousarray(DENSITY_COEF[[4 * a + b for a, b in _UPPER4]].T)
-_UPPER4_OF = np.array([_UPPER4.index((min(a, b), max(a, b)))
-                       for a in range(4) for b in range(4)])
-_DENSITY_BLOCK = 1024   # points per gather: 1024 x 96 monomials is 0.8 MB of temporaries
+DENSITY = _density_table()
+DENSITY_COEF, DENSITY_FACTORS = DENSITY.coef, DENSITY.factors
 
 
 def _apply_pointwise(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -215,22 +205,22 @@ def metric_density(triple: np.ndarray) -> np.ndarray:
     """Matrix K = g sqrt(det g) of the triple metric in the coordinate frame.
 
     K_ab * e0123 = (1/6) eps_ijk (e_a ⌟ w_i) ∧ (e_b ⌟ w_j) ∧ w_k.  Independent
-    of any reference volume form.  Evaluated as the cubic form of
-    DENSITY_COEF, one block of points at a time; a single fiber is a block of
-    one.
+    of any reference volume form.  Evaluated as the cubic form
+    :data:`DENSITY`, one block of points at a time; a single fiber is a block
+    of one.
     """
     triple = np.asarray(triple, dtype=float)
-    x = triple.reshape(-1, 18)
-    out = np.empty((x.shape[0], 16))
-    f0, f1, f2 = DENSITY_FACTORS
-    for start in range(0, x.shape[0], _DENSITY_BLOCK):
-        block = x[start:start + _DENSITY_BLOCK]
-        mono = np.take(block, f0, axis=1)
-        mono *= np.take(block, f1, axis=1)
-        mono *= np.take(block, f2, axis=1)
-        np.take(mono @ _DENSITY_UPPER_T, _UPPER4_OF, axis=1,
-                out=out[start:start + _DENSITY_BLOCK])
-    return out.reshape(triple.shape[:-2] + (4, 4))
+    return DENSITY(triple.reshape(triple.shape[:-2] + (18,)))
+
+
+def _require_positive(ok, message: str, where: str = "lattice index") -> None:
+    """Raise NotPositive with ``message`` unless every entry of ``ok`` holds;
+    for a batch the message names the first failing ``where``."""
+    if np.all(ok):
+        return
+    if np.ndim(ok):
+        message += f" at {where} {tuple(int(v) for v in np.argwhere(~ok)[0])}"
+    raise NotPositive(message)
 
 
 def _pd_cofactors4(m: np.ndarray, what: str, tol: float = 0.0):
@@ -265,11 +255,7 @@ def _pd_cofactors4(m: np.ndarray, what: str, tol: float = 0.0):
     det = (e[0, 0] * cof[0, 0] + e[0, 1] * cof[0, 1]
            + e[0, 2] * cof[0, 2] + e[0, 3] * cof[0, 3])
     ok = (e[0, 0] > tol) & (s[0, 1] > tol) & (cof[3, 3] > tol) & (det > tol)
-    if not np.all(ok):
-        where = ""
-        if np.ndim(ok):
-            where = f" at lattice index {tuple(int(v) for v in np.argwhere(~ok)[0])}"
-        raise NotPositive(f"{what} not positive definite{where}")
+    _require_positive(ok, f"{what} not positive definite")
     return cof, det
 
 

@@ -5,7 +5,7 @@ counting bit crossings.  Deliberately a different code path from the
 package's tuple-table implementation so agreement is meaningful.
 """
 
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -220,4 +220,31 @@ def metric_density_six_products(triple) -> np.ndarray:
     k = (term(0, 2, 1) + term(1, 0, 2) + term(2, 1, 0)
          - term(0, 1, 2) - term(2, 0, 1) - term(1, 2, 0))
     k /= 6.0
+    return 0.5 * (k + np.swapaxes(k, -1, -2))
+
+
+# Frozen three-einsum 7-dimensional metric density, as the package evaluated
+# it before it switched to a monomial table; its interior, wedge and pairing
+# tables are rebuilt here from the bitmask algebra.
+_L2_7 = list(combinations(range(7), 2))
+_L3_7 = list(combinations(range(7), 3))
+_L4_7 = list(combinations(range(7), 4))
+
+
+def _coeff_vector(f: dict, tuples) -> np.ndarray:
+    return np.array([coeff(f, *t) for t in tuples])
+
+
+_INT3_7 = np.stack([np.stack([_coeff_vector(interior(a, mono(*I)), _L2_7) for I in _L3_7])
+                    for a in range(7)])
+_W22_7 = np.stack([np.stack([_coeff_vector(wedge(mono(*I), mono(*J)), _L4_7) for J in _L2_7])
+                   for I in _L2_7])
+_W43_7 = np.array([[top_coeff(wedge(mono(*I), mono(*J)), 7) for J in _L3_7] for I in _L4_7])
+
+
+def metric_density7_einsum(phi) -> np.ndarray:
+    """K_ab = (1/6)(e_a ⌟ phi) ∧ (e_b ⌟ phi) ∧ phi as three einsums, symmetrized."""
+    ia = np.einsum('amq,...m->...aq', _INT3_7, phi)
+    four = np.einsum('...am,...bn,mnp->...abp', ia, ia, _W22_7)
+    k = np.einsum('...abp,pq,...q->...ab', four, _W43_7, phi) / 6.0
     return 0.5 * (k + np.swapaxes(k, -1, -2))

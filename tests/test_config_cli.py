@@ -223,6 +223,68 @@ def test_lift_samples_like_the_flow(tmp_path, monkeypatch, capsys):
     assert calls == [state.sample_points] and report["points_sampled"] == 5
 
 
+def _record_calls(monkeypatch, module, names, calls):
+    """Wrap ``module.<name>`` so that ``calls[name]`` lists each call's arguments."""
+    for name in names:
+        def recorded(*args, _fn=getattr(module, name), _name=name):
+            calls.setdefault(_name, []).append(args)
+            return _fn(*args)
+        monkeypatch.setattr(module, name, recorded)
+
+
+def test_lift_report_matches_per_point_loop(tmp_path, monkeypatch):
+    # the batched report evaluates the same points, in the same order, as a
+    # loop over single fibers
+    from hsflow import fiber_g2 as fg
+    path = _exact_snapshot(tmp_path, (8, 4, 4, 4))
+    tf, time = snap.read_snapshot(path)
+    seen = {}
+    check_star7 = fg.check_star7
+    _record_calls(monkeypatch, fg, ("check_star7", "torsion_trace"), seen)
+    report = cli._lift_report(tf, time, 40, 5)
+    q, _, mu = gc.pointwise_normalize(tf)
+    dome = gc.d(tf.lattice, tf.c, 2, 4)
+    rows = {"phi": [], "psi": [], "g7": [], "dphi": [], "star": []}
+    for idx in fe.draw_points(tf.lattice, 40, 5):
+        phi = fg.build_phi(tf.c[idx])
+        psi = fg.build_psi(np.matmul(ta.adj3(q[idx]), tf.c[idx]), mu[idx])
+        g7, _ = fg.metric_from_phi(phi)
+        for key, value in (("phi", phi), ("psi", psi), ("g7", g7),
+                           ("dphi", fg.assemble_dphi(dome[idx])),
+                           ("star", check_star7(phi, psi, g7))):
+            rows[key].append(value)
+    (phi, psi, g7), = seen["check_star7"]
+    assert np.array_equal(phi, np.stack(rows["phi"]))
+    assert np.array_equal(psi, np.stack(rows["psi"]))
+    assert np.abs(g7 - np.stack(rows["g7"])).max() <= 1e-14
+    _, (_, dphi, _) = seen["torsion_trace"]     # the dual lift, then the lift of w
+    assert np.array_equal(dphi, np.stack(rows["dphi"]))
+    assert report["points_sampled"] == 40
+    assert abs(report["max_star7_residual"] - max(rows["star"])) <= 1e-14
+    assert report["max_torsion_trace"] == 0.0
+
+
+def test_lift_calls_each_fiber_kernel_once(tmp_path, monkeypatch, capsys):
+    from hsflow import fiber_g2 as fg
+    path = _exact_snapshot(tmp_path)
+    calls = {}
+    _record_calls(monkeypatch, fg, ("metric_from_phi", "hodge7"), calls)
+    assert cli.main(["lift", "--snapshot", str(path), "--samples", "200"]) == 0
+    assert json.loads(capsys.readouterr().out)["points_sampled"] == 200
+    assert {name: len(args) for name, args in calls.items()} == {
+        "metric_from_phi": 1, "hodge7": 1}
+
+
+def test_lift_names_the_indefinite_point(tmp_path, capsys):
+    lat = gc.Lattice((4, 4, 4, 4))
+    tf = gc.constant_triple_field(lat, ta.standard_triple())
+    tf.c[1, 2, 3, 0, 2] *= -1.0      # (w1, w2, -w3) at one point: left-handed
+    path = tmp_path / "state.hsf"
+    snap.write_snapshot(path, tf)
+    assert cli.main(["lift", "--snapshot", str(path), "--samples", "256"]) == 2
+    assert "lattice index (1, 2, 3, 0)" in capsys.readouterr().err
+
+
 class TestCliVerify:
     def test_smoke_pass(self, tmp_path, capsys):
         assert cli.main(["verify", "--trials", "1", "--seed", "3"]) == 0

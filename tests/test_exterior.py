@@ -45,6 +45,20 @@ def test_metric_gram_euclidean():
     assert np.array_equal(G, np.eye(len(tuples)))
 
 
+@pytest.mark.parametrize("k", [3, 4])
+def test_metric_gram_laplace_against_det(rng, k):
+    # minors by Laplace expansion against LAPACK determinants of the
+    # gathered k x k blocks, on random 7x7 SPD stacks
+    a = rng.uniform(-1, 1, (20, 7, 7))
+    h = a @ np.swapaxes(a, -1, -2) + 0.3 * np.eye(7)
+    for tuples in (exterior.lex_tuples(7, k), ((2, 0, 5, 1)[:k], (6, 3, 4, 0)[:k])):
+        idx = np.array(tuples)
+        expected = np.linalg.det(h[:, idx[:, None, :, None], idx[None, :, None, :]])
+        got = exterior.metric_gram(h, tuples)
+        assert got.shape == expected.shape
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
 def test_metric_gram_unsorted_labels():
     # <e31, e31> for the identity must be +1 despite the reversed label
     G = exterior.metric_gram(np.eye(4), ((3, 1),))

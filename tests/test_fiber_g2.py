@@ -114,6 +114,66 @@ class TestMetricFromPhi:
             fg.metric_from_phi(fg.build_phi(t))
 
 
+class TestDensity7Table:
+    """The monomial-table 7-dimensional density against the frozen einsums."""
+
+    def test_table_shape_and_integer_coefficients(self):
+        coef, (f0, f1, f2) = fg.DENSITY7.coef, fg.DENSITY7.factors
+        assert coef.shape == (49, 735)
+        assert np.array_equal(6.0 * coef, np.rint(6.0 * coef))
+        assert set(np.unique(6.0 * coef)) == {-6.0, -3.0, 0.0, 3.0, 6.0}
+        assert np.all(np.any(coef != 0.0, axis=0))
+        # factors sorted within each monomial; no monomial listed twice
+        assert np.all(f0 <= f1) and np.all(f1 <= f2) and f2.max() < 35
+        assert len(set(zip(f0, f1, f2))) == 735
+        rows = coef.reshape(7, 7, 735)
+        assert np.array_equal(rows, rows.transpose(1, 0, 2))
+
+    def check(self, phi):
+        got = fg.metric_density7(phi)
+        expected = oracles.metric_density7_einsum(phi)
+        assert got.shape == expected.shape
+        scale = np.abs(expected).max(axis=(-2, -1), keepdims=True)
+        assert np.all(np.abs(got - expected) <= 1e-13 * scale)
+        assert np.array_equal(got, np.swapaxes(got, -1, -2))
+
+    def test_lifted_triples(self, rng):
+        # 200 points: six full blocks and a partial one
+        assert 200 % fg._BLOCK != 0
+        self.check(fg.build_phi(np.stack([random_triple(rng) for _ in range(200)])))
+
+    def test_generic_definite_forms(self, rng):
+        phi = fg.build_phi(np.stack([random_triple(rng) for _ in range(200)]))
+        phi = phi + 0.005 * rng.uniform(-1, 1, phi.shape)
+        self.check(phi)
+        fg.metric_from_phi(phi)          # still definite
+
+    def test_single_fiber(self, rng):
+        self.check(fg.build_phi(random_triple(rng)))
+
+
+class TestBatchFailures:
+    """NotPositive names the first failing point of a batched call."""
+
+    def test_metric_from_phi_names_batch_index(self, rng):
+        t = np.stack([random_triple(rng) for _ in range(6)])
+        t[3, 2] *= -1.0
+        t[5, 2] *= -1.0
+        with pytest.raises(NotPositive, match=r"batch index \(3,\)"):
+            fg.metric_from_phi(fg.build_phi(t))
+
+    def test_hodge7_names_batch_index(self):
+        g7 = np.broadcast_to(np.eye(7), (2, 3, 7, 7)).copy()
+        g7[1, 2] = -np.eye(7)
+        with pytest.raises(NotPositive, match=r"batch index \(1, 2\)"):
+            fg.hodge7(np.zeros(35), g7, 3)
+
+    def test_single_fiber_names_no_index(self):
+        with pytest.raises(NotPositive) as exc:
+            fg.hodge7(np.zeros(35), -np.eye(7), 3)
+        assert "index" not in str(exc.value)
+
+
 class TestStar3T3:
     def test_euclidean_1form(self):
         out = fg.star3_t3(1, np.array([1.0, 0.0, 0.0]), np.eye(3))
@@ -268,6 +328,18 @@ class TestHodge7:
     def test_indefinite_rejected(self):
         with pytest.raises(NotPositive):
             fg.hodge7(np.zeros(35), -np.eye(7), 3)
+
+    def test_blocks_match_single_fibers(self, rng):
+        # 70 points: two full blocks and a partial one
+        t = np.stack([random_triple(rng) for _ in range(70)])
+        g7, _ = fg.metric_from_phi(fg.build_phi(t))
+        c = rng.uniform(-1, 1, (70, 35))
+        for degree in (3, 4):
+            batch = fg.hodge7(c, g7, degree)
+            assert batch.shape == (70, 35)
+            for i in range(70):
+                one = fg.hodge7(c[i], g7[i], degree)
+                assert np.abs(batch[i] - one).max() <= 1e-14 * np.abs(one).max()
 
 
 def _unit(n, i):
