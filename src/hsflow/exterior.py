@@ -148,19 +148,22 @@ class CubicMatrix:
         self.n, self.block = n, block
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        """M(x) for x of shape (..., nvar); shape (..., n, n)."""
+        """M(x) for x of shape (..., nvar); shape (..., n, n), a view of an
+        array that holds each entry contiguously over the points.  The
+        product with ``coef`` is point-major whatever x's layout, because
+        BLAS's rounding depends on the operands' layout."""
         x = np.asarray(x, dtype=float)
-        flat = x.reshape(-1, x.shape[-1])
-        out = np.empty((flat.shape[0], self.n * self.n))
+        cols = np.moveaxis(x, -1, 0).reshape(x.shape[-1], -1)
+        out = np.empty((self.n * self.n, cols.shape[1]))
         f0, f1, f2 = self.factors
-        for start in range(0, flat.shape[0], self.block):
-            block = flat[start:start + self.block]
-            mono = np.take(block, f0, axis=1)
-            mono *= np.take(block, f1, axis=1)
-            mono *= np.take(block, f2, axis=1)
-            np.take(mono @ self._upper_t, self._upper_of, axis=1,
-                    out=out[start:start + self.block])
-        return out.reshape(x.shape[:-1] + (self.n, self.n))
+        for start in range(0, cols.shape[1], self.block):
+            block = cols[:, start:start + self.block]
+            mono = np.take(block, f0, axis=0)
+            mono *= np.take(block, f1, axis=0)
+            mono *= np.take(block, f2, axis=0)
+            np.take(np.ascontiguousarray(mono.T) @ self._upper_t, self._upper_of, axis=1,
+                    out=out[:, start:start + self.block].T)
+        return np.moveaxis(out.reshape((self.n, self.n) + x.shape[:-1]), (0, 1), (-2, -1))
 
 
 @lru_cache(maxsize=16)

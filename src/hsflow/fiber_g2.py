@@ -36,8 +36,6 @@ _INT3 = exterior.interior_table(LAMBDA3_7, _LAMBDA2_7, 7)        # e_a . Lambda^
 _W22_4 = exterior.wedge_table(_LAMBDA2_7, _LAMBDA2_7, LAMBDA4_7)  # Lambda^2 ∧ Lambda^2
 _W43 = exterior.pairing_matrix(LAMBDA4_7, LAMBDA3_7, 7)
 _W34 = _W43.T       # a 3-form and a 4-form commute under the wedge
-_W43INV = _W43.T    # signed permutation
-_W34INV = _W34.T
 
 _BLOCK = 32   # points per block of the 7-dimensional kernels: 32 x 735 monomials is 188 kB
 
@@ -164,7 +162,8 @@ def hodge7(coeffs: np.ndarray, g7: np.ndarray, degree: int) -> np.ndarray:
     """
     if degree not in (3, 4):
         raise ValueError("degree must be 3 or 4")
-    tuples, w_inv = (LAMBDA3_7, _W34INV) if degree == 3 else (LAMBDA4_7, _W43INV)
+    # the pairings are signed permutations: each inverse is the transpose
+    tuples, w_inv = (LAMBDA3_7, _W34.T) if degree == 3 else (LAMBDA4_7, _W43.T)
     coeffs = np.asarray(coeffs, dtype=float)
     g7 = np.asarray(g7, dtype=float)
     ta._require_positive(np.linalg.eigvalsh(g7)[..., 0] > 0,

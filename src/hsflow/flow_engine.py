@@ -77,7 +77,9 @@ class FlowConfig:
 class FlowState:
     """Evolving triple, run baselines, and what is computed once per state:
     normalization, the guard's Gram eigenvalue extremes, and in ``kept`` the
-    periods and, per stencil order, the closedness defect and the RHS."""
+    periods and, per stencil order, the closedness defect and the RHS.
+    ``q``, ``g`` and ``h`` are views of the component-major memory that
+    the right-hand side reads."""
 
     time: float
     tf: gc.TripleField
@@ -113,16 +115,17 @@ def evaluate_rhs(lat: gc.Lattice, c: np.ndarray, order: int = 4,
     lies in the image of the discrete d.  Without ``fields`` (q, g, mu, h),
     as at mid-stages, ``c`` is normalized here with no eigenvalue guard, only
     the metric density's minors; the threshold guards committed states.
+    Every stage from ``Q^-1 w`` on, and the normalization, writes
+    component-major memory, ``(3, 6, n0, n1, n2, n3)`` for the triple; the
+    result is copied back to a C-ordered array once.
     """
     if fields is None:
         q, g, mu, h, _ = gc._normalize_fields(c)
     else:
         q, g, mu, h = fields
-    qinv = ta.adj3(q)                       # det q = 1, so adjugate = inverse
-    sigma = np.matmul(qinv, c)
+    sigma = ta._product(ta.adj3(q), c)      # det q = 1, so adjugate = inverse
     eta = gc.codiff2(lat, sigma, g, mu, order, h=h)
-    zeta = np.matmul(q, eta)
-    return gc.d(lat, zeta, 1, order)
+    return np.ascontiguousarray(gc._d(lat, ta._product(q, eta), 1, order))
 
 
 def rhs(state: FlowState, order: int = 4) -> np.ndarray:
@@ -202,7 +205,7 @@ def dual_lift_torsion(state: FlowState, points, order: int = 4) -> float:
         return 0.0
     from . import fiber_g2 as fg
     q, g, _ = state.ensure_fields()
-    sigma = np.matmul(ta.adj3(q), state.tf.c)
+    sigma = ta._product(ta.adj3(q), state.tf.c)
     dsig = gc.d(state.tf.lattice, sigma, 2, order)
     at = tuple(np.transpose(points))   # one index array per lattice axis
     trace = fg.torsion_trace(fg.build_phi(sigma[at]), fg.assemble_dphi(dsig[at]),
@@ -225,6 +228,7 @@ def diagnostics(state: FlowState, config: FlowConfig, step_index: int = 0,
         drift = 0.0
     r = rhs(state, order)
     rhs_l2 = float(np.sqrt((r * r).sum() * lat.cell_volume))
+    q = np.ascontiguousarray(q)   # grid-first in memory, so the means sum in the same order
     qbar = q.mean(axis=(0, 1, 2, 3))
     q_dev = float(np.sqrt(((q - qbar) ** 2).sum(axis=(-2, -1))).max())
     row = {

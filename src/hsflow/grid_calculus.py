@@ -1,11 +1,14 @@
 """Discrete exterior calculus on flat periodic 4-torus lattices.
 
-A scalar field is an array of shape ``(n0, n1, n2, n3)``; a degree-k form
-field appends a trailing component axis over the same bases used by the
-pointwise modules (1-forms ``(e0..e3)``, 2-forms ``(e01, e02, e03, e23, e31,
-e12)``, 3-forms lexicographic).  Arrays are C-ordered, so x3 is the fastest
-grid axis; any extra batch axes sit between the grid axes and the component
-axis (a triple field is ``(n0, n1, n2, n3, 3, 6)``).
+A scalar field is an array of shape ``(n0, n1, n2, n3)``, x3 the fastest
+axis; a degree-k form field appends a trailing component axis over the same
+bases used by the pointwise modules (1-forms ``(e0..e3)``, 2-forms ``(e01,
+e02, e03, e23, e31, e12)``, 3-forms lexicographic), and any batch axes sit
+between the grid axes and the component axis (a triple field is ``(n0, n1,
+n2, n3, 3, 6)``).  That is the layout of the API.  Inside the flow's
+right-hand side the same shapes are views of component-major memory, ``(3,
+6, n0, n1, n2, n3)``, where each component is one contiguous scalar field
+that the stencils and pointwise kernels read without strides.
 
 Derivatives are periodic central differences (2nd or 4th order).  Because
 shifted stencils commute exactly, d ∘ d vanishes to roundoff and the period
@@ -84,34 +87,64 @@ class Lattice:
         return tuple(out)
 
 
-def zeros_form(lat: Lattice, k: int, batch: tuple = ()) -> np.ndarray:
-    return np.zeros(lat.shape + batch + (NCOMP[k],))
+def _shift_difference(rows: np.ndarray, s: int) -> np.ndarray:
+    """``f[j + s] - f[j - s]`` along the last axis of ``rows``, periodic in
+    each row.  The bulk is one subtraction over the flattened rows; the
+    ``s`` entries at each end of a row, which wrap, are then overwritten."""
+    out = np.empty(rows.shape)
+    flat, flat_out = rows.reshape(rows.shape[:-2] + (-1,)), out.reshape(out.shape[:-2] + (-1,))
+    np.subtract(flat[..., 2 * s:], flat[..., :-2 * s], out=flat_out[..., s:-s])
+    np.subtract(rows[..., s:2 * s], rows[..., -s:], out=out[..., :s])
+    np.subtract(rows[..., :s], rows[..., -2 * s:-s], out=out[..., -s:])
+    return out
 
 
 def partial(lat: Lattice, f: np.ndarray, axis: int, order: int = 4) -> np.ndarray:
-    """Periodic central difference along a grid axis (axes 0..3 of the array).
+    """Periodic central difference along a grid axis of a scalar field or a
+    stack of them, ``(..., n0, n1, n2, n3)``: the grid axes are the last four.
 
-    Grouped as differences of shifted copies, so fields constant along the
+    Grouped as differences of shifted values, so fields constant along the
     axis are annihilated exactly, not merely to roundoff.
     """
-    h = lat.h[axis]
+    if order not in (2, 4):
+        raise ValueError("stencil order must be 2 or 4")
+    f = np.asarray(f, dtype=float)
+    step = int(np.prod(f.shape[f.ndim - 3 + axis:]))   # elements per step along the axis
+    rows = f.reshape(f.shape[:-4] + (-1, f.shape[axis - 4] * step))
+    out = _shift_difference(rows, step)
     if order == 2:
-        return (np.roll(f, -1, axis) - np.roll(f, 1, axis)) / (2.0 * h)
-    if order == 4:
-        inner = np.roll(f, -1, axis) - np.roll(f, 1, axis)
-        outer = np.roll(f, -2, axis) - np.roll(f, 2, axis)
-        return (8.0 * inner - outer) / (12.0 * h)
-    raise ValueError("stencil order must be 2 or 4")
+        out /= 2.0 * lat.h[axis]
+    else:
+        out *= 8.0
+        out -= _shift_difference(rows, 2 * step)
+        out /= 12.0 * lat.h[axis]
+    return out.reshape(f.shape)
+
+
+def _d(lat: Lattice, f: np.ndarray, k: int, order: int = 4) -> np.ndarray:
+    """:func:`d`'s kernel: it differentiates component-major memory, which it
+    copies ``f`` into unless ``f`` is already a view of it, and returns a
+    view of component-major memory."""
+    if k >= 4:
+        raise ValueError("no 5-forms on a 4-manifold")
+    tail = np.ndim(f) - 4
+    f = ta._entries(f, tail)
+    # the sums run on a flat view of the grid, which numpy updates in place
+    # without a temporary copy
+    out = ta._component_major(f.shape[:-5] + (NCOMP[k + 1],), (lat.num_points,), np.zeros)
+    for dst, src, axis, sign in _D_TABLE[k]:
+        term = partial(lat, f[..., src, :, :, :, :], axis, order).reshape(out[..., dst, :].shape)
+        if sign > 0:
+            out[..., dst, :] += term
+        else:
+            out[..., dst, :] -= term
+    return ta._pointwise(out.reshape(out.shape[:-1] + lat.shape), tail)
 
 
 def d(lat: Lattice, f: np.ndarray, k: int, order: int = 4) -> np.ndarray:
-    """Exterior derivative of a degree-k form field (component axis last)."""
-    if k >= 4:
-        raise ValueError("no 5-forms on a 4-manifold")
-    out = np.zeros(f.shape[:-1] + (NCOMP[k + 1],))
-    for dst, src, axis, sign in _D_TABLE[k]:
-        out[..., dst] += sign * partial(lat, f[..., src], axis, order)
-    return out
+    """Exterior derivative of a degree-k form field (component axis last),
+    returned C-ordered."""
+    return np.ascontiguousarray(_d(lat, f, k, order))
 
 
 def codiff2(lat: Lattice, beta: np.ndarray, g: np.ndarray, mu_g: np.ndarray,
@@ -125,12 +158,12 @@ def codiff2(lat: Lattice, beta: np.ndarray, g: np.ndarray, mu_g: np.ndarray,
     point where it is not) and g^-1 comes from the same adjugate-over-
     determinant helper as ``hodge2``.  ``beta`` may carry one batch axis
     before the component axis (e.g. a whole triple at once).
+    The result is a view of component-major memory.
     """
     if h is None:
         h = ta._inverse4(g, "codiff2: metric")
-    starred = ta.star2(beta, h, mu_g)
-    three = d(lat, starred, 2, order)
-    return -ta.star3(three, g, mu_g)
+    # -*4 is *4 with the volume coefficient negated: x / -mu = -(x / mu) exactly
+    return ta.star3(_d(lat, ta.star2(beta, h, mu_g), 2, order), g, np.negative(mu_g))
 
 
 def periods(lat: Lattice, w: np.ndarray) -> np.ndarray:
@@ -158,9 +191,6 @@ class TripleField:
         if self.c.shape != expected:
             raise ValueError(f"triple field shape {self.c.shape} != {expected}")
 
-    def copy(self) -> "TripleField":
-        return TripleField(self.lattice, self.c.copy())
-
     def max_dabs(self, order: int = 4) -> float:
         """Sup-norm of the exterior derivatives of the three forms."""
         return float(np.abs(d(self.lattice, self.c, 2, order)).max())
@@ -179,9 +209,10 @@ def _normalize_fields(c: np.ndarray, threshold: float | None = None):
     """``(q, g, mu, h, eig)``: see pointwise_normalize; ``h`` is the inverse
     metric.  The Gram eigenvalue guard runs exactly when a ``threshold`` is
     given; ``eig`` is then the eigenvalues' (per-point largest, overall
-    smallest), else None."""
+    smallest), else None.  ``q``, ``g`` and ``h`` are views of
+    component-major memory, and ``c`` may be one."""
     g, s, cof, det = ta._metric_parts(c, 0.0)
-    h = ta._adjugate4(cof) * (s / det)[..., None, None]   # g^-1 = s adj(K) / det K
+    h = ta._adjugate4(cof, np.multiply, s / det)   # g^-1 = s adj(K) / det K
     q = ta.gram(c, s)
     if threshold is None:
         return q, g, s, h, None

@@ -11,6 +11,10 @@ Conventions, fixed once and shared by every module in the package:
 * Symmetric 3x3 and 4x4 matrices are plain ``(..., 3, 3)`` / ``(..., 4, 4)``
   arrays; all operations broadcast over leading axes, so a lattice of fibers
   is just another batch shape.
+* Matrix and form stacks computed here are component-major in memory: the
+  result is a view ``(..., n, m)`` of an ``(n, m, ...)`` array, so each entry
+  is one contiguous array over the batch.  Such views are accepted as inputs
+  everywhere, and :func:`_entries` recovers the component arrays for free.
 
 A triple is *positive* when its Gram matrix ``Q`` (pairwise wedge products
 against the reference volume) is positive definite.  Positivity of ``Q``
@@ -50,7 +54,17 @@ for _p in ((0, 2, 1), (2, 1, 0), (1, 0, 2)):
 _OMITTED = np.array([3, 2, 1, 0])           # coordinate missing from each lex 3-tuple
 _SIGMA3 = np.array([-1.0, 1.0, -1.0, 1.0])  # (-1)^omitted
 
-_W32INV_T = np.ascontiguousarray(_W32INV.T)
+
+def _signed_permutation(w: np.ndarray) -> tuple:
+    """``(source, sign)`` of each column of ``x @ w`` for a signed permutation
+    matrix ``w``: column p of the product is sign * column source of x."""
+    src = np.abs(w).argmax(axis=0)
+    return tuple(zip(src.tolist(), w[src, np.arange(w.shape[1])].tolist()))
+
+
+_PAIRING_COLUMNS = _signed_permutation(WEDGE2)
+_STAR2_COLUMNS = _signed_permutation(_W2INV)
+_STAR3_COLUMNS = _signed_permutation(_W32INV.T)
 
 
 def _density_table() -> exterior.CubicMatrix:
@@ -79,31 +93,43 @@ DENSITY = _density_table()
 DENSITY_COEF, DENSITY_FACTORS = DENSITY.coef, DENSITY.factors
 
 
-def _apply_pointwise(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """matmul of a symmetric matrix stack onto vectors, with or without a
-    trailing batch axis on the vectors ((..., m) or (..., B, m))."""
-    if vec.ndim == mat.ndim - 1:
-        return np.matmul(mat, vec[..., None])[..., 0]
-    return np.matmul(vec, mat)
+# Components of a component-major array lie one 64-byte cache line further
+# apart than their power-of-two length, so that a per-point matrix product,
+# which reads a dozen of them at once, does not map them all to the same
+# cache sets; on 32x16x16x16 the gap halves the products' time.
+_GAP = 8
 
 
-def _match_rank(scalar, like: np.ndarray) -> np.ndarray:
-    """Append singleton axes so a pointwise scalar broadcasts against ``like``."""
-    s = np.asarray(scalar, dtype=float)
-    return s.reshape(s.shape + (1,) * (like.ndim - s.ndim))
+def _component_major(core: tuple, batch: tuple, fill=np.empty) -> np.ndarray:
+    """A ``fill``-made array of shape ``core + batch`` in which each component
+    (an index into ``core``) is one contiguous array over the batch."""
+    size = int(np.prod(batch))
+    return fill((int(np.prod(core)), size + _GAP))[:, :size].reshape(core + batch)
 
 
-def _entries(m: np.ndarray) -> np.ndarray:
-    """A (..., n, n) stack as (n, n, ...): ``e[a, b]`` is one contiguous
-    array over the batch, or a scalar for a single matrix."""
-    m = np.asarray(m, dtype=float)
-    batch = tuple(range(m.ndim - 2))
-    return np.ascontiguousarray(m.transpose((m.ndim - 2, m.ndim - 1) + batch))
+def _entries(a: np.ndarray, k: int = 2) -> np.ndarray:
+    """The last ``k`` axes of ``a`` moved to the front, component-major: for a
+    (..., n, m) stack ``e[i, j]`` is one contiguous array over the batch.  A
+    view, not a copy, when ``a`` is a :func:`_pointwise` view of such an
+    array."""
+    a = np.asarray(a, dtype=float)
+    core, batch = a.shape[a.ndim - k:], a.shape[:a.ndim - k]
+    rows = a.reshape(-1, int(np.prod(core))).T
+    if rows.strides[1] != rows.itemsize:   # not component-major yet
+        rows = np.ascontiguousarray(rows)
+    return rows.reshape(core + batch)
 
 
-def _from_entries(e: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`_entries`: (n, n, ...) back to a C-ordered (..., n, n)."""
-    return np.ascontiguousarray(e.transpose(tuple(range(2, e.ndim)) + (0, 1)))
+def _pointwise(e: np.ndarray, k: int = 2) -> np.ndarray:
+    """Inverse of :func:`_entries` as a view: (n, m, ...) seen as (..., n, m)."""
+    return np.moveaxis(e, tuple(range(k)), tuple(range(-k, 0)))
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` at every point of matrix stacks (..., n, m) and (..., m, l),
+    written into a component-major array; its (..., n, l) view is returned."""
+    batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    return np.matmul(a, b, out=_pointwise(_component_major((a.shape[-2], b.shape[-1]), batch)))
 
 
 def two_form(c01=0.0, c02=0.0, c03=0.0, c23=0.0, c31=0.0, c12=0.0) -> np.ndarray:
@@ -128,8 +154,16 @@ def wedge22(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def gram(triple: np.ndarray, mu=1.0) -> np.ndarray:
     """Gram matrix Q with w_i ∧ w_j = 2 Q_ij * (mu e0123)."""
     triple = np.asarray(triple, dtype=float)
-    q = np.matmul(np.matmul(triple, WEDGE2), np.swapaxes(triple, -1, -2))
-    return q / (2.0 * np.asarray(mu)[..., None, None])
+    batch = triple.shape[:-2]
+    paired = _component_major((6, 3), batch)   # paired[m, i] = (w_i @ WEDGE2)_m
+    for m, (src, sign) in enumerate(_PAIRING_COLUMNS):
+        np.multiply(np.moveaxis(triple[..., src], -1, 0), sign, out=paired[m])
+    # Q^T = w @ paired: the products of (w @ WEDGE2) @ w^T, summed in the same order
+    q = _component_major((3, 3), batch)
+    np.matmul(triple, _pointwise(paired), out=np.swapaxes(_pointwise(q), -1, -2))
+    flat = q.reshape(3, 3, -1)   # in place on a flat view, which numpy needs no copy for
+    np.divide(flat, np.reshape(2.0 * np.asarray(mu), -1), out=flat)
+    return _pointwise(q)
 
 
 def is_positive(q: np.ndarray, tol: float = 0.0):
@@ -150,17 +184,18 @@ def det3(s: np.ndarray) -> np.ndarray:
 
 def adj3(s: np.ndarray) -> np.ndarray:
     """Adjugate of a 3x3 stack; adj(s) @ s = det(s) I."""
-    out = np.empty(np.broadcast_shapes(s.shape), dtype=float)
-    out[..., 0, 0] = s[..., 1, 1] * s[..., 2, 2] - s[..., 1, 2] * s[..., 2, 1]
-    out[..., 0, 1] = s[..., 0, 2] * s[..., 2, 1] - s[..., 0, 1] * s[..., 2, 2]
-    out[..., 0, 2] = s[..., 0, 1] * s[..., 1, 2] - s[..., 0, 2] * s[..., 1, 1]
-    out[..., 1, 0] = s[..., 1, 2] * s[..., 2, 0] - s[..., 1, 0] * s[..., 2, 2]
-    out[..., 1, 1] = s[..., 0, 0] * s[..., 2, 2] - s[..., 0, 2] * s[..., 2, 0]
-    out[..., 1, 2] = s[..., 0, 2] * s[..., 1, 0] - s[..., 0, 0] * s[..., 1, 2]
-    out[..., 2, 0] = s[..., 1, 0] * s[..., 2, 1] - s[..., 1, 1] * s[..., 2, 0]
-    out[..., 2, 1] = s[..., 0, 1] * s[..., 2, 0] - s[..., 0, 0] * s[..., 2, 1]
-    out[..., 2, 2] = s[..., 0, 0] * s[..., 1, 1] - s[..., 0, 1] * s[..., 1, 0]
-    return out
+    s = np.asarray(s, dtype=float)
+    out = _component_major((3, 3), s.shape[:-2])
+    out[0, 0] = s[..., 1, 1] * s[..., 2, 2] - s[..., 1, 2] * s[..., 2, 1]
+    out[0, 1] = s[..., 0, 2] * s[..., 2, 1] - s[..., 0, 1] * s[..., 2, 2]
+    out[0, 2] = s[..., 0, 1] * s[..., 1, 2] - s[..., 0, 2] * s[..., 1, 1]
+    out[1, 0] = s[..., 1, 2] * s[..., 2, 0] - s[..., 1, 0] * s[..., 2, 2]
+    out[1, 1] = s[..., 0, 0] * s[..., 2, 2] - s[..., 0, 2] * s[..., 2, 0]
+    out[1, 2] = s[..., 0, 2] * s[..., 1, 0] - s[..., 0, 0] * s[..., 1, 2]
+    out[2, 0] = s[..., 1, 0] * s[..., 2, 1] - s[..., 1, 1] * s[..., 2, 0]
+    out[2, 1] = s[..., 0, 1] * s[..., 2, 0] - s[..., 0, 0] * s[..., 2, 1]
+    out[2, 2] = s[..., 0, 0] * s[..., 1, 1] - s[..., 0, 1] * s[..., 1, 0]
+    return _pointwise(out)
 
 
 def inv3(s: np.ndarray) -> np.ndarray:
@@ -259,30 +294,34 @@ def _pd_cofactors4(m: np.ndarray, what: str, tol: float = 0.0):
     return cof, det
 
 
-def _adjugate4(cof: dict) -> np.ndarray:
-    """The (..., 4, 4) adjugate from the cofactors of :func:`_pd_cofactors4`;
-    each is copied to both sides of the diagonal, so it is exactly symmetric."""
-    adj = np.empty((4, 4) + np.shape(cof[0, 0]))
+def _adjugate4(cof: dict, op=np.multiply, scale=1.0) -> np.ndarray:
+    """``op(adj, scale)`` for the (..., 4, 4) adjugate from the cofactors of
+    :func:`_pd_cofactors4` and a pointwise scalar ``scale``; each entry is
+    copied to both sides of the diagonal, so the result is exactly symmetric."""
+    adj = _component_major((4, 4), np.shape(cof[0, 0]))
     for (a, b), v in cof.items():
-        adj[a, b] = adj[b, a] = v
-    return _from_entries(adj)
+        op(v, scale, out=adj[a, b, ...])
+        if a != b:
+            adj[b, a] = adj[a, b]
+    return _pointwise(adj)
 
 
 def _inverse4(g: np.ndarray, what: str) -> np.ndarray:
     """Inverse of a symmetric positive definite 4x4 stack, adj(g) / det g;
     NotPositive names ``what`` and the first failing batch index."""
     cof, det = _pd_cofactors4(g, what)
-    return _adjugate4(cof) / np.asarray(det)[..., None, None]
+    return _adjugate4(cof, np.divide, det)
 
 
 def _metric_parts(triple: np.ndarray, tol: float):
     """``(g, s, cof, det)`` for a triple: the metric ``g = K / s`` with
     ``s = det(K)^{1/6}`` the volume coefficient, and the cofactors and
     determinant of its density ``K`` (see :func:`_pd_cofactors4`)."""
-    K = metric_density(triple)
-    cof, det = _pd_cofactors4(K, "metric density", tol)
+    g = metric_density(triple)
+    cof, det = _pd_cofactors4(g, "metric density", tol)
     s = det ** (1.0 / 6.0)
-    return K / s[..., None, None], s, cof, det
+    g /= s[..., None, None]
+    return g, s, cof, det
 
 
 def metric_from_triple(triple: np.ndarray, tol: float = 1e-12):
@@ -318,23 +357,40 @@ def lambda2_gram(h: np.ndarray) -> np.ndarray:
     from the entries of ``h`` and copied below it (``h`` is symmetric).
     """
     e = _entries(h)
-    out = np.empty((6, 6) + e.shape[2:])
+    out = _component_major((6, 6), e.shape[2:])
     for m, (a, b) in enumerate(LAMBDA2_TUPLES):
         for l in range(m, 6):
             c, d = LAMBDA2_TUPLES[l]
             out[m, l] = out[l, m] = e[a, c] * e[b, d] - e[a, d] * e[b, c]
-    return _from_entries(out)
+    return _pointwise(out)
+
+
+def _star(coeffs: np.ndarray, gram_: np.ndarray, columns: tuple, scale, op) -> np.ndarray:
+    """``op(coeffs @ gram_ @ w, scale)`` at every point, with ``w`` the signed
+    permutation that ``columns`` tabulates (see :func:`_signed_permutation`).
+
+    ``coeffs`` is (..., [B,] m) over points (...) that match ``gram_``
+    (..., m, m); ``scale`` is a pointwise scalar.  The permutation is applied
+    as a gather, and its signs to ``scale``, which is exact.
+    """
+    points = gram_.shape[:-2]
+    raised = _entries(_product(coeffs.reshape(points + (-1, coeffs.shape[-1])), gram_))
+    out = _component_major(raised.shape[:2], raised.shape[2:])
+    signed = {1.0: scale, -1.0: np.negative(scale)}
+    for p, (src, sign) in enumerate(columns):
+        op(raised[:, src], signed[sign], out=out[:, p])
+    return _pointwise(out).reshape(coeffs.shape)
 
 
 def star2(coeffs: np.ndarray, h: np.ndarray, sqrt_det_g) -> np.ndarray:
     """Hodge star on 2-forms, fast path: no validation, caller supplies g^{-1}.
 
     ``coeffs`` may carry one batch axis before the component axis (a triple);
-    leading axes otherwise match the metric stack.
+    leading axes otherwise match the metric stack.  The result is a
+    component-major view, (B, 6, ...) in memory.
     """
-    raised = _apply_pointwise(lambda2_gram(h), np.asarray(coeffs, dtype=float))
-    out = np.matmul(raised, _W2INV)
-    return out * _match_rank(sqrt_det_g, out)
+    return _star(np.asarray(coeffs, dtype=float), lambda2_gram(h), _STAR2_COLUMNS,
+                 sqrt_det_g, np.multiply)
 
 
 def star3(coeffs: np.ndarray, g: np.ndarray, sqrt_det_g) -> np.ndarray:
@@ -342,13 +398,15 @@ def star3(coeffs: np.ndarray, g: np.ndarray, sqrt_det_g) -> np.ndarray:
 
     Uses the complementary-minor identity: the Lambda^3 Gram of g^{-1} is
     D g D / det(g) with D the signs of the omitted coordinates, so only ``g``
-    itself is needed.  Batch axis handled as in :func:`star2`.
+    itself is needed.  Batch axis and layout as in :func:`star2`.
     """
-    gsub = g[..., _OMITTED[:, None], _OMITTED[None, :]]
-    G = (_SIGMA3[:, None] * _SIGMA3[None, :]) * gsub
-    raised = _apply_pointwise(G, np.asarray(coeffs, dtype=float))
-    out = np.matmul(raised, _W32INV_T)
-    return out / _match_rank(sqrt_det_g, out)
+    e = _entries(g)
+    G = _component_major((4, 4), e.shape[2:])
+    for m, a in enumerate(_OMITTED):
+        for l, b in enumerate(_OMITTED):
+            np.multiply(e[a, b], _SIGMA3[m] * _SIGMA3[l], out=G[m, l, ...])
+    return _star(np.asarray(coeffs, dtype=float), _pointwise(G), _STAR3_COLUMNS,
+                 sqrt_det_g, np.divide)
 
 
 def hodge2(b: np.ndarray, g: np.ndarray, mu_g) -> np.ndarray:

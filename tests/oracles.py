@@ -248,3 +248,41 @@ def metric_density7_einsum(phi) -> np.ndarray:
     four = np.einsum('...am,...bn,mnp->...abp', ia, ia, _W22_7)
     k = np.einsum('...abp,pq,...q->...ab', four, _W43_7, phi) / 6.0
     return 0.5 * (k + np.swapaxes(k, -1, -2))
+
+
+# Frozen grid-first exterior derivative, as the package evaluated it before
+# its derivative became a component-major kernel: np.roll stencils, summed
+# into each output component in the order of the source basis, then of the
+# axes.  The assembly table is rebuilt here from the bitmask algebra.
+BASES4 = {0: [()], 1: [(0,), (1,), (2,), (3,)], 2: PAIRS, 3: TRIPLES4, 4: [(0, 1, 2, 3)]}
+
+
+def d_table(k: int) -> list:
+    """``(dst, src, axis, sign)``: d(f e^I) = sum_a (df/dx^a) e^a ∧ e^I."""
+    table = []
+    for src, I in enumerate(BASES4[k]):
+        for axis in range(4):
+            form = wedge(mono(axis), mono(*I))
+            for dst, J in enumerate(BASES4[k + 1]):
+                sign = coeff(form, *J)
+                if sign:
+                    table.append((dst, src, axis, sign))
+    return table
+
+
+def partial_roll(f, axis: int, h: float, order: int):
+    """Periodic central difference along array axis ``axis`` by np.roll."""
+    inner = np.roll(f, -1, axis) - np.roll(f, 1, axis)
+    if order == 2:
+        return inner / (2.0 * h)
+    outer = np.roll(f, -2, axis) - np.roll(f, 2, axis)
+    return (8.0 * inner - outer) / (12.0 * h)
+
+
+def d_grid_first(f, k: int, h, order: int = 4):
+    """Exterior derivative of a grid-first degree-k form field (grid..., [batch,]
+    ncomp) with grid spacings ``h``."""
+    out = np.zeros(f.shape[:-1] + (len(BASES4[k + 1]),))
+    for dst, src, axis, sign in d_table(k):
+        out[..., dst] += sign * partial_roll(f[..., src], axis, h[axis], order)
+    return out

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from hsflow import flow_engine as fe
 from hsflow import grid_calculus as gc
 from hsflow import initial_data
 from hsflow import triple_algebra as ta
-from hsflow.errors import StepRejected, ValidationError
+from hsflow.errors import NotPositive, StepRejected, ValidationError
 
 STD = ta.standard_triple()
 
@@ -83,6 +85,57 @@ class TestRhs:
         assert np.abs(gc.d(tf.lattice, r, 2)).max() <= 1e-11
         for i in range(3):
             assert np.abs(gc.periods(tf.lattice, r[..., i, :])).max() <= 1e-13
+
+
+class TestLayout:
+    """Fields are component-major inside the right-hand side and grid-first
+    at the API; lattice indices must come out in grid order either way."""
+
+    def planted(self, plant):
+        lat = gc.Lattice((8, 4, 4, 4))
+        c = np.broadcast_to(STD, lat.shape + (3, 6)).copy()
+        if plant == "flip":        # (w1, w2, -w3): the metric density turns negative
+            c[5, 1, 2, 3, 2] *= -1.0
+        else:                      # w1 nearly gone: only the Gram guard sees it
+            c[5, 1, 2, 3, 0] *= 1e-9
+        return lat, c
+
+    def test_mid_stage_names_index(self):
+        lat, c = self.planted("flip")
+        with pytest.raises(NotPositive, match=r"at lattice index \(5, 1, 2, 3\)"):
+            fe.evaluate_rhs(lat, c)
+
+    @pytest.mark.parametrize("plant,what", [("flip", "metric density"),
+                                            ("collapse", "Gram matrix eigenvalue")])
+    def test_step_rejection_names_index(self, plant, what):
+        lat, c = self.planted(plant)
+        state = fe.FlowState(0.0, gc.TripleField(lat, c))
+        with pytest.raises(StepRejected, match=what + r".* at lattice index \(5, 1, 2, 3\)"):
+            fe.step(state, 1e-6, fe.FlowConfig(dt=1e-6, cfl=None))
+
+    def test_state_fields_are_views(self):
+        tf = t3_field()
+        state = fe.init_state(fe.FlowConfig(), tf)
+        n = tf.lattice.shape
+        assert state.q.shape == n + (3, 3) and state.mu.shape == n
+        assert state.g.shape == state.h.shape == n + (4, 4)
+        for field in (state.q, state.g, state.h):
+            # the component arrays are the field's own memory, not a copy
+            assert np.shares_memory(ta._entries(field), field)
+
+    def test_mid_stage_memory(self):
+        # a guard on peak_rss_mb of large lattices: temporaries of one
+        # right-hand side must not all be alive at once
+        lat = gc.Lattice((16, 8, 8, 8))
+        c = initial_data.generate_initial(lat, "exact-perturbation", 0.05, 7).c
+        fe.evaluate_rhs(lat, c)
+        tracemalloc.start()
+        try:
+            fe.evaluate_rhs(lat, c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 9 * c.nbytes
 
 
 class TestStep:

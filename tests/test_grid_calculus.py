@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import oracles
 from hsflow import grid_calculus as gc
+from hsflow import initial_data
 from hsflow import triple_algebra as ta
 from hsflow.errors import NotPositive
 
@@ -21,7 +23,7 @@ def smooth_scalar(lat, rng, modes=3):
 
 
 def smooth_form(lat, rng, k):
-    out = gc.zeros_form(lat, k)
+    out = np.zeros(lat.shape + (gc.NCOMP[k],))
     for m in range(out.shape[-1]):
         out[..., m] = smooth_scalar(lat, rng)
     return out
@@ -84,7 +86,7 @@ class TestExteriorDerivative:
         # d(sin(2 pi x2) e01) = 2 pi cos(2 pi x2) e2 ∧ e01 = +(...) e012
         lat = gc.Lattice((4, 4, 64, 4))
         x = lat.grids()
-        f = gc.zeros_form(lat, 2)
+        f = np.zeros(lat.shape + (6,))
         f[..., 0] = np.sin(2 * np.pi * x[2]) * np.ones(lat.shape)
         df = gc.d(lat, f, 2)
         expected = 2 * np.pi * np.cos(2 * np.pi * x[2]) * np.ones(lat.shape)
@@ -105,6 +107,17 @@ class TestExteriorDerivative:
         for i in range(3):
             assert np.array_equal(batched[..., i, :], gc.d(lat, fs[..., i, :], 1))
 
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    def test_frozen_oracle_bit_for_bit(self, rng, k, order, batch):
+        # no two extents or lengths alike, so a swapped axis or component fails
+        lat = gc.Lattice((8, 4, 6, 5), (1.0, 2.0, 0.5, 1.5))
+        f = rng.uniform(-1, 1, lat.shape + batch + (gc.NCOMP[k],))
+        got = gc.d(lat, f, k, order)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == oracles.d_grid_first(f, k, lat.h, order).tobytes()
+
 
 class TestCodiff2:
     def test_flat_constant(self):
@@ -120,10 +133,10 @@ class TestCodiff2:
         x = lat.grids()
         g = np.broadcast_to(np.eye(4), lat.shape + (4, 4))
         mu = np.ones(lat.shape)
-        beta = gc.zeros_form(lat, 2)
+        beta = np.zeros(lat.shape + (6,))
         beta[..., 0] = np.sin(2 * np.pi * x[1]) * np.ones(lat.shape)
         out = gc.codiff2(lat, beta, g, mu)
-        expected = gc.zeros_form(lat, 1)
+        expected = np.zeros(lat.shape + (4,))
         expected[..., 0] = 2 * np.pi * np.cos(2 * np.pi * x[1]) * np.ones(lat.shape)
         assert np.abs(out - expected).max() < 5e-5
 
@@ -134,10 +147,10 @@ class TestCodiff2:
             x = lat.grids()
             g = np.broadcast_to(np.eye(4), lat.shape + (4, 4))
             mu = np.ones(lat.shape)
-            beta = gc.zeros_form(lat, 2)
+            beta = np.zeros(lat.shape + (6,))
             beta[..., 0] = np.sin(2 * np.pi * x[1]) * np.ones(lat.shape)
             out = gc.codiff2(lat, beta, g, mu)
-            expected = gc.zeros_form(lat, 1)
+            expected = np.zeros(lat.shape + (4,))
             expected[..., 0] = (2 * np.pi * np.cos(2 * np.pi * x[1])
                                 * np.ones(lat.shape))
             errs.append(np.abs(out - expected).max())
@@ -148,7 +161,7 @@ class TestCodiff2:
         # metric, so d* w_i = -*d w_i vanishes with dw_i
         lat = gc.Lattice((16, 4, 4, 4))
         x = lat.grids()
-        pot = gc.zeros_form(lat, 1, batch=(3,))
+        pot = np.zeros(lat.shape + (3, 4))
         pot[..., 0, 1] = 0.05 * np.sin(2 * np.pi * x[0]) * np.ones(lat.shape)
         pot[..., 1, 2] = 0.05 * np.cos(2 * np.pi * x[0]) * np.ones(lat.shape)
         c = np.broadcast_to(STD, lat.shape + (3, 6)) + gc.d(lat, pot, 1)
@@ -177,7 +190,7 @@ class TestCodiff2:
         # wedge pairings under the lattice sum
         lat = gc.Lattice((16, 4, 4, 4))
         x = lat.grids()
-        pot = gc.zeros_form(lat, 1, batch=(3,))
+        pot = np.zeros(lat.shape + (3, 4))
         pot[..., 0, 1] = 0.04 * np.sin(2 * np.pi * x[0]) * np.ones(lat.shape)
         pot[..., 2, 3] = 0.04 * np.cos(2 * np.pi * x[0]) * np.ones(lat.shape)
         c = np.broadcast_to(STD, lat.shape + (3, 6)) + gc.d(lat, pot, 1)
@@ -199,7 +212,7 @@ class TestCodiff2:
         g = np.broadcast_to(np.eye(4), lat.shape + (4, 4)).copy()
         g[1, 2, 3, 0] = -np.eye(4)
         mu = np.ones(lat.shape)
-        beta = gc.zeros_form(lat, 2)
+        beta = np.zeros(lat.shape + (6,))
         with pytest.raises(NotPositive, match=r"1, 2, 3, 0"):
             gc.codiff2(lat, beta, g, mu)
 
@@ -239,7 +252,46 @@ class TestPeriods:
         assert gc.periods(lat, perturbed)[0] == pytest.approx(1.0, abs=1e-12)
 
 
+def point_major_normalize(c):
+    """``_normalize_fields`` without the guard, evaluated point-major on
+    C-ordered arrays as it was before the right-hand side went
+    component-major: the density's monomials gathered per point in blocks of
+    1024 and a plain matmul for the Gram matrix, with the package's cofactor
+    formulas."""
+    x = c.reshape(-1, 18)
+    f0, f1, f2 = ta.DENSITY_FACTORS
+    iu, ju = np.triu_indices(4)
+    upper = np.ascontiguousarray(ta.DENSITY_COEF[iu * 4 + ju].T)
+    K = np.empty((len(x), 4, 4))
+    for start in range(0, len(x), 1024):
+        b = x[start:start + 1024]
+        # C-ordered monomials: BLAS rounds a product in an order set by the layout
+        k10 = (np.take(b, f0, axis=1) * np.take(b, f1, axis=1) * np.take(b, f2, axis=1)) @ upper
+        K[start:start + 1024, iu, ju] = k10
+        K[start:start + 1024, ju, iu] = k10
+    K = K.reshape(c.shape[:-2] + (4, 4))
+    cof, det = ta._pd_cofactors4(K, "metric density")
+    s = det ** (1.0 / 6.0)
+    adj = np.empty(K.shape)
+    for (a, b), v in cof.items():
+        adj[..., a, b] = adj[..., b, a] = v
+    q = np.matmul(np.matmul(c, ta.WEDGE2), np.swapaxes(c, -1, -2)) / (2.0 * s[..., None, None])
+    return q, K / s[..., None, None], s, adj * (s / det)[..., None, None]
+
+
 class TestPointwiseNormalize:
+    @pytest.mark.parametrize("generator", ["exact-perturbation", "t3-invariant"])
+    def test_point_major_bit_for_bit(self, generator):
+        # the same bits whether the field is C-ordered or a view of
+        # component-major memory
+        lat = gc.Lattice((8, 4, 4, 4))
+        c = initial_data.generate_initial(lat, generator, 0.05, 7).c
+        expected = point_major_normalize(c)
+        for layout in (c, ta._pointwise(ta._entries(c))):
+            got = gc._normalize_fields(layout)[:4]
+            for a, b in zip(got, expected):
+                assert np.ascontiguousarray(a).tobytes() == b.tobytes()
+
     def test_constant_standard(self):
         lat = gc.Lattice((4, 4, 4, 4))
         q, g, mu = gc.pointwise_normalize(gc.constant_triple_field(lat, STD))
