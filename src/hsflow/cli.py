@@ -71,7 +71,8 @@ def cmd_flow(args) -> int:
         indent=2, sort_keys=True) + "\n")
 
     lat = cfg.lattice()
-    tf = initial_data.generate_initial(
+    # the initial data's guarded normalization goes on to the flow's first state
+    tf = initial_data._generate(
         lat, cfg.generator, cfg.amplitude, cfg.initial_seed, cfg.modes,
         cfg.flow.stencil_order, cfg.flow.degeneration_threshold)
 
@@ -90,7 +91,8 @@ def cmd_flow(args) -> int:
         snap.write_snapshot(path, state.tf, state.time)
         snap.write_sidecar(path, {
             "config_hash": chash, "step": step_index, "time": state.time,
-            "workers": workers, "diagnostics": state.diagnostics})
+            "workers": workers, "stencil_order": cfg.flow.stencil_order,
+            "diagnostics": state.diagnostics})
 
     try:
         result = fe.run(cfg.flow, tf, row_sink, checkpoint_sink)
@@ -105,15 +107,18 @@ def cmd_flow(args) -> int:
     return EXIT_OK
 
 
-def _lift_report(tf: gc.TripleField, time: float, samples: int, seed: int) -> dict:
+def _lift_report(tf: gc.TripleField, time: float, samples: int, seed: int,
+                 order: int = 4) -> dict:
+    """The lift checks of a state; ``order`` is the stencil order of the
+    run that produced it, used for ``max_dw`` and the torsion."""
     from . import fiber_g2 as fg
     state = fe.FlowState(time, tf)
     q, _, mu = state.ensure_fields()
-    dome = gc.d(tf.lattice, tf.c, 2, 4)
+    dome = gc.d(tf.lattice, tf.c, 2, order)
     points = fe.draw_points(tf.lattice, samples, seed)
     # the dual triple's lift is the non-closed one; it runs first, so that its
     # lattice-sized temporaries are gone before the batch below is built
-    torsion_worst = fe.dual_lift_torsion(state, points)
+    torsion_worst = fe.dual_lift_torsion(state, points, order)
     star_worst = 0.0
     if points:
         at = tuple(np.transpose(points))   # one index array per lattice axis
@@ -135,12 +140,20 @@ def cmd_lift(args) -> int:
     if args.samples < 0:
         raise ValidationError("--samples must be nonnegative")
     tf, time = snap.read_snapshot(args.snapshot)
-    report = _lift_report(tf, time, args.samples, args.seed)
-    report["snapshot"] = str(args.snapshot)
     try:
-        report["config_hash"] = snap.read_sidecar(args.snapshot).get("config_hash")
+        sidecar = snap.read_sidecar(args.snapshot)
     except OSError:
-        pass
+        sidecar = None
+    except ValueError as exc:   # not JSON
+        raise ValidationError(f"{args.snapshot}: unreadable sidecar: {exc}") from exc
+    # the run's stencil order; order 4 for a snapshot without one
+    order = (sidecar or {}).get("stencil_order", 4)
+    if order not in (2, 4):
+        raise ValidationError(f"{args.snapshot}: sidecar stencil_order {order!r} is not 2 or 4")
+    report = _lift_report(tf, time, args.samples, args.seed, order)
+    report["snapshot"] = str(args.snapshot)
+    if sidecar is not None:
+        report["config_hash"] = sidecar.get("config_hash")
     print(json.dumps(report, indent=2, sort_keys=True))
     return EXIT_OK
 

@@ -76,10 +76,12 @@ class FlowConfig:
 @dataclass
 class FlowState:
     """Evolving triple, run baselines, and what is computed once per state:
-    normalization, the guard's Gram eigenvalue extremes, and in ``kept`` the
+    normalization, the guard's Gram eigenvalue results, and in ``kept`` the
     periods and, per stencil order, the closedness defect and the RHS.
     ``q``, ``g`` and ``h`` are views of the component-major memory that
-    the right-hand side reads."""
+    the right-hand side reads.  ``q_eig_min`` is LAPACK's value; ``q_top``
+    is the closed-form estimate, a bracket ``(lo, hi)`` that holds each
+    point's largest Gram eigenvalue (see ``grid_calculus._normalize_fields``)."""
 
     time: float
     tf: gc.TripleField
@@ -87,7 +89,7 @@ class FlowState:
     g: np.ndarray | None = None
     mu: np.ndarray | None = None
     h: np.ndarray | None = None           # inverse metric
-    q_eig_max: np.ndarray | None = None   # per-point largest Gram eigenvalue
+    q_top: tuple | None = None            # bracket of each point's largest Gram eigenvalue
     q_eig_min: float | None = None        # smallest Gram eigenvalue anywhere
     base_periods: np.ndarray | None = None
     sample_points: tuple = ()
@@ -96,8 +98,8 @@ class FlowState:
 
     def ensure_fields(self, threshold: float = 1e-6):
         if self.q is None:
-            self.q, self.g, self.mu, self.h, (self.q_eig_max, self.q_eig_min) = \
-                gc._normalize_fields(self.tf.c, threshold)
+            self.q, self.g, self.mu, self.h, (self.q_top, self.q_eig_min) = \
+                self.tf.normalized(threshold)
         return self.q, self.g, self.mu
 
     def keep(self, key, compute):
@@ -145,10 +147,20 @@ def stable_dt(state: FlowState, cfl: float) -> float:
 
     Lambda is the worst-point product of the largest Gram eigenvalue and the
     largest inverse-metric eigenvalue, a proxy for the diffusion coefficient.
-    The Gram eigenvalues come from the guard in ``state.ensure_fields``.
+    It is LAPACK's value, bit for bit a lattice-wide ``eigvalsh`` of q and g:
+    the guard's bracket of each point's largest Gram eigenvalue and a
+    closed-form estimate of its smallest metric eigenvalue bound the product
+    everywhere, and LAPACK runs only at points whose bound reaches the
+    largest lower bound.
     """
-    lam_ginv = 1.0 / np.linalg.eigvalsh(state.g)[..., 0]
-    lam = float((state.q_eig_max * lam_ginv).max())
+    top_lo, top_hi = state.q_top
+    floor, radius = ta._metric_floor(state.g)
+    upper = np.divide(top_hi, floor - radius, out=np.full_like(top_hi, np.inf),
+                      where=floor - radius > 0)
+    suspect = upper >= np.max(top_lo / (floor + radius))
+    _, lam_q = ta._screened_eigvalsh(state.q, suspect)
+    _, lam_g = ta._screened_eigvalsh(state.g, suspect)
+    lam = float((lam_q[:, -1] * (1.0 / lam_g[:, 0])).max())
     hmin = min(state.tf.lattice.h)
     return cfl * hmin * hmin / lam
 

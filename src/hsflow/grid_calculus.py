@@ -18,7 +18,7 @@ closedness and cohomology preservation that the flow engine relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -181,15 +181,31 @@ def periods(lat: Lattice, w: np.ndarray) -> np.ndarray:
 
 @dataclass
 class TripleField:
-    """Three 2-form fields sharing one lattice; the flow's state variable."""
+    """Three 2-form fields sharing one lattice; the flow's state variable.
+
+    ``fields`` is a guarded normalization of ``c`` made while the field was
+    built, ``(threshold, _normalize_fields(c, threshold))``; the first
+    request for it (:meth:`normalized`) takes it over, so it is computed
+    once and not kept past its use.  ``c`` must not change in place while it
+    is attached.
+    """
 
     lattice: Lattice
     c: np.ndarray   # (n0, n1, n2, n3, 3, 6)
+    fields: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         expected = self.lattice.shape + (3, 6)
         if self.c.shape != expected:
             raise ValueError(f"triple field shape {self.c.shape} != {expected}")
+
+    def normalized(self, threshold: float):
+        """``_normalize_fields(self.c, threshold)``: the attached ``fields``
+        when they were made at ``threshold``, else computed now."""
+        kept, self.fields = self.fields, None
+        if kept is not None and kept[0] == threshold:
+            return kept[1]
+        return _normalize_fields(self.c, threshold)
 
     def max_dabs(self, order: int = 4) -> float:
         """Sup-norm of the exterior derivatives of the three forms."""
@@ -207,22 +223,33 @@ def constant_triple_field(lat: Lattice, triple: np.ndarray) -> TripleField:
 
 def _normalize_fields(c: np.ndarray, threshold: float | None = None):
     """``(q, g, mu, h, eig)``: see pointwise_normalize; ``h`` is the inverse
-    metric.  The Gram eigenvalue guard runs exactly when a ``threshold`` is
-    given; ``eig`` is then the eigenvalues' (per-point largest, overall
-    smallest), else None.  ``q``, ``g`` and ``h`` are views of
-    component-major memory, and ``c`` may be one."""
+    metric.  ``q``, ``g`` and ``h`` are views of component-major memory, and
+    ``c`` may be one.
+
+    The Gram eigenvalue guard runs exactly when a ``threshold`` is given.
+    ``eig`` is then ``(top, lowest)``, else None.  ``lowest``, the smallest
+    Gram eigenvalue anywhere, is LAPACK's value, and so are the guard's
+    decision and the lowest value and first failing lattice index it
+    reports; LAPACK runs only where the closed-form estimate of a point's
+    smallest eigenvalue lies within its radius of the threshold or of the
+    lattice minimum (see ``triple_algebra.SCREEN_MARGIN``).  ``top`` is an
+    estimate, the bracket ``(lo, hi)`` that holds each point's largest Gram
+    eigenvalue.
+    """
     g, s, cof, det = ta._metric_parts(c, 0.0)
     h = ta._adjugate4(cof, np.multiply, s / det)   # g^-1 = s adj(K) / det K
     q = ta.gram(c, s)
     if threshold is None:
         return q, g, s, h, None
-    lam = np.linalg.eigvalsh(q)
-    min_eig = lam[..., 0]
+    bottom, top, radius = ta._gram_extremes(q)
+    decides = max(threshold, float(np.min(bottom + radius)))
+    index, lam = ta._screened_eigvalsh(q, bottom - radius <= decides)
+    min_eig = lam[:, 0]
     lowest = float(min_eig.min())
-    ta._require_positive(min_eig > threshold,
-                         f"Gram matrix eigenvalue {lowest:.3e} <= {threshold:g}")
-    # a copy: a view would keep the whole (grid, 3) eigenvalue array alive
-    return q, g, s, h, (lam[..., -1].copy(), lowest)
+    ok = np.ones(q.shape[:-2], dtype=bool)
+    ok.flat[index] = min_eig > threshold
+    ta._require_positive(ok, f"Gram matrix eigenvalue {lowest:.3e} <= {threshold:g}")
+    return q, g, s, h, ((top - radius, top + radius), lowest)
 
 
 def pointwise_normalize(tf: TripleField, threshold: float = 1e-6):
@@ -234,4 +261,4 @@ def pointwise_normalize(tf: TripleField, threshold: float = 1e-6):
     first offending lattice index, when the metric density degenerates or the
     smallest Gram eigenvalue drops to ``threshold`` or below.
     """
-    return _normalize_fields(tf.c, threshold)[:3]
+    return tf.normalized(threshold)[:3]

@@ -77,6 +77,14 @@ def generate_initial(lat: gc.Lattice, generator: str, amplitude: float = 0.0,
     amplitude for this seed) when the requested amplitude degenerates the
     triple somewhere.
     """
+    tf = _generate(lat, generator, amplitude, seed, modes, stencil_order, threshold)
+    tf.fields = None   # a caller may keep the field for long: hold no normalization for it
+    return tf
+
+
+def _generate(lat, generator, amplitude, seed, modes, stencil_order, threshold):
+    """:func:`generate_initial`'s field, with the normalization its guard
+    made attached (``TripleField.fields``) for a flow's first state."""
     if generator not in GENERATORS:
         raise ValidationError(f"unknown generator {generator!r}; "
                               f"choose one of {', '.join(GENERATORS)}")
@@ -86,13 +94,11 @@ def generate_initial(lat: gc.Lattice, generator: str, amplitude: float = 0.0,
     pot = _sample_potential(lat, generator, amplitude, seed, modes)
     dpot = gc.d(lat, pot, 1, stencil_order)
     c = base + dpot
-    tf = gc.TripleField(lat, c)
     try:
-        gc.pointwise_normalize(tf, threshold)
+        return gc.TripleField(lat, c, (threshold, gc._normalize_fields(c, threshold)))
     except NotPositive as exc:
         frac = _max_admissible(lat, base, dpot, threshold)
         raise NotPositive(
             f"amplitude {amplitude:g} degenerates the triple ({exc}); "
             f"max admissible amplitude for this seed is about "
             f"{0.95 * frac * amplitude:.4g}") from exc
-    return tf

@@ -258,23 +258,27 @@ def _require_positive(ok, message: str, where: str = "lattice index") -> None:
     raise NotPositive(message)
 
 
+def _minors4(e):
+    """The 2x2 minors ``(s, c)`` of rows (0, 1) and (2, 3) of a 4x4 matrix
+    with entries ``e[a, b]`` (arrays over a batch), keyed by column pair."""
+    def minors(r, t):
+        return {(j, k): e[r, j] * e[t, k] - e[r, k] * e[t, j]
+                for j in range(4) for k in range(j + 1, 4)}
+    return minors(0, 1), minors(2, 3)
+
+
 def _pd_cofactors4(m: np.ndarray, what: str, tol: float = 0.0):
     """Cofactors and determinant of a symmetric 4x4 stack that must be
     positive definite.
 
     Returns ``(cof, det)``: ``cof`` maps ``(a, b)``, a <= b, to the (a, b)
-    cofactor, built from the 2x2 minors of rows (0, 1) and (2, 3); ``det`` is
-    row 0 times its cofactors.  Raises NotPositive, naming ``what`` and the
-    first failing batch index, unless every leading principal minor exceeds
+    cofactor, built from the minors of :func:`_minors4`; ``det`` is row 0
+    times its cofactors.  Raises NotPositive, naming ``what`` and the first
+    failing batch index, unless every leading principal minor exceeds
     ``tol`` (the third is the (3, 3) cofactor).
     """
     e = _entries(m)
-
-    def minors(r, t):
-        return {(j, k): e[r, j] * e[t, k] - e[r, k] * e[t, j]
-                for j in range(4) for k in range(j + 1, 4)}
-
-    s, c = minors(0, 1), minors(2, 3)
+    s, c = _minors4(e)
     cof = {
         (0, 0): e[1, 1] * c[2, 3] - e[1, 2] * c[1, 3] + e[1, 3] * c[1, 2],
         (0, 1): -(e[1, 0] * c[2, 3] - e[1, 2] * c[0, 3] + e[1, 3] * c[0, 2]),
@@ -417,3 +421,132 @@ def hodge2(b: np.ndarray, g: np.ndarray, mu_g) -> np.ndarray:
     an isometry for Riemannian ``g``.  Raises NotPositive on indefinite g.
     """
     return star2(b, _inverse4(g, "hodge2: metric"), mu_g)
+
+
+# The flow reads three things from the spectra of its Gram matrices q and
+# metrics g: whether every smallest Gram eigenvalue clears the positivity
+# threshold, the lattice minimum of those, and the worst point of
+# lambda_max(q) / lambda_min(g) (the step size bound).  Closed-form
+# estimates decide them wherever they can, and np.linalg.eigvalsh runs only
+# where an estimate lies within its radius of a decision, which is then taken
+# from LAPACK's values.  An estimate of an eigenvalue of a symmetric A, with
+# spread S = |A - c I| (Frobenius norm) about its mean eigenvalue c, lies
+# within
+#
+#     radius = SCREEN_MARGIN * (S + SCREEN_MARGIN**3 * (|c| + S))
+#
+# of the value LAPACK returns.  The first term covers the estimators' root
+# error.  A characteristic-polynomial root is accurate only to about
+# eps^(1/k) S where k roots nearly coincide; the estimators remove the trace,
+# so that no more than three cluster, and take no square root of a clustered
+# root, which leaves eps^(1/2) = 1.5e-8 as their worst case.  SCREEN_MARGIN
+# is 8 times even eps^(1/4).  Over rotated spectra with clusters of every size
+# and position, spreads S from 1e-14 to 10 times |c| and |c| from 1e-3 to
+# 1e3, the error seen is below 1.1e-8 S + 2e-15 |c|.  The second term covers
+# rounding in the estimate and LAPACK's own error, a few eps |A|;
+# SCREEN_MARGIN**4 = 1e-12 is 4500 eps.
+SCREEN_MARGIN = 1e-3
+
+
+def _radius(spread, centre):
+    """The trusted radius of an estimate (see SCREEN_MARGIN)."""
+    return SCREEN_MARGIN * (spread + SCREEN_MARGIN ** 3 * (np.abs(centre) + spread))
+
+
+def _cubic_extremes(p, q):
+    """Smallest and largest root of w^3 + p w + q, whose three roots are
+    real, by the trigonometric solution."""
+    s = np.sqrt(np.maximum(-p / 3.0, 0.0))
+    r = np.divide(-q, 2.0 * s ** 3, out=np.zeros_like(s), where=s > 0)
+    c = np.cos(np.arccos(np.clip(r, -1.0, 1.0)) / 3.0)
+    return -s * (c + np.sqrt(3.0 * np.maximum(1.0 - c * c, 0.0))), 2.0 * s * c
+
+
+def _gram_extremes(q: np.ndarray):
+    """``(lo, hi, radius)``: estimates of the smallest and largest eigenvalue
+    of each symmetric 3x3 matrix of a stack, and their radius.
+
+    The trigonometric solution of the characteristic cubic (Kopp, Int. J.
+    Mod. Phys. C 19 (2008) 523) of ``q - m I``, m the mean diagonal entry.
+    The shifted diagonal is exact; the trace that rounding leaves in it is
+    shifted out of the cubic rather than neglected.
+    """
+    e = _entries(q)
+    m = (e[0, 0] + e[1, 1] + e[2, 2]) / 3.0
+    b0, b1, b2 = e[0, 0] - m, e[1, 1] - m, e[2, 2] - m
+    b01, b02, b12 = e[0, 1], e[0, 2], e[1, 2]
+    t = (b0 + b1 + b2) / 3.0
+    square = b0 * b0 + b1 * b1 + b2 * b2 + 2.0 * (b01 * b01 + b02 * b02 + b12 * b12)
+    e2 = 0.5 * (9.0 * t * t - square)
+    det = (b0 * (b1 * b2 - b12 * b12) - b01 * (b01 * b2 - b12 * b02)
+           + b02 * (b01 * b12 - b1 * b02))
+    p = e2 - 3.0 * t * t                    # x = w + t depresses x^3 - 3t x^2 + e2 x - det
+    lo, hi = _cubic_extremes(p, e2 * t - 2.0 * t * t * t - det)
+    centre = m + t
+    return centre + lo, centre + hi, _radius(np.sqrt(np.maximum(-2.0 * p, 0.0)), centre)
+
+
+def _metric_floor(g: np.ndarray):
+    """``(lo, radius)``: an estimate of the smallest eigenvalue of each
+    symmetric 4x4 matrix of a stack, and its radius.
+
+    Solves the characteristic quartic of ``g - m I`` (m the mean diagonal
+    entry, the trace rounding leaves shifted out as in
+    :func:`_gram_extremes`) through its resolvent cubic, whose roots are the
+    squares of a >= b >= c >= 0, the sums of the smallest eigenvalue with
+    each other one taken in absolute value.  The smallest eigenvalue is
+    -(a + b + c) / 2 when the quartic's linear coefficient q is positive and
+    -(a + b - c) / 2 otherwise.  Only a^2, the largest root, is solved for:
+    b^2 + c^2 is the spread squared less a^2, and bc = |q| / a, so
+    (b +- c)^2 is known without the two small roots, which are ill-posed
+    where they nearly coincide.
+    """
+    e = _entries(g)
+    m = (e[0, 0] + e[1, 1] + e[2, 2] + e[3, 3]) / 4.0
+    d = {(a, b): e[a, b] - m if a == b else e[a, b] for a in range(4) for b in range(4)}
+    t = (d[0, 0] + d[1, 1] + d[2, 2] + d[3, 3]) / 4.0
+    square = sum(d[a, a] * d[a, a] for a in range(4)) + 2.0 * sum(
+        d[a, b] * d[a, b] for a in range(4) for b in range(a + 1, 4))
+    s, c = _minors4(d)
+    # the determinant by complementary minors, and the principal 3x3 minors' sum
+    det = (s[0, 1] * c[2, 3] - s[0, 2] * c[1, 3] + s[0, 3] * c[1, 2]
+           + s[1, 2] * c[0, 3] - s[1, 3] * c[0, 2] + s[2, 3] * c[0, 1])
+    e3 = (d[1, 1] * c[2, 3] - d[1, 2] * c[1, 3] + d[1, 3] * c[1, 2]
+          + d[0, 0] * c[2, 3] - d[0, 2] * c[0, 3] + d[0, 3] * c[0, 2]
+          + d[3, 3] * s[0, 1] - d[3, 1] * s[0, 3] + d[3, 0] * s[1, 3]
+          + d[2, 2] * s[0, 1] - d[2, 1] * s[0, 2] + d[2, 0] * s[1, 2])
+    e2 = 0.5 * (16.0 * t * t - square)
+    # x = w + t depresses x^4 - 4t x^3 + e2 x^2 - e3 x + det to w^4 + p w^2 + q w + r
+    p = e2 - 6.0 * t * t
+    q = 2.0 * e2 * t - 8.0 * t * t * t - e3
+    r = det - e3 * t + e2 * t * t - 3.0 * t * t * t * t
+    # the resolvent y^3 + 2p y^2 + (p^2 - 4r) y - q^2, depressed by y = z - 2p/3
+    _, top = _cubic_extremes(-p * p / 3.0 - 4.0 * r,
+                             8.0 * p * r / 3.0 - 2.0 * p * p * p / 27.0 - q * q)
+    a2 = np.maximum(top - 2.0 * p / 3.0, 0.0)
+    a = np.sqrt(a2)
+    bc2 = np.divide(2.0 * q, a, out=np.zeros_like(a), where=a > 0)   # +-2bc
+    centre = m + t
+    return (centre - 0.5 * (a + np.sqrt(np.maximum(-2.0 * p - a2 + bc2, 0.0))),
+            _radius(np.sqrt(np.maximum(-2.0 * p, 0.0)), centre))
+
+
+def _screened_eigvalsh(m: np.ndarray, suspect) -> tuple:
+    """``(index, lam)``: the flat batch indices where ``suspect`` holds,
+    ascending, and ``np.linalg.eigvalsh`` of the matrices of stack ``m``
+    there.
+
+    Matrices with equal bytes are decomposed once; a constant field, where
+    every point is a suspect, costs one call on one matrix.  LAPACK's value
+    for a matrix does not depend on the rest of its batch, so each row of
+    ``lam`` is bit for bit what a call on the whole stack gives there.
+    """
+    index = np.flatnonzero(suspect)
+    n = m.shape[-1]
+    picked = np.ascontiguousarray(m[np.unravel_index(index, m.shape[:-2])])
+    bits = picked.reshape(len(index), n * n).view(np.uint64)
+    if (bits == bits[:1]).all():
+        return index, np.broadcast_to(np.linalg.eigvalsh(picked[:1]), (len(index), n))
+    keys = bits.view(np.dtype((np.void, 8 * n * n))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return index, np.linalg.eigvalsh(picked[first])[inverse.ravel()]

@@ -157,6 +157,21 @@ class TestCliFlow:
         p.write_text(INI.format(out=tmp_path / "r").replace("0.05", "9.5"))
         assert cli.main(["flow", "--config", str(p)]) == 2
 
+    def test_initial_data_normalized_once(self, tmp_path, monkeypatch):
+        # the initial-data guard's normalization is the flow's first state's:
+        # one lattice-sized normalization before row 0
+        p = tmp_path / "exp.ini"
+        p.write_text(INI.format(out=tmp_path / "r"))
+        shape = config_mod.load(p).lattice().shape
+        calls, before_row0 = [], []
+        normalize, diagnostics = gc._normalize_fields, fe.diagnostics
+        monkeypatch.setattr(gc, "_normalize_fields", lambda c, *a: calls.append(
+            np.shape(c)[:4] == shape) or normalize(c, *a))
+        monkeypatch.setattr(fe, "diagnostics", lambda *a, **kw: before_row0.append(
+            sum(calls)) or diagnostics(*a, **kw))
+        assert cli.main(["flow", "--config", str(p)]) == 0
+        assert before_row0[0] == 1
+
 
 def test_lift_bad_header_lattice_is_validation_error(tmp_path, capsys):
     path = tmp_path / "state.hsf"
@@ -170,8 +185,8 @@ def test_lift_bad_header_lattice_is_validation_error(tmp_path, capsys):
 
 
 def test_lift_evaluates_each_field_once(tmp_path, monkeypatch, capsys):
-    # w is differentiated once (its d gives max_dw) and the Gram eigenvalues
-    # are computed once (the guard's smallest gives min_eig_Q)
+    # w is differentiated once (its d gives max_dw), and no lattice-wide
+    # eigvalsh runs: the guard's screen gives min_eig_Q from a few points
     lat = gc.Lattice((4, 4, 4, 4))
     path = tmp_path / "state.hsf"
     snap.write_snapshot(path, initial_data.generate_initial(
@@ -190,7 +205,7 @@ def test_lift_evaluates_each_field_once(tmp_path, monkeypatch, capsys):
     assert cli.main(["lift", "--snapshot", str(path), "--samples", "4"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert calls["d"] == [lat.shape + (3, 6)] * 2      # the dual triple and w
-    assert [s for s in calls["eigvalsh"] if s[:4] == lat.shape] == [lat.shape + (3, 3)]
+    assert [s for s in calls["eigvalsh"] if s[0] >= lat.num_points or s[:4] == lat.shape] == []
     assert calls["max_dabs"] == 0
     assert report["max_dw"] <= 1e-10 and report["min_eig_Q"] > 0.0
 
@@ -200,6 +215,40 @@ def _exact_snapshot(tmp_path, n=(4, 4, 4, 4)):
     snap.write_snapshot(path, initial_data.generate_initial(
         gc.Lattice(n), "exact-perturbation", 0.05, 3))
     return path
+
+
+def _order2_run(tmp_path):
+    """Final snapshot of an 8x8x4x4 exact-perturbation run at stencil order 2."""
+    p = tmp_path / "exp.ini"
+    p.write_text(INI.format(out=tmp_path / "r")
+                 .replace("8 4 4 4", "8 8 4 4").replace("t3-invariant", "exact-perturbation")
+                 .replace("checkpoint_cadence = 6", "stencil_order = 2"))
+    assert cli.main(["flow", "--config", str(p)]) == 0
+    return tmp_path / "r" / "snap_000012.hsf"
+
+
+def test_lift_uses_the_runs_stencil_order(tmp_path, capsys):
+    path = _order2_run(tmp_path)
+    assert snap.read_sidecar(path)["stencil_order"] == 2
+    capsys.readouterr()
+    assert cli.main(["lift", "--snapshot", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["max_dw"] <= 1e-10
+    # without the sidecar, order 4, which does not see this field as closed
+    Path(str(path) + ".json").unlink()
+    assert cli.main(["lift", "--snapshot", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["max_dw"] > 1e-3
+
+
+def test_lift_bad_sidecar_is_validation_error(tmp_path, capsys):
+    path = _order2_run(tmp_path)
+    side = snap.read_sidecar(path)
+    snap.write_sidecar(path, dict(side, stencil_order=3))
+    capsys.readouterr()
+    assert cli.main(["lift", "--snapshot", str(path)]) == 1
+    assert "stencil_order" in capsys.readouterr().err
+    Path(str(path) + ".json").write_text("{not json")
+    assert cli.main(["lift", "--snapshot", str(path)]) == 1
+    assert "validation error" in capsys.readouterr().err
 
 
 def test_lift_negative_samples_is_validation_error(tmp_path, capsys):

@@ -408,3 +408,117 @@ class TestDescentConsistency:
             dphi_s = fg.assemble_dphi(dsig[idx])
             g7s = fg.metric7_block(ta.inv3(q[idx]), g[idx])
             assert abs(fg.torsion_trace(phi_s, dphi_s, g7s)) <= 1e-9
+
+
+def _reported_admissible(lat, generator, seed):
+    """The amplitude generate_initial reports as admissible: 0.95 times the
+    largest that keeps the triple positive."""
+    with pytest.raises(NotPositive) as exc:
+        initial_data.generate_initial(lat, generator, 50.0, seed)
+    return float(str(exc.value).rsplit("about", 1)[1])
+
+
+class TestSpectralScreen:
+    """The guard and stable_dt take LAPACK's values from the points the
+    closed-form estimates cannot decide; every result must equal, bit for
+    bit, the one from lattice-wide eigvalsh."""
+
+    LAT = gc.Lattice((8, 4, 4, 4))
+
+    def field(self, kind):
+        lat = self.LAT
+        if kind == "constant":
+            return gc.constant_triple_field(lat, STD).c
+        if kind == "near-isotropic":
+            return initial_data.generate_initial(lat, "exact-perturbation", 1e-9, 3).c
+        if kind == "t3-invariant":   # each value repeats 64 times
+            return initial_data.generate_initial(lat, "t3-invariant", 0.05, 7).c
+        if kind == "exact-0.05":
+            return initial_data.generate_initial(lat, "exact-perturbation", 0.05, 7).c
+        if kind == "exact-admissible":
+            amp = _reported_admissible(lat, "exact-perturbation", 7)
+            return initial_data.generate_initial(lat, "exact-perturbation", amp, 7).c
+        return TestLayout().planted("collapse")[1]
+
+    @staticmethod
+    def lattice_wide(c, threshold):
+        """(lowest, message or None, Lambda) from eigvalsh at every point."""
+        q, g, _, _, _ = gc._normalize_fields(c)
+        lam_q, lam_g = np.linalg.eigvalsh(q), np.linalg.eigvalsh(g)
+        lowest = float(lam_q[..., 0].min())
+        ok = lam_q[..., 0] > threshold
+        message = None
+        if not ok.all():
+            message = (f"Gram matrix eigenvalue {lowest:.3e} <= {threshold:g} at lattice "
+                       f"index {tuple(int(v) for v in np.argwhere(~ok)[0])}")
+        return lowest, message, float((lam_q[..., -1] * (1.0 / lam_g[..., 0])).max())
+
+    @pytest.mark.parametrize("kind", ["constant", "near-isotropic", "t3-invariant",
+                                      "exact-0.05", "exact-admissible", "collapse"])
+    def test_matches_lattice_wide_eigvalsh(self, kind):
+        c = self.field(kind)
+        lowest, message, lam = self.lattice_wide(c, 1e-6)
+        state = fe.FlowState(0.0, gc.TripleField(self.LAT, c))
+        if message is not None:
+            with pytest.raises(NotPositive) as exc:
+                state.ensure_fields(1e-6)
+            assert str(exc.value) == message
+            return
+        state.ensure_fields(1e-6)
+        assert state.q_eig_min == lowest
+        hmin = min(self.LAT.h)
+        assert fe.stable_dt(state, 0.2) == 0.2 * hmin * hmin / lam
+        lo, hi = state.q_top   # the bracket holds LAPACK's largest eigenvalue
+        top = np.linalg.eigvalsh(state.q)[..., -1]
+        assert np.all(lo <= top) and np.all(top <= hi)
+
+    @pytest.mark.parametrize("kind", ["t3-invariant", "exact-0.05", "exact-admissible"])
+    def test_threshold_inside_the_spectrum(self, kind):
+        # a threshold that half the lattice fails: decision, lowest value and
+        # first failing index as from every point's eigenvalues
+        c = self.field(kind)
+        q = gc._normalize_fields(c)[0]
+        threshold = float(np.median(np.linalg.eigvalsh(q)[..., 0]))
+        _, message, _ = self.lattice_wide(c, threshold)
+        with pytest.raises(NotPositive) as exc:
+            gc._normalize_fields(c, threshold)
+        assert str(exc.value) == message
+
+    def test_eigvalsh_runs_on_few_points(self, monkeypatch):
+        c = self.field("exact-0.05")
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(len(m)) or eigvalsh(m))
+        state = fe.FlowState(0.0, gc.TripleField(self.LAT, c))
+        state.ensure_fields(1e-6)
+        fe.stable_dt(state, 0.2)
+        assert len(calls) == 3 and max(calls) < self.LAT.num_points // 8
+
+    def test_constant_field_decomposes_one_matrix(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(len(m)) or eigvalsh(m))
+        state = fe.FlowState(0.0, gc.TripleField(self.LAT, self.field("constant")))
+        state.ensure_fields(1e-6)
+        fe.stable_dt(state, 0.2)
+        assert calls == [1, 1, 1]
+
+    def test_estimates_hold_lapack_values(self, rng):
+        # rotated spectra with clusters of each size and position: every
+        # LAPACK eigenvalue lies within the estimate's radius
+        spectra = 1.0 + rng.uniform(0.0, 1.0, (4000, 4)) * rng.choice(
+            [1e-12, 1e-6, 1e-2, 1.0], (4000, 1))
+        spectra[:1000, 1] = spectra[:1000, 0]
+        spectra[1000:2000, 1:3] = spectra[1000:2000, :1]
+        spectra[2000:3000, 2:] = spectra[2000:3000, 1:2]
+        for n in (3, 4):
+            rot, _ = np.linalg.qr(rng.standard_normal((4000, n, n)))
+            m = np.einsum("kij,kj,klj->kil", rot, spectra[:, :n], rot)
+            m = 0.5 * (m + np.swapaxes(m, -1, -2))
+            lam = np.linalg.eigvalsh(m)
+            if n == 3:
+                lo, hi, radius = ta._gram_extremes(m)
+                assert np.all(np.abs(hi - lam[:, -1]) <= radius)
+            else:
+                lo, radius = ta._metric_floor(m)
+            assert np.all(np.abs(lo - lam[:, 0]) <= radius)
