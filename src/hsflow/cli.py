@@ -1,9 +1,15 @@
 """Command-line surface: verify / flow / lift / report.
 
 Exit codes: 0 success, 1 validation or verification failure, 2 numerical
-abort (positivity degeneration), 3 I/O failure.  The worker-count variable
-HSF_WORKERS is accepted and recorded in artifacts; the numerical kernels are
-vectorized and give identical results at any worker count.
+abort (positivity degeneration), 3 I/O failure.
+
+HSF_WORKERS is the number of threads ``hsflow flow`` computes with; it
+defaults to the CPUs this process may run on and is recorded in artifacts.
+The flow's lattice is split into up to HSF_WORKERS axis-0 slabs of at least
+``grid_calculus.SLAB_POINTS`` points each, on which the right-hand side, the
+guarded normalization and the derivatives run in parallel; a lattice too
+small for two slabs runs on one thread.  Results are bit-identical at any
+value.
 """
 
 from __future__ import annotations
@@ -30,8 +36,9 @@ EXIT_OK, EXIT_VALIDATION, EXIT_NUMERICAL, EXIT_IO = 0, 1, 2, 3
 
 
 def _workers() -> int:
+    """HSF_WORKERS, or the number of CPUs this process may run on."""
     try:
-        w = int(os.environ.get("HSF_WORKERS", "1"))
+        w = int(os.environ.get("HSF_WORKERS", len(os.sched_getaffinity(0))))
     except ValueError:
         raise ValidationError("HSF_WORKERS must be an integer")
     if w < 1:
@@ -62,10 +69,10 @@ def cmd_flow(args) -> int:
     cfg = config_mod.load(args.config)
     if args.out:
         cfg.out_dir = args.out
+    workers = _workers()
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     chash = cfg.config_hash()
-    workers = _workers()
     (out / "config.json").write_text(json.dumps(
         {"config": cfg.sections(), "config_hash": chash, "workers": workers},
         indent=2, sort_keys=True) + "\n")
@@ -94,8 +101,11 @@ def cmd_flow(args) -> int:
             "workers": workers, "stencil_order": cfg.flow.stencil_order,
             "diagnostics": state.diagnostics})
 
+    # imported here, so that the other commands do not pay for its import
+    from concurrent.futures import ThreadPoolExecutor
     try:
-        result = fe.run(cfg.flow, tf, row_sink, checkpoint_sink)
+        with ThreadPoolExecutor(workers, "hsflow-slab") as pool:
+            result = fe.run(cfg.flow, tf, row_sink, checkpoint_sink, pool)
     finally:
         fh.close()
     if result.aborted:
@@ -161,12 +171,25 @@ def cmd_lift(args) -> int:
 def cmd_report(args) -> int:
     run_dir = Path(args.run)
     csv_path = run_dir / "diagnostics.csv"
-    with open(csv_path) as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    rows = list(csv.DictReader(lines))
-    if not rows:
+    with open(csv_path, newline="") as fh:
+        lines = [(n, row) for n, row in enumerate(csv.reader(fh), 1)
+                 if row and not row[0].startswith("#")]
+    if len(lines) < 2:
         raise ValidationError(f"{csv_path}: no diagnostics rows")
-    series = {k: np.array([float(r[k]) for r in rows]) for k in rows[0]}
+    (_, header), rows = lines[0], lines[1:]
+    missing = [k for k in fe.DIAG_COLUMNS if k not in header]
+    if missing:
+        raise ValidationError(f"{csv_path}: no column {', '.join(missing)}")
+    values = []
+    for n, row in rows:   # a truncated file ends in a short or cut row
+        if len(row) != len(header):
+            raise ValidationError(
+                f"{csv_path}: row at line {n} has {len(row)} fields, not {len(header)}")
+        try:
+            values.append([float(v) for v in row])
+        except ValueError as exc:
+            raise ValidationError(f"{csv_path}: row at line {n}: {exc}") from exc
+    series = dict(zip(header, np.array(values).T))
     qd = series["q_dev"]
     tail = qd[len(qd) // 2:]
     monotone = bool(np.all(np.diff(tail) <= 1e-14)) if len(tail) > 1 else True

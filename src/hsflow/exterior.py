@@ -147,14 +147,16 @@ class CubicMatrix:
         self._upper_of = upper_of.ravel()
         self.n, self.block = n, block
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
+    def __call__(self, x: np.ndarray, out=None) -> np.ndarray:
         """M(x) for x of shape (..., nvar); shape (..., n, n), a view of an
-        array that holds each entry contiguously over the points.  The
-        product with ``coef`` is point-major whatever x's layout, because
-        BLAS's rounding depends on the operands' layout."""
+        array that holds each entry contiguously over the points, ``out``'s
+        when given.  The product with ``coef`` is point-major whatever x's
+        layout, because BLAS's rounding depends on the operands' layout."""
         x = np.asarray(x, dtype=float)
         cols = np.moveaxis(x, -1, 0).reshape(x.shape[-1], -1)
-        out = np.empty((self.n * self.n, cols.shape[1]))
+        if out is None:
+            out = np.moveaxis(np.empty((self.n, self.n) + x.shape[:-1]), (0, 1), (-2, -1))
+        rows = np.reshape(np.moveaxis(out, (-2, -1), (0, 1)), (self.n * self.n, -1), copy=False)
         f0, f1, f2 = self.factors
         for start in range(0, cols.shape[1], self.block):
             block = cols[:, start:start + self.block]
@@ -162,8 +164,8 @@ class CubicMatrix:
             mono *= np.take(block, f1, axis=0)
             mono *= np.take(block, f2, axis=0)
             np.take(np.ascontiguousarray(mono.T) @ self._upper_t, self._upper_of, axis=1,
-                    out=out[:, start:start + self.block].T)
-        return np.moveaxis(out.reshape((self.n, self.n) + x.shape[:-1]), (0, 1), (-2, -1))
+                    out=rows[:, start:start + self.block].T)
+        return out
 
 
 @lru_cache(maxsize=16)

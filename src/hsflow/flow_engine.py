@@ -96,10 +96,10 @@ class FlowState:
     diagnostics: dict = field(default_factory=dict)
     kept: dict = field(default_factory=dict)
 
-    def ensure_fields(self, threshold: float = 1e-6):
+    def ensure_fields(self, threshold: float = 1e-6, pool=None):
         if self.q is None:
             self.q, self.g, self.mu, self.h, (self.q_top, self.q_eig_min) = \
-                self.tf.normalized(threshold)
+                self.tf.normalized(threshold, pool)
         return self.q, self.g, self.mu
 
     def keep(self, key, compute):
@@ -110,7 +110,7 @@ class FlowState:
 
 
 def evaluate_rhs(lat: gc.Lattice, c: np.ndarray, order: int = 4,
-                 fields=None) -> np.ndarray:
+                 fields=None, pool=None) -> np.ndarray:
     """One right-hand side evaluation on raw coefficients; shape (grid, 3, 6).
 
     The update is assembled strictly as d(applied to 1-form fields), so it
@@ -120,23 +120,36 @@ def evaluate_rhs(lat: gc.Lattice, c: np.ndarray, order: int = 4,
     Every stage from ``Q^-1 w`` on, and the normalization, writes
     component-major memory, ``(3, 6, n0, n1, n2, n3)`` for the triple; the
     result is copied back to a C-ordered array once.
+
+    The pointwise stages before and after the first d run once per slab of
+    the lattice, on ``pool``'s threads when there are several (see
+    ``grid_calculus._slabs``), each slab writing its part of one
+    lattice-wide array; the derivatives hand their output components to the
+    pool.  The result is the same at any worker count, bit for bit.
     """
     if fields is None:
-        q, g, mu, h, _ = gc._normalize_fields(c)
+        q, g, mu, h, _ = gc._normalize_fields(c, None, pool)
     else:
         q, g, mu, h = fields
-    sigma = ta._product(ta.adj3(q), c)      # det q = 1, so adjugate = inverse
-    eta = gc.codiff2(lat, sigma, g, mu, order, h=h)
-    return np.ascontiguousarray(gc._d(lat, ta._product(q, eta), 1, order))
+
+    def dual_star(at, out):   # *2 of sigma = Q^-1 w; det q = 1, so adjugate = inverse
+        return ta.star2(ta._product(ta.adj3(q[at]), c[at]), h[at], mu[at], out)
+
+    def flux(at, out):        # Q d* sigma, with d* = -*4 d *4 (see grid_calculus.codiff2)
+        return ta._product(q[at], ta.star3(dbeta[at], g[at], np.negative(mu[at])), out)
+
+    dbeta = gc._d(lat, gc._by_slab(pool, lat.shape, dual_star, (3, 6)), 2, order, pool)
+    eta = gc._by_slab(pool, lat.shape, flux, (3, 4))
+    return np.ascontiguousarray(gc._d(lat, eta, 1, order, pool))
 
 
-def rhs(state: FlowState, order: int = 4) -> np.ndarray:
+def rhs(state: FlowState, order: int = 4, pool=None) -> np.ndarray:
     """Right-hand side at a state's guarded fields (``state.ensure_fields()``);
     shape (grid, 3, 6), read-only.  Kept per stencil order, so a diagnostics
     row is also the next step's first stage."""
     def compute():
-        fields = state.ensure_fields() + (state.h,)
-        out = evaluate_rhs(state.tf.lattice, state.tf.c, order, fields)
+        fields = state.ensure_fields(pool=pool) + (state.h,)
+        out = evaluate_rhs(state.tf.lattice, state.tf.c, order, fields, pool)
         out.flags.writeable = False
         return out
     return state.keep(("rhs", order), compute)
@@ -165,30 +178,31 @@ def stable_dt(state: FlowState, cfl: float) -> float:
     return cfl * hmin * hmin / lam
 
 
-def step(state: FlowState, dt: float, config: FlowConfig) -> FlowState:
+def step(state: FlowState, dt: float, config: FlowConfig, pool=None) -> FlowState:
     """One explicit step (classical RK4, or forward Euler when configured).
 
     Every stage increment is a discrete-exact form, so the step conserves
     closedness and periods to roundoff.  Raises StepRejected when any stage
-    or the post-step state fails the positivity guard.
+    or the post-step state fails the positivity guard.  ``pool`` as in
+    :func:`evaluate_rhs`.
     """
     lat = state.tf.lattice
     order = config.stencil_order
     thr = config.degeneration_threshold
     c0 = state.tf.c
     try:
-        k1 = rhs(state, order)
+        k1 = rhs(state, order, pool)
         if config.method == "euler":
             c_new = c0 + dt * k1
         else:
-            k2 = evaluate_rhs(lat, c0 + 0.5 * dt * k1, order)
-            k3 = evaluate_rhs(lat, c0 + 0.5 * dt * k2, order)
-            k4 = evaluate_rhs(lat, c0 + dt * k3, order)
+            k2 = evaluate_rhs(lat, c0 + 0.5 * dt * k1, order, pool=pool)
+            k3 = evaluate_rhs(lat, c0 + 0.5 * dt * k2, order, pool=pool)
+            k4 = evaluate_rhs(lat, c0 + dt * k3, order, pool=pool)
             c_new = c0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         new_state = FlowState(state.time + dt, gc.TripleField(lat, c_new),
                               base_periods=state.base_periods,
                               sample_points=state.sample_points)
-        new_state.ensure_fields(thr)   # post-step positivity guard
+        new_state.ensure_fields(thr, pool)   # post-step positivity guard
     except NotPositive as exc:
         raise StepRejected(
             f"step from t={state.time:.6g} with dt={dt:.3e} left the positive "
@@ -206,7 +220,7 @@ def draw_points(lat: gc.Lattice, k: int, seed: int) -> tuple:
     return tuple(tuple(int(v) for v in np.unravel_index(i, lat.shape)) for i in flat)
 
 
-def dual_lift_torsion(state: FlowState, points, order: int = 4) -> float:
+def dual_lift_torsion(state: FlowState, points, order: int = 4, pool=None) -> float:
     """Max |torsion trace| of the dual-triple lift at ``points`` of a state.
 
     The dual triple sigma_i = (Q^-1)_ik w_k is not closed away from fixed
@@ -218,7 +232,7 @@ def dual_lift_torsion(state: FlowState, points, order: int = 4) -> float:
     from . import fiber_g2 as fg
     q, g, _ = state.ensure_fields()
     sigma = ta._product(ta.adj3(q), state.tf.c)
-    dsig = gc.d(state.tf.lattice, sigma, 2, order)
+    dsig = gc.d(state.tf.lattice, sigma, 2, order, pool)
     at = tuple(np.transpose(points))   # one index array per lattice axis
     trace = fg.torsion_trace(fg.build_phi(sigma[at]), fg.assemble_dphi(dsig[at]),
                              fg.metric7_block(ta.adj3(q[at]), g[at]))
@@ -226,19 +240,19 @@ def dual_lift_torsion(state: FlowState, points, order: int = 4) -> float:
 
 
 def diagnostics(state: FlowState, config: FlowConfig, step_index: int = 0,
-                dt: float = 0.0) -> dict:
+                dt: float = 0.0, pool=None) -> dict:
     """Named diagnostic values of a state (see DIAG_COLUMNS)."""
     lat = state.tf.lattice
     order = config.stencil_order
-    q = state.ensure_fields(config.degeneration_threshold)[0]
-    max_dw = state.keep(("max_dw", order), lambda: state.tf.max_dabs(order))
+    q = state.ensure_fields(config.degeneration_threshold, pool)[0]
+    max_dw = state.keep(("max_dw", order), lambda: state.tf.max_dabs(order, pool))
     det_dev = float(np.abs(ta.det3(q) - 1.0).max())
     if state.base_periods is not None:
         periods = state.keep("periods", state.tf.periods)
         drift = float(np.abs(periods - state.base_periods).max())
     else:
         drift = 0.0
-    r = rhs(state, order)
+    r = rhs(state, order, pool)
     rhs_l2 = float(np.sqrt((r * r).sum() * lat.cell_volume))
     q = np.ascontiguousarray(q)   # grid-first in memory, so the means sum in the same order
     qbar = q.mean(axis=(0, 1, 2, 3))
@@ -253,7 +267,7 @@ def diagnostics(state: FlowState, config: FlowConfig, step_index: int = 0,
         "period_drift": drift,
         "rhs_l2": rhs_l2,
         "q_dev": q_dev,
-        "torsion_sample": dual_lift_torsion(state, state.sample_points, order),
+        "torsion_sample": dual_lift_torsion(state, state.sample_points, order, pool),
     }
     state.diagnostics = row
     return row
@@ -269,33 +283,35 @@ class FlowResult:
         return np.array([row[name] for row in self.rows])
 
 
-def init_state(config: FlowConfig, tf: gc.TripleField) -> FlowState:
+def init_state(config: FlowConfig, tf: gc.TripleField, pool=None) -> FlowState:
     """Validate initial data and attach run baselines (periods, fiber samples).
     The closedness defect and periods computed here are kept for row 0."""
     config.validate()
     order = config.stencil_order
     state = FlowState(0.0, tf)
-    max_dw = state.keep(("max_dw", order), lambda: tf.max_dabs(order))
+    max_dw = state.keep(("max_dw", order), lambda: tf.max_dabs(order, pool))
     if max_dw > CLOSEDNESS_GATE:
         raise ValidationError(
             f"initial triple field is not closed: max |dw| = {max_dw:.3e} "
             f"> {CLOSEDNESS_GATE:g}")
-    state.ensure_fields(config.degeneration_threshold)
+    state.ensure_fields(config.degeneration_threshold, pool)
     state.base_periods = state.keep("periods", tf.periods)
     state.sample_points = draw_points(tf.lattice, config.fiber_samples, config.seed)
     return state
 
 
 def run(config: FlowConfig, initial: gc.TripleField, row_sink=None,
-        checkpoint_sink=None) -> FlowResult:
+        checkpoint_sink=None, pool=None) -> FlowResult:
     """Integrate to t_end / max_steps, emitting diagnostics rows at the cadence.
 
     ``row_sink(row)`` and ``checkpoint_sink(step, state)`` are optional
     callbacks (the command-line layer streams them to disk).  On positivity
     loss the partial result is returned with ``aborted`` set to a message
-    carrying full context.
+    carrying full context.  ``pool``, a thread pool, runs the right-hand
+    side, the guard's normalization and the derivatives of large lattices in
+    slabs (see :func:`evaluate_rhs`); the result is the same without it.
     """
-    state = init_state(config, initial)
+    state = init_state(config, initial, pool)
     rows = []
     cad = config.checkpoint_cadence
 
@@ -313,20 +329,20 @@ def run(config: FlowConfig, initial: gc.TripleField, row_sink=None,
 
     step_index, aborted = 0, None
     dt = config.dt if config.cfl is None else stable_dt(state, config.cfl)
-    emit(diagnostics(state, config, 0, dt))
+    emit(diagnostics(state, config, 0, dt, pool))
     while not done():
         if config.cfl is not None and step_index > 0:   # step 1 takes row 0's dt
             dt = stable_dt(state, config.cfl)
         if config.t_end is not None:
             dt = min(dt, config.t_end - state.time)
         try:
-            state = step(state, dt, config)
+            state = step(state, dt, config, pool)
         except StepRejected as exc:
             aborted = f"aborted at step {step_index + 1}: {exc}"
             break
         step_index += 1
         if step_index % config.diag_cadence == 0 or done():
-            emit(diagnostics(state, config, step_index, dt))
+            emit(diagnostics(state, config, step_index, dt, pool))
         if checkpoint_sink is not None and on_cadence(step_index):
             checkpoint_sink(step_index, state)
     if checkpoint_sink is not None and not on_cadence(step_index):

@@ -18,12 +18,14 @@ closedness and cohomology preservation that the flow engine relies on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import exterior
 from . import triple_algebra as ta
+from .errors import NotPositive
 
 NCOMP = {0: 1, 1: 4, 2: 6, 3: 4, 4: 1}
 
@@ -87,6 +89,85 @@ class Lattice:
         return tuple(out)
 
 
+# Each slab holds at least SLAB_POINTS points.  One right-hand side in two
+# slabs against one, on 2 cores (medians of 9 alternating runs): 8192 points
+# 31 -> 30 ms (faster in 4 of 9), 16384 points 47-56 -> 42-52 ms (mixed),
+# 32768 points 108-115 -> 83 ms, 65536 points 172-206 -> 112-117 ms.  Slabs
+# of 32768 points stay well past that crossover; lattices under 65536
+# points, 64x4x4x4 and 16x8x8x8 among them, run on one thread.
+SLAB_POINTS = 32768
+
+
+def _slabs(shape: tuple, pool) -> list:
+    """The slabs, ranges of axis-0 planes, in which the pointwise stages run
+    on a lattice (or batch) of ``shape``: with a ``pool`` of ``workers``
+    threads (its ``_max_workers``), ``min(workers, points // SLAB_POINTS)``
+    of them, as even as can be; else one, ``...``.  Slabs start on
+    ``triple_algebra._DENSITY_BLOCK`` boundaries, so that the metric density
+    sums each block of points as a serial run does; a lattice that cannot
+    be cut so is one slab."""
+    points = math.prod(shape)
+    count = 0 if pool is None else min(pool._max_workers, points // SLAB_POINTS)
+    if count < 2:
+        return [...]
+    # planes per block boundary, and the slabs' count in units of those
+    unit = ta._DENSITY_BLOCK // math.gcd(ta._DENSITY_BLOCK, points // shape[0])
+    units = shape[0] // unit
+    count = min(count, units)
+    if count < 2:
+        return [...]
+    bounds = [units * i // count * unit for i in range(count)] + [shape[0]]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def _each(pool, fn, items) -> None:
+    """``fn(item)`` for every item: the first on the calling thread and the
+    others on ``pool``'s threads, or all in turn without a pool.  Returns
+    when all are done and raises the first item's exception, if any.  ``fn``
+    must not submit to ``pool``.
+
+    The calling thread takes a share, so ``n`` items occupy ``n - 1`` pool
+    threads.  Each thread's allocator arena keeps what its share freed; with
+    every share on the pool, the peak RSS of a 32x16x16x16 flow was 7%
+    higher (387 against 361 MB)."""
+    if pool is None:
+        for item in items:
+            fn(item)
+        return
+    futures = [pool.submit(fn, item) for item in items[1:]]
+    try:
+        fn(items[0])
+    finally:
+        for future in futures:
+            future.exception()   # waits, without raising
+    for future in futures:
+        future.result()
+
+
+def _by_slab(pool, shape: tuple, stage, *cores):
+    """``stage(slab, *out)`` for every slab of a lattice of ``shape`` (see
+    :func:`_slabs`); returns its outputs, one array per core (a shape such
+    as ``(3, 6)``, or ``()`` for a scalar field).
+
+    With one slab, ``out`` is all None: the stage's kernels make their own
+    output arrays, and the stage returns them.  With several, ``out`` are
+    the slab's parts of lattice-wide component-major arrays, which the
+    stage's kernels write.  A NotPositive in a slab is raised again by the
+    stage run as one slab, so that its message, which names the first
+    failing lattice index of the whole lattice, is word for word a serial
+    run's."""
+    slabs = _slabs(shape, pool)
+    if len(slabs) == 1:
+        return stage(..., *(None for _ in cores))
+    outs = tuple(ta._pointwise(ta._component_major(core, shape), len(core)) for core in cores)
+    try:
+        _each(pool, lambda at: stage(at, *(out[at] for out in outs)), slabs)
+    except NotPositive:
+        stage(..., *outs)
+        raise
+    return outs if len(outs) > 1 else outs[0]
+
+
 def _shift_difference(rows: np.ndarray, s: int) -> np.ndarray:
     """``f[j + s] - f[j - s]`` along the last axis of ``rows``, periodic in
     each row.  The bulk is one subtraction over the flattened rows; the
@@ -121,10 +202,17 @@ def partial(lat: Lattice, f: np.ndarray, axis: int, order: int = 4) -> np.ndarra
     return out.reshape(f.shape)
 
 
-def _d(lat: Lattice, f: np.ndarray, k: int, order: int = 4) -> np.ndarray:
+def _d(lat: Lattice, f: np.ndarray, k: int, order: int = 4, pool=None) -> np.ndarray:
     """:func:`d`'s kernel: it differentiates component-major memory, which it
     copies ``f`` into unless ``f`` is already a view of it, and returns a
-    view of component-major memory."""
+    view of component-major memory.
+
+    Each output component sums its terms of the assembly table in table
+    order.  With a ``pool``, on a lattice of more than one slab (see
+    :func:`_slabs`), the components are dealt out to as many threads as
+    there are slabs, each summing into its own memory, so the result is the
+    same at any worker count.
+    """
     if k >= 4:
         raise ValueError("no 5-forms on a 4-manifold")
     tail = np.ndim(f) - 4
@@ -132,19 +220,25 @@ def _d(lat: Lattice, f: np.ndarray, k: int, order: int = 4) -> np.ndarray:
     # the sums run on a flat view of the grid, which numpy updates in place
     # without a temporary copy
     out = ta._component_major(f.shape[:-5] + (NCOMP[k + 1],), (lat.num_points,), np.zeros)
-    for dst, src, axis, sign in _D_TABLE[k]:
-        term = partial(lat, f[..., src, :, :, :, :], axis, order).reshape(out[..., dst, :].shape)
-        if sign > 0:
-            out[..., dst, :] += term
-        else:
-            out[..., dst, :] -= term
+
+    def components(share):   # the terms of every count-th output component
+        for dst, src, axis, sign in _D_TABLE[k]:
+            if dst % count != share:
+                continue
+            term = partial(lat, f[..., src, :, :, :, :], axis, order).reshape(out[..., dst, :].shape)
+            if sign > 0:
+                out[..., dst, :] += term
+            else:
+                out[..., dst, :] -= term
+    count = len(_slabs(lat.shape, pool))
+    _each(pool if count > 1 else None, components, range(count))
     return ta._pointwise(out.reshape(out.shape[:-1] + lat.shape), tail)
 
 
-def d(lat: Lattice, f: np.ndarray, k: int, order: int = 4) -> np.ndarray:
+def d(lat: Lattice, f: np.ndarray, k: int, order: int = 4, pool=None) -> np.ndarray:
     """Exterior derivative of a degree-k form field (component axis last),
-    returned C-ordered."""
-    return np.ascontiguousarray(_d(lat, f, k, order))
+    returned C-ordered; ``pool`` as in :func:`_d`."""
+    return np.ascontiguousarray(_d(lat, f, k, order, pool))
 
 
 def codiff2(lat: Lattice, beta: np.ndarray, g: np.ndarray, mu_g: np.ndarray,
@@ -199,17 +293,17 @@ class TripleField:
         if self.c.shape != expected:
             raise ValueError(f"triple field shape {self.c.shape} != {expected}")
 
-    def normalized(self, threshold: float):
-        """``_normalize_fields(self.c, threshold)``: the attached ``fields``
-        when they were made at ``threshold``, else computed now."""
+    def normalized(self, threshold: float, pool=None):
+        """``_normalize_fields(self.c, threshold, pool)``: the attached
+        ``fields`` when they were made at ``threshold``, else computed now."""
         kept, self.fields = self.fields, None
         if kept is not None and kept[0] == threshold:
             return kept[1]
-        return _normalize_fields(self.c, threshold)
+        return _normalize_fields(self.c, threshold, pool)
 
-    def max_dabs(self, order: int = 4) -> float:
+    def max_dabs(self, order: int = 4, pool=None) -> float:
         """Sup-norm of the exterior derivatives of the three forms."""
-        return float(np.abs(d(self.lattice, self.c, 2, order)).max())
+        return float(np.abs(d(self.lattice, self.c, 2, order, pool)).max())
 
     def periods(self) -> np.ndarray:
         """(3, 6) array of the cohomology periods of each form."""
@@ -221,10 +315,13 @@ def constant_triple_field(lat: Lattice, triple: np.ndarray) -> TripleField:
     return TripleField(lat, c)
 
 
-def _normalize_fields(c: np.ndarray, threshold: float | None = None):
+def _normalize_fields(c: np.ndarray, threshold: float | None = None, pool=None):
     """``(q, g, mu, h, eig)``: see pointwise_normalize; ``h`` is the inverse
     metric.  ``q``, ``g`` and ``h`` are views of component-major memory, and
-    ``c`` may be one.
+    ``c`` may be one.  The metric, ``h`` and ``q`` are computed per slab of
+    the lattice (see :func:`_slabs`), on ``pool``'s threads when there are
+    several, each slab writing its part of the lattice-wide arrays; every
+    point's values are those of one serial run.
 
     The Gram eigenvalue guard runs exactly when a ``threshold`` is given.
     ``eig`` is then ``(top, lowest)``, else None.  ``lowest``, the smallest
@@ -236,9 +333,11 @@ def _normalize_fields(c: np.ndarray, threshold: float | None = None):
     estimate, the bracket ``(lo, hi)`` that holds each point's largest Gram
     eigenvalue.
     """
-    g, s, cof, det = ta._metric_parts(c, 0.0)
-    h = ta._adjugate4(cof, np.multiply, s / det)   # g^-1 = s adj(K) / det K
-    q = ta.gram(c, s)
+    def slab(at, q, g, s, h):
+        g, s, cof, det = ta._metric_parts(c[at], 0.0, g, s)
+        h = ta._adjugate4(cof, np.multiply, s / det, h)   # g^-1 = s adj(K) / det K
+        return ta.gram(c[at], s, q), g, s, h
+    q, g, s, h = _by_slab(pool, c.shape[:-2], slab, (3, 3), (4, 4), (), (4, 4))
     if threshold is None:
         return q, g, s, h, None
     bottom, top, radius = ta._gram_extremes(q)

@@ -125,11 +125,14 @@ def _pointwise(e: np.ndarray, k: int = 2) -> np.ndarray:
     return np.moveaxis(e, tuple(range(k)), tuple(range(-k, 0)))
 
 
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _product(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
     """``a @ b`` at every point of matrix stacks (..., n, m) and (..., m, l),
-    written into a component-major array; its (..., n, l) view is returned."""
-    batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-    return np.matmul(a, b, out=_pointwise(_component_major((a.shape[-2], b.shape[-1]), batch)))
+    written into ``out``, a (..., n, l) view of component-major memory, or
+    into a new component-major array; its (..., n, l) view is returned."""
+    if out is None:
+        batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+        out = _pointwise(_component_major((a.shape[-2], b.shape[-1]), batch))
+    return np.matmul(a, b, out=out)
 
 
 def two_form(c01=0.0, c02=0.0, c03=0.0, c23=0.0, c31=0.0, c12=0.0) -> np.ndarray:
@@ -151,17 +154,27 @@ def wedge22(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum('...m,mn,...n->...', a, WEDGE2, b)
 
 
-def gram(triple: np.ndarray, mu=1.0) -> np.ndarray:
-    """Gram matrix Q with w_i ∧ w_j = 2 Q_ij * (mu e0123)."""
+def _memory(core: tuple, batch: tuple, out) -> np.ndarray:
+    """Component-major memory for a result of shape ``batch + core``: that of
+    ``out``, a view of such memory, or new."""
+    if out is None:
+        return _component_major(core, batch)
+    return np.moveaxis(out, tuple(range(-len(core), 0)), tuple(range(len(core))))
+
+
+def gram(triple: np.ndarray, mu=1.0, out=None) -> np.ndarray:
+    """Gram matrix Q with w_i ∧ w_j = 2 Q_ij * (mu e0123); written into
+    ``out`` (see :func:`_memory`) when given."""
     triple = np.asarray(triple, dtype=float)
     batch = triple.shape[:-2]
     paired = _component_major((6, 3), batch)   # paired[m, i] = (w_i @ WEDGE2)_m
     for m, (src, sign) in enumerate(_PAIRING_COLUMNS):
         np.multiply(np.moveaxis(triple[..., src], -1, 0), sign, out=paired[m])
     # Q^T = w @ paired: the products of (w @ WEDGE2) @ w^T, summed in the same order
-    q = _component_major((3, 3), batch)
+    q = _memory((3, 3), batch, out)
     np.matmul(triple, _pointwise(paired), out=np.swapaxes(_pointwise(q), -1, -2))
-    flat = q.reshape(3, 3, -1)   # in place on a flat view, which numpy needs no copy for
+    # in place on a flat view, which numpy needs no copy for
+    flat = np.reshape(q, (3, 3, -1), copy=False)
     np.divide(flat, np.reshape(2.0 * np.asarray(mu), -1), out=flat)
     return _pointwise(q)
 
@@ -236,16 +249,16 @@ def rescale_triple(triple: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.einsum('...ik,...km->...im', a, triple)
 
 
-def metric_density(triple: np.ndarray) -> np.ndarray:
+def metric_density(triple: np.ndarray, out=None) -> np.ndarray:
     """Matrix K = g sqrt(det g) of the triple metric in the coordinate frame.
 
     K_ab * e0123 = (1/6) eps_ijk (e_a ⌟ w_i) ∧ (e_b ⌟ w_j) ∧ w_k.  Independent
     of any reference volume form.  Evaluated as the cubic form
-    :data:`DENSITY`, one block of points at a time; a single fiber is a block
-    of one.
+    :data:`DENSITY`, one block of points at a time, into ``out`` when given;
+    a single fiber is a block of one.
     """
     triple = np.asarray(triple, dtype=float)
-    return DENSITY(triple.reshape(triple.shape[:-2] + (18,)))
+    return DENSITY(triple.reshape(triple.shape[:-2] + (18,)), out)
 
 
 def _require_positive(ok, message: str, where: str = "lattice index") -> None:
@@ -298,11 +311,12 @@ def _pd_cofactors4(m: np.ndarray, what: str, tol: float = 0.0):
     return cof, det
 
 
-def _adjugate4(cof: dict, op=np.multiply, scale=1.0) -> np.ndarray:
+def _adjugate4(cof: dict, op=np.multiply, scale=1.0, out=None) -> np.ndarray:
     """``op(adj, scale)`` for the (..., 4, 4) adjugate from the cofactors of
-    :func:`_pd_cofactors4` and a pointwise scalar ``scale``; each entry is
-    copied to both sides of the diagonal, so the result is exactly symmetric."""
-    adj = _component_major((4, 4), np.shape(cof[0, 0]))
+    :func:`_pd_cofactors4` and a pointwise scalar ``scale``, written into
+    ``out`` (see :func:`_memory`) when given; each entry is copied to both
+    sides of the diagonal, so the result is exactly symmetric."""
+    adj = _memory((4, 4), np.shape(cof[0, 0]), out)
     for (a, b), v in cof.items():
         op(v, scale, out=adj[a, b, ...])
         if a != b:
@@ -317,14 +331,17 @@ def _inverse4(g: np.ndarray, what: str) -> np.ndarray:
     return _adjugate4(cof, np.divide, det)
 
 
-def _metric_parts(triple: np.ndarray, tol: float):
+def _metric_parts(triple: np.ndarray, tol: float, g=None, s=None):
     """``(g, s, cof, det)`` for a triple: the metric ``g = K / s`` with
     ``s = det(K)^{1/6}`` the volume coefficient, and the cofactors and
-    determinant of its density ``K`` (see :func:`_pd_cofactors4`)."""
-    g = metric_density(triple)
+    determinant of its density ``K`` (see :func:`_pd_cofactors4`).  A given
+    ``g`` or ``s`` is written into."""
+    g = metric_density(triple, g)
     cof, det = _pd_cofactors4(g, "metric density", tol)
-    s = det ** (1.0 / 6.0)
-    g /= s[..., None, None]
+    s = det ** (1.0 / 6.0) if s is None else np.power(det, 1.0 / 6.0, out=s)
+    # in place on a flat view, which numpy needs no copy for
+    flat = np.reshape(np.moveaxis(g, (-2, -1), (0, 1)), (16, -1), copy=False)
+    np.divide(flat, np.reshape(s, -1), out=flat)
     return g, s, cof, det
 
 
@@ -369,32 +386,34 @@ def lambda2_gram(h: np.ndarray) -> np.ndarray:
     return _pointwise(out)
 
 
-def _star(coeffs: np.ndarray, gram_: np.ndarray, columns: tuple, scale, op) -> np.ndarray:
+def _star(coeffs: np.ndarray, gram_: np.ndarray, columns: tuple, scale, op,
+          out=None) -> np.ndarray:
     """``op(coeffs @ gram_ @ w, scale)`` at every point, with ``w`` the signed
     permutation that ``columns`` tabulates (see :func:`_signed_permutation`).
 
     ``coeffs`` is (..., [B,] m) over points (...) that match ``gram_``
     (..., m, m); ``scale`` is a pointwise scalar.  The permutation is applied
-    as a gather, and its signs to ``scale``, which is exact.
+    as a gather, and its signs to ``scale``, which is exact.  A given
+    ``out`` is a (..., B, m) view of component-major memory.
     """
     points = gram_.shape[:-2]
     raised = _entries(_product(coeffs.reshape(points + (-1, coeffs.shape[-1])), gram_))
-    out = _component_major(raised.shape[:2], raised.shape[2:])
+    target = _memory(raised.shape[:2], raised.shape[2:], out)
     signed = {1.0: scale, -1.0: np.negative(scale)}
     for p, (src, sign) in enumerate(columns):
-        op(raised[:, src], signed[sign], out=out[:, p])
-    return _pointwise(out).reshape(coeffs.shape)
+        op(raised[:, src], signed[sign], out=target[:, p])
+    return _pointwise(target).reshape(coeffs.shape)
 
 
-def star2(coeffs: np.ndarray, h: np.ndarray, sqrt_det_g) -> np.ndarray:
+def star2(coeffs: np.ndarray, h: np.ndarray, sqrt_det_g, out=None) -> np.ndarray:
     """Hodge star on 2-forms, fast path: no validation, caller supplies g^{-1}.
 
     ``coeffs`` may carry one batch axis before the component axis (a triple);
     leading axes otherwise match the metric stack.  The result is a
-    component-major view, (B, 6, ...) in memory.
+    component-major view, (B, 6, ...) in memory, of ``out`` when given.
     """
     return _star(np.asarray(coeffs, dtype=float), lambda2_gram(h), _STAR2_COLUMNS,
-                 sqrt_det_g, np.multiply)
+                 sqrt_det_g, np.multiply, out)
 
 
 def star3(coeffs: np.ndarray, g: np.ndarray, sqrt_det_g) -> np.ndarray:

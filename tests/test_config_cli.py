@@ -1,5 +1,7 @@
 import json
+import os
 import struct
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -143,6 +145,15 @@ class TestCliFlow:
         p.write_text(INI.format(out=tmp_path / "r").replace("[output]", line + "\n\n[output]"))
         assert cli.main(["flow", "--config", str(p)]) == 1
         assert "validation error" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("value", ["0", "-2", "two"])
+    def test_bad_workers_is_validation_error(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("HSF_WORKERS", value)
+        p = tmp_path / "exp.ini"
+        p.write_text(INI.format(out=tmp_path / "r"))
+        assert cli.main(["flow", "--config", str(p)]) == 1
+        assert "validation error: HSF_WORKERS" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
     def test_degeneration_exit_code(self, tmp_path):
@@ -345,3 +356,80 @@ class TestCliVerify:
         assert cli.main(["verify", "--trials", "2", "--seed", "3",
                          "--out", str(out)]) == 0
         assert json.loads(out.read_text())["passed"] is True
+
+
+class TestReportTruncated:
+    """A diagnostics.csv cut short, mid-number or mid-row, is a validation
+    error that names the file and the row's line."""
+
+    FULL = "1,2e-05,1e-05,0,0.5,0,0,1,0.19,1.0000000000000001e-05"
+
+    def report(self, tmp_path, capsys, last):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "diagnostics.csv").write_text("\n".join([
+            "# config_hash=0", ",".join(fe.DIAG_COLUMNS), "0," + ",".join(["0.5"] * 9),
+            last]))
+        code = cli.main(["report", "--run", str(run)])
+        return code, capsys.readouterr().err
+
+    def test_complete_file_reports(self, tmp_path, capsys):
+        assert self.report(tmp_path, capsys, self.FULL)[0] == 0
+
+    @pytest.mark.parametrize("last,what", [
+        (FULL[:-3], "could not convert string to float: '1.0000000000000001e'"),
+        (FULL[:15], "has 4 fields, not 10")])
+    def test_cut_last_row(self, tmp_path, capsys, last, what):
+        code, err = self.report(tmp_path, capsys, last)
+        assert code == 1
+        assert err.startswith("validation error: ") and "diagnostics.csv: row at line 4" in err
+        assert what in err
+
+    def test_cut_header(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "diagnostics.csv").write_text("step,time,dt,max_dw,min_eig_Q,max_abs\n0,0")
+        assert cli.main(["report", "--run", str(run)]) == 1
+        assert "no column max_abs_detQ_minus_1" in capsys.readouterr().err
+
+
+class TestWorkers:
+    """HSF_WORKERS sets the threads of hsflow flow; a two-slab lattice gives
+    byte-identical outputs at any value, and no thread outlives the run."""
+
+    INI16 = INI.replace("8 4 4 4", "16 16 16 16").replace("max_steps = 12", "max_steps = 1")
+
+    def flow(self, tmp_path, monkeypatch, workers, tag):
+        monkeypatch.setenv("HSF_WORKERS", str(workers))
+        p = tmp_path / f"{tag}.ini"
+        p.write_text(self.INI16.format(out=tmp_path / tag))
+        assert cli.main(["flow", "--config", str(p)]) == 0
+        return tmp_path / tag
+
+    def test_one_step_flow_byte_identical(self, tmp_path, monkeypatch):
+        outputs = []
+        for workers in (1, 2, 4):
+            run = self.flow(tmp_path, monkeypatch, workers, f"w{workers}")
+            outputs.append([(run / name).read_bytes()
+                            for name in ("diagnostics.csv", "snap_000001.hsf")])
+            assert json.loads((run / "config.json").read_text())["workers"] == workers
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_default_is_the_usable_cpus(self, monkeypatch):
+        monkeypatch.delenv("HSF_WORKERS", raising=False)
+        assert cli._workers() == len(os.sched_getaffinity(0))
+
+    def test_no_pool_thread_outlives_the_run(self, tmp_path, monkeypatch):
+        seen, step = set(), fe.step
+
+        def watched_step(*args, **kwargs):
+            seen.update(t.name for t in threading.enumerate())
+            return step(*args, **kwargs)
+        monkeypatch.setattr(fe, "step", watched_step)
+        self.flow(tmp_path, monkeypatch, 2, "run")
+        assert any(name.startswith("hsflow-slab") for name in seen)
+        left = [t for t in threading.enumerate() if t.name.startswith("hsflow-slab")]
+        for t in left:
+            t.join(timeout=10)
+        assert not any(t.is_alive() for t in left)
+        assert left == []   # the pool was shut down before the command returned

@@ -1,4 +1,8 @@
+import re
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -522,3 +526,118 @@ class TestSpectralScreen:
             else:
                 lo, radius = ta._metric_floor(m)
             assert np.all(np.abs(lo - lam[:, 0]) <= radius)
+
+
+def _bytes(*arrays):
+    return [np.ascontiguousarray(a).tobytes() for a in arrays]
+
+
+class TestSlabs:
+    """On a pool the pointwise stages run per axis-0 slab and the derivatives
+    per output component; every result must equal the serial one byte for
+    byte, at any worker count.  16x16x16x16 is two slabs of SLAB_POINTS."""
+
+    LAT = gc.Lattice((16, 16, 16, 16))
+
+    @pytest.fixture(scope="class")
+    def field(self):
+        return initial_data.generate_initial(self.LAT, "exact-perturbation", 0.05, 7).c
+
+    @pytest.fixture(params=[1, 2, 4])
+    def pool(self, request):
+        with ThreadPoolExecutor(request.param) as pool:
+            yield pool
+
+    def test_slab_count(self, pool):
+        slabs = gc._slabs(self.LAT.shape, pool)
+        assert len(slabs) == min(pool._max_workers, 2)
+        assert gc._slabs(self.LAT.shape, None) == [...]
+        assert gc._slabs(gc.Lattice((64, 4, 4, 4)).shape, pool) == [...]
+
+    def test_slabs_start_on_density_blocks(self, monkeypatch):
+        monkeypatch.setattr(gc, "SLAB_POINTS", 256)
+        with ThreadPoolExecutor(4) as pool:
+            # 128 points a plane: a block boundary every 8 planes
+            assert gc._slabs((32, 8, 4, 4), pool) == [slice(0, 8), slice(8, 16),
+                                                      slice(16, 24), slice(24, 32)]
+            assert gc._slabs((12, 8, 4, 4), pool) == [...]
+            assert gc._slabs((5, 5, 5, 5), pool) == [...]
+
+    def test_rhs(self, field, pool):
+        assert _bytes(fe.evaluate_rhs(self.LAT, field, pool=pool)) == \
+            _bytes(fe.evaluate_rhs(self.LAT, field))
+
+    def test_guarded_normalization(self, field, pool):
+        (*serial, (top, low)) = gc._normalize_fields(field, 1e-6)
+        (*slabbed, (top_s, low_s)) = gc._normalize_fields(field, 1e-6, pool)
+        assert _bytes(*serial, *top) == _bytes(*slabbed, *top_s) and low == low_s
+
+    def test_max_dabs_and_d(self, field, pool):
+        tf = gc.TripleField(self.LAT, field)
+        assert tf.max_dabs(4, pool) == tf.max_dabs(4)
+        for k, f in ((1, field[..., :4]), (2, field)):
+            assert _bytes(gc.d(self.LAT, f, k, 2, pool)) == _bytes(gc.d(self.LAT, f, k, 2))
+
+    @pytest.mark.parametrize("where", [[(12, 1, 2, 3)], [(12, 1, 2, 3), (3, 5, 6, 7)]])
+    def test_degenerate_point_message(self, where):
+        # a flipped point in the second slab, alone or after one in the first:
+        # the message names the first failing lattice index, as serially
+        c = np.broadcast_to(STD, self.LAT.shape + (3, 6)).copy()
+        for at in where:
+            c[at + (2,)] *= -1.0
+        first = str(min(where))
+        with ThreadPoolExecutor(2) as pool:
+            for kernel in (lambda p: fe.evaluate_rhs(self.LAT, c, pool=p),
+                           lambda p: gc._normalize_fields(c, 1e-6, p)):
+                with pytest.raises(NotPositive) as serial:
+                    kernel(None)
+                with pytest.raises(NotPositive) as slabbed:
+                    kernel(pool)
+                assert str(slabbed.value) == str(serial.value)
+                assert str(serial.value).endswith(f"at lattice index {first}")
+
+    @pytest.mark.parametrize("plant,what", [("flip", "metric density"),
+                                            ("collapse", "Gram matrix eigenvalue")])
+    def test_step_rejection_message(self, plant, what):
+        c = np.broadcast_to(STD, self.LAT.shape + (3, 6)).copy()
+        if plant == "flip":
+            c[12, 1, 2, 3, 2] *= -1.0
+        else:
+            c[12, 1, 2, 3, 0] *= 1e-9
+        cfg = fe.FlowConfig(dt=1e-6, cfl=None)
+        messages = []
+        with ThreadPoolExecutor(2) as pool:
+            for p in (None, pool):
+                state = fe.FlowState(0.0, gc.TripleField(self.LAT, c))
+                with pytest.raises(StepRejected) as exc:
+                    fe.step(state, 1e-6, cfg, p)
+                messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+        assert re.search(what + r".* at lattice index \(12, 1, 2, 3\)", messages[0])
+
+    def test_under_frequent_thread_switches(self, monkeypatch):
+        # four slabs of a small lattice, with the interpreter switching
+        # threads every microsecond
+        monkeypatch.setattr(gc, "SLAB_POINTS", 1024)
+        lat = gc.Lattice((32, 8, 4, 4))
+        c = initial_data.generate_initial(lat, "exact-perturbation", 0.05, 3).c
+        serial = _bytes(fe.evaluate_rhs(lat, c), *gc._normalize_fields(c)[:4])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                assert len(gc._slabs(lat.shape, pool)) == 4
+                for _ in range(3):
+                    assert _bytes(fe.evaluate_rhs(lat, c, pool=pool),
+                                  *gc._normalize_fields(c, None, pool)[:4]) == serial
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_one_slab_starts_no_thread(self):
+        cfg = fe.FlowConfig(max_steps=3, diag_cadence=1, fiber_samples=2)
+        tf = initial_data.generate_initial(gc.Lattice((64, 4, 4, 4)), "t3-invariant", 0.05, 7)
+        before = threading.active_count()
+        with ThreadPoolExecutor(2) as pool:
+            res = fe.run(cfg, tf, pool=pool)
+            assert threading.active_count() == before
+        assert res.aborted is None and res.rows[-1]["step"] == 3
