@@ -70,18 +70,17 @@ def cmd_flow(args) -> int:
     if args.out:
         cfg.out_dir = args.out
     workers = _workers()
+    # the initial data come before the run directory, so degenerate data
+    # leave none; their guarded normalization goes on to the first state
+    tf = initial_data._generate(
+        cfg.lattice(), cfg.generator, cfg.amplitude, cfg.initial_seed, cfg.modes,
+        cfg.flow.stencil_order, cfg.flow.degeneration_threshold)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     chash = cfg.config_hash()
     (out / "config.json").write_text(json.dumps(
         {"config": cfg.sections(), "config_hash": chash, "workers": workers},
         indent=2, sort_keys=True) + "\n")
-
-    lat = cfg.lattice()
-    # the initial data's guarded normalization goes on to the flow's first state
-    tf = initial_data._generate(
-        lat, cfg.generator, cfg.amplitude, cfg.initial_seed, cfg.modes,
-        cfg.flow.stencil_order, cfg.flow.degeneration_threshold)
 
     csv_path = out / "diagnostics.csv"
     fh = open(csv_path, "w", newline="")

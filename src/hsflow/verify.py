@@ -8,6 +8,7 @@ fixed bound.  The registry maps stable check names to (function, bound).
 
 from __future__ import annotations
 
+import math
 from functools import partial
 
 import numpy as np
@@ -18,36 +19,73 @@ from . import triple_algebra as ta
 from .errors import ValidationError
 
 
-def random_mix(rng, cond_max: float = 100.0, det_min: float = 0.05) -> np.ndarray:
-    """Random invertible 3x3 mix with positive determinant and bounded condition."""
-    while True:
-        m = rng.uniform(-1.0, 1.0, (3, 3))
-        d = np.linalg.det(m)
-        if abs(d) < det_min:
-            continue
-        if np.linalg.cond(m) > cond_max:
-            continue
-        return m if d > 0 else -m
+# rows of three draws in one block; at most one candidate starts on each row,
+# so a block's candidate stack stays within ~4.7 MB however many trials
+_BLOCK_ROWS = 1 << 16
 
 
-def random_positive_triple(rng, cond_max: float = 100.0) -> np.ndarray:
-    return random_mix(rng, cond_max) @ ta.standard_triple()
+def random_positive_mixes(rng, count: int, extra: int = 0, cond_max: float = 100.0,
+                          det_min: float = 0.05) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` random invertible 3x3 mixes with positive determinant and
+    bounded condition, and the ``(count, extra, 3)`` uniform(-1, 1) rows drawn
+    after each one.
+
+    Bit for bit what a per-trial loop draws from the PCG64 generator ``rng``,
+    which it leaves in the same state: each candidate is
+    ``rng.uniform(-1, 1, (3, 3))``, rejected while ``|det| < det_min`` or its
+    condition number exceeds ``cond_max``, negated when its determinant is
+    negative, and followed on acceptance by ``rng.uniform(-1, 1, (extra, 3))``.
+    Candidates are drawn in blocks of rows of three and tested with one
+    batched ``det`` and ``cond`` per block; a candidate is any three
+    consecutive rows, starting where the loop would start it.
+    """
+    start = rng.bit_generator.state
+    step = math.gcd(3, extra)        # candidates start on rows divisible by it
+    span = 3 + extra                 # rows an accepted candidate consumes
+    mixes, extras = [np.empty((0, 3, 3))], [np.empty((0, extra, 3))]
+    rows, pos, used = np.empty((0, 3)), 0, 0   # ``used`` rows lie before ``rows``
+    while count:
+        need = min(_BLOCK_ROWS, count * (span + 1) + 64)
+        rows = np.concatenate([rows[pos:], rng.uniform(-1.0, 1.0, (need, 3))])
+        used, pos = used + pos, 0
+        win = rows[np.arange(0, len(rows) - 2, step)[:, None] + np.arange(3)]
+        det = np.linalg.det(win)
+        ok = np.abs(det) >= det_min
+        ok[ok] = np.linalg.cond(win[ok]) <= cond_max
+        ok, picks = ok.tolist(), []
+        while len(picks) < count and pos + span <= len(rows):
+            if ok[pos // step]:
+                picks.append(pos)
+                pos += span
+            else:
+                pos += 3
+        count -= len(picks)
+        at = np.array(picks, dtype=np.intp)[:, None]
+        mixes.append(rows[at + np.arange(3)] * np.sign(det[at // step])[..., None])
+        extras.append(rows[at + np.arange(3, span)])
+    # one PCG64 output per double; advance() drops a buffered 32-bit half,
+    # which uniform() leaves alone, so put it back
+    rng.bit_generator.state = start
+    end = rng.bit_generator.advance(3 * (used + pos)).state
+    rng.bit_generator.state = {**end, "has_uint32": start["has_uint32"],
+                               "uinteger": start["uinteger"]}
+    return np.concatenate(mixes), np.concatenate(extras)
 
 
 def random_unit_det_spd(rng) -> np.ndarray:
+    # drawn one by one: a batched q / det3(q) ** (1/3) differs from this in the last ulp
     m = rng.uniform(-1.0, 1.0, (3, 3))
     q = m @ m.T + 0.3 * np.eye(3)
     return q / ta.det3(q) ** (1.0 / 3.0)
 
 
 def _triples(rng, trials: int) -> np.ndarray:
-    """A (trials, 3, 6) stack of random positive triples, drawn one by one."""
-    return np.stack([random_positive_triple(rng) for _ in range(trials)])
+    """A (trials, 3, 6) stack of random positive triples."""
+    return random_positive_mixes(rng, trials)[0] @ ta.standard_triple()
 
 
 def check_epsilon_contraction(rng, trials: int) -> float:
-    s = np.stack([rng.uniform(-10.0, 10.0, (3, 3)) for _ in range(trials)])
-    return ta.levi_civita_det_check(s)
+    return ta.levi_civita_det_check(rng.uniform(-10.0, 10.0, (trials, 3, 3)))
 
 
 def check_volume_cube_root(rng, trials: int) -> float:
@@ -114,13 +152,12 @@ def check_g2_metric_blocks(rng, trials: int) -> float:
 
 def check_torsion_trace_vanishing(rng, trials: int) -> float:
     # arbitrary non-closed data d(w_j), drawn after each triple
-    draws = [(random_positive_triple(rng), rng.uniform(-1.0, 1.0, (3, 4)))
-             for _ in range(trials)]
-    t = np.stack([tr for tr, _ in draws])
+    mixes, dw = random_positive_mixes(rng, trials, extra=4)
+    t = mixes @ ta.standard_triple()
     q, _ = ta.normalize(t)
     g4, _ = ta.metric_from_triple(t)
     phi = fiber_g2.build_phi(t)
-    dphi = fiber_g2.assemble_dphi(np.stack([dw for _, dw in draws]))
+    dphi = fiber_g2.assemble_dphi(dw.reshape(trials, 3, 4))
     g7 = fiber_g2.metric7_block(q, g4)
     return float(np.abs(fiber_g2.torsion_trace(phi, dphi, g7)).max())
 
@@ -149,7 +186,8 @@ _TRIAL_SCALE = {
 
 def run_suite(trials: int = 1000, seed: int = 1) -> dict:
     """Run every identity check; returns a report dict (see cli.cmd_verify).
-    Each check draws its inputs one trial at a time, then evaluates its
+    Each check draws the stack of its inputs, the positive triples in
+    batch-tested blocks (:func:`random_positive_mixes`), then evaluates its
     identity once on the stack."""
     if trials < 1:
         raise ValidationError("trials must be >= 1")

@@ -163,10 +163,15 @@ class TestCliFlow:
                      .replace("max_steps = 12", "max_steps = 2"))
         assert cli.main(["flow", "--config", str(p)]) == 2
 
-    def test_overlarge_amplitude_exit_code(self, tmp_path):
-        p = tmp_path / "exp.ini"
-        p.write_text(INI.format(out=tmp_path / "r").replace("0.05", "9.5"))
-        assert cli.main(["flow", "--config", str(p)]) == 2
+    def test_overlarge_amplitude_exit_code(self, tmp_path, capsys):
+        # degenerate initial data abort before the run directory is made
+        for generator, amplitude in (("t3-invariant", "9.5"), ("exact-perturbation", "5.0")):
+            p = tmp_path / "exp.ini"
+            p.write_text(INI.format(out=tmp_path / "r").replace("0.05", amplitude)
+                         .replace("t3-invariant", generator))
+            assert cli.main(["flow", "--config", str(p)]) == 2
+            assert "max admissible amplitude" in capsys.readouterr().err
+            assert not (tmp_path / "r").exists()
 
     def test_initial_data_normalized_once(self, tmp_path, monkeypatch):
         # the initial-data guard's normalization is the flow's first state's:

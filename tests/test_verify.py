@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+import oracles
 from hsflow import cli
 from hsflow import fiber_g2
 from hsflow import triple_algebra as ta
 from hsflow import verify
 from hsflow.errors import ValidationError
+
+STD = ta.standard_triple()
 
 
 def test_full_suite_passes():
@@ -53,8 +56,12 @@ def test_nonpositive_trials_rejected(trials, capsys):
     assert "validation error" in captured.err and captured.out == ""
 
 
+def _oracle_triple(rng):
+    return oracles.random_positive_mix(rng) @ STD
+
+
 def _dw_after_triple(rng):
-    verify.random_positive_triple(rng)
+    _oracle_triple(rng)
     return rng.uniform(-1.0, 1.0, (3, 4))
 
 
@@ -64,13 +71,13 @@ def _dw_after_triple(rng):
 FIRST_CALL = {
     "epsilon-contraction-determinant": (
         ta, "levi_civita_det_check", 0, lambda rng: rng.uniform(-10.0, 10.0, (3, 3))),
-    "volume-cube-root-relation": (ta, "metric_from_triple", 0, verify.random_positive_triple),
-    "dual-gram-inverse": (ta, "normalize", 0, verify.random_positive_triple),
-    "triple-self-duality": (ta, "metric_from_triple", 0, verify.random_positive_triple),
+    "volume-cube-root-relation": (ta, "metric_from_triple", 0, _oracle_triple),
+    "dual-gram-inverse": (ta, "normalize", 0, _oracle_triple),
+    "triple-self-duality": (ta, "metric_from_triple", 0, _oracle_triple),
     "t3-star-1forms": (fiber_g2, "star3_t3", 2, verify.random_unit_det_spd),
     "t3-star-2forms": (fiber_g2, "star3_t3", 2, verify.random_unit_det_spd),
-    "star7-dual-lift": (ta, "normalize", 0, verify.random_positive_triple),
-    "g2-metric-blocks": (ta, "normalize", 0, verify.random_positive_triple),
+    "star7-dual-lift": (ta, "normalize", 0, _oracle_triple),
+    "g2-metric-blocks": (ta, "normalize", 0, _oracle_triple),
     "torsion-trace-vanishing": (fiber_g2, "assemble_dphi", 0, _dw_after_triple),
 }
 
@@ -99,3 +106,43 @@ def test_batched_residual_matches_per_trial_loop(name):
     per_trial = max(fn(rng, 1) for _ in range(40))
     assert abs(batched - per_trial) <= 1e-12
     assert batched <= bound and per_trial <= bound
+
+
+def _oracle_mixes(rng, count, extra, cond_max=100.0):
+    """The per-trial loop: a mix, then ``extra`` rows of three draws."""
+    draws = [(oracles.random_positive_mix(rng, cond_max), rng.uniform(-1.0, 1.0, (extra, 3)))
+             for _ in range(count)]
+    return np.stack([m for m, _ in draws]), np.stack([r for _, r in draws])
+
+
+def _assert_draws_like_loop(seed, count, extra, cond_max=100.0):
+    rng = np.random.default_rng(seed)
+    if seed % 2:
+        rng.integers(9, dtype=np.uint32)   # leaves a buffered 32-bit half
+    ref = np.random.default_rng(seed)
+    ref.bit_generator.state = rng.bit_generator.state
+    mixes, extras = verify.random_positive_mixes(rng, count, extra, cond_max)
+    ref_mixes, ref_extras = _oracle_mixes(ref, count, extra, cond_max)
+    assert mixes.shape == ref_mixes.shape and mixes.tobytes() == ref_mixes.tobytes()
+    assert extras.shape == ref_extras.shape and extras.tobytes() == ref_extras.tobytes()
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert rng.uniform() == ref.uniform()
+
+
+@pytest.mark.parametrize("block", [None, 8])
+@pytest.mark.parametrize("extra", [0, 4])
+def test_sampler_draws_like_per_trial_loop(extra, block, monkeypatch):
+    # bit for bit: the stack, the rows drawn after each mix and the generator
+    # afterwards; blocks of 8 rows make candidates straddle blocks
+    if block:
+        monkeypatch.setattr(verify, "_BLOCK_ROWS", block)
+    for seed in range(50):
+        for count in (1, 7, 1000):
+            _assert_draws_like_loop(seed, count, extra)
+
+
+@pytest.mark.parametrize("extra", [0, 4])
+def test_sampler_grows_blocks_under_strict_condition(extra):
+    # cond <= 2 accepts ~4% of candidates, so the first block runs out
+    for seed in range(10):
+        _assert_draws_like_loop(seed, 40, extra, cond_max=2.0)
