@@ -5,11 +5,12 @@ abort (positivity degeneration), 3 I/O failure.
 
 HSF_WORKERS is the number of threads ``hsflow flow`` computes with; it
 defaults to the CPUs this process may run on and is recorded in artifacts.
-The flow's lattice is split into up to HSF_WORKERS axis-0 slabs of at least
-``grid_calculus.SLAB_POINTS`` points each, on which the right-hand side, the
-guarded normalization and the derivatives run in parallel; a lattice too
-small for two slabs runs on one thread.  Results are bit-identical at any
-value.
+The flow, not its initial data, runs in
+``grid_calculus.slab_threads(HSF_WORKERS)``: its lattice is split into up
+to HSF_WORKERS axis-0 slabs of at least ``grid_calculus.SLAB_POINTS``
+points each, on which the right-hand side, the guarded normalization and
+the derivatives run in parallel; a lattice too small for two slabs runs on
+one thread.  Results are bit-identical at any value.
 """
 
 from __future__ import annotations
@@ -100,11 +101,9 @@ def cmd_flow(args) -> int:
             "workers": workers, "stencil_order": cfg.flow.stencil_order,
             "diagnostics": state.diagnostics})
 
-    # imported here, so that the other commands do not pay for its import
-    from concurrent.futures import ThreadPoolExecutor
     try:
-        with ThreadPoolExecutor(workers, "hsflow-slab") as pool:
-            result = fe.run(cfg.flow, tf, row_sink, checkpoint_sink, pool)
+        with gc.slab_threads(workers):
+            result = fe.run(cfg.flow, tf, row_sink, checkpoint_sink)
     finally:
         fh.close()
     if result.aborted:

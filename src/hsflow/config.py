@@ -11,6 +11,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, fields, asdict
 
 from . import grid_calculus as gc
@@ -80,8 +81,10 @@ class ExperimentConfig:
         self.flow.validate()
         if self.generator not in initial_data.GENERATORS:
             raise ValidationError(f"unknown generator {self.generator!r}")
-        if self.amplitude < 0:
-            raise ValidationError("amplitude must be nonnegative")
+        if not 0 <= self.amplitude < math.inf:
+            raise ValidationError("amplitude must be nonnegative and finite")
+        if self.modes < 1:
+            raise ValidationError("modes must be >= 1")
         return self
 
     def lattice(self) -> gc.Lattice:

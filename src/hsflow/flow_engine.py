@@ -18,6 +18,7 @@ so steps that degenerate are rejected rather than projected back.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -52,8 +53,10 @@ class FlowConfig:
     def validate(self):
         if (self.dt is None) == (self.cfl is None):
             raise ValidationError("exactly one of dt / cfl must be set")
-        if self.dt is not None and self.dt <= 0:
-            raise ValidationError("dt must be positive")
+        if self.dt is not None and not 0 < self.dt < math.inf:
+            raise ValidationError("dt must be positive and finite")
+        if self.t_end is not None and not math.isfinite(self.t_end):
+            raise ValidationError("t_end must be finite")
         if self.cfl is not None and not (0.0 < self.cfl <= 1.0):
             raise ValidationError("cfl factor must lie in (0, 1]")
         if self.max_steps < 0:
@@ -64,8 +67,8 @@ class FlowConfig:
             raise ValidationError(f"unknown method {self.method!r}")
         if self.diag_cadence < 1:
             raise ValidationError("diag_cadence must be >= 1")
-        if not self.degeneration_threshold > 0:
-            raise ValidationError("degeneration_threshold must be positive")
+        if not 0 < self.degeneration_threshold < math.inf:
+            raise ValidationError("degeneration_threshold must be positive and finite")
         if self.fiber_samples < 0:
             raise ValidationError("fiber_samples must be nonnegative")
         if self.checkpoint_cadence < 0:
@@ -96,10 +99,10 @@ class FlowState:
     diagnostics: dict = field(default_factory=dict)
     kept: dict = field(default_factory=dict)
 
-    def ensure_fields(self, threshold: float = 1e-6, pool=None):
+    def ensure_fields(self, threshold: float = 1e-6):
         if self.q is None:
             self.q, self.g, self.mu, self.h, (self.q_top, self.q_eig_min) = \
-                self.tf.normalized(threshold, pool)
+                self.tf.normalized(threshold)
         return self.q, self.g, self.mu
 
     def keep(self, key, compute):
@@ -110,7 +113,7 @@ class FlowState:
 
 
 def evaluate_rhs(lat: gc.Lattice, c: np.ndarray, order: int = 4,
-                 fields=None, pool=None) -> np.ndarray:
+                 fields=None) -> np.ndarray:
     """One right-hand side evaluation on raw coefficients; shape (grid, 3, 6).
 
     The update is assembled strictly as d(applied to 1-form fields), so it
@@ -122,13 +125,13 @@ def evaluate_rhs(lat: gc.Lattice, c: np.ndarray, order: int = 4,
     result is copied back to a C-ordered array once.
 
     The pointwise stages before and after the first d run once per slab of
-    the lattice, on ``pool``'s threads when there are several (see
-    ``grid_calculus._slabs``), each slab writing its part of one
+    the lattice, on ``grid_calculus.slab_threads`` when there are several
+    (see ``grid_calculus._slabs``), each slab writing its part of one
     lattice-wide array; the derivatives hand their output components to the
-    pool.  The result is the same at any worker count, bit for bit.
+    same threads.  The result is the same at any worker count, bit for bit.
     """
     if fields is None:
-        q, g, mu, h, _ = gc._normalize_fields(c, None, pool)
+        q, g, mu, h, _ = gc._normalize_fields(c)
     else:
         q, g, mu, h = fields
 
@@ -138,18 +141,18 @@ def evaluate_rhs(lat: gc.Lattice, c: np.ndarray, order: int = 4,
     def flux(at, out):        # Q d* sigma, with d* = -*4 d *4 (see grid_calculus.codiff2)
         return ta._product(q[at], ta.star3(dbeta[at], g[at], np.negative(mu[at])), out)
 
-    dbeta = gc._d(lat, gc._by_slab(pool, lat.shape, dual_star, (3, 6)), 2, order, pool)
-    eta = gc._by_slab(pool, lat.shape, flux, (3, 4))
-    return np.ascontiguousarray(gc._d(lat, eta, 1, order, pool))
+    dbeta = gc._d(lat, gc._by_slab(lat.shape, dual_star, (3, 6)), 2, order)
+    eta = gc._by_slab(lat.shape, flux, (3, 4))
+    return np.ascontiguousarray(gc._d(lat, eta, 1, order))
 
 
-def rhs(state: FlowState, order: int = 4, pool=None) -> np.ndarray:
+def rhs(state: FlowState, order: int = 4) -> np.ndarray:
     """Right-hand side at a state's guarded fields (``state.ensure_fields()``);
     shape (grid, 3, 6), read-only.  Kept per stencil order, so a diagnostics
     row is also the next step's first stage."""
     def compute():
-        fields = state.ensure_fields(pool=pool) + (state.h,)
-        out = evaluate_rhs(state.tf.lattice, state.tf.c, order, fields, pool)
+        fields = state.ensure_fields() + (state.h,)
+        out = evaluate_rhs(state.tf.lattice, state.tf.c, order, fields)
         out.flags.writeable = False
         return out
     return state.keep(("rhs", order), compute)
@@ -178,31 +181,30 @@ def stable_dt(state: FlowState, cfl: float) -> float:
     return cfl * hmin * hmin / lam
 
 
-def step(state: FlowState, dt: float, config: FlowConfig, pool=None) -> FlowState:
+def step(state: FlowState, dt: float, config: FlowConfig) -> FlowState:
     """One explicit step (classical RK4, or forward Euler when configured).
 
     Every stage increment is a discrete-exact form, so the step conserves
     closedness and periods to roundoff.  Raises StepRejected when any stage
-    or the post-step state fails the positivity guard.  ``pool`` as in
-    :func:`evaluate_rhs`.
+    or the post-step state fails the positivity guard.
     """
     lat = state.tf.lattice
     order = config.stencil_order
     thr = config.degeneration_threshold
     c0 = state.tf.c
     try:
-        k1 = rhs(state, order, pool)
+        k1 = rhs(state, order)
         if config.method == "euler":
             c_new = c0 + dt * k1
         else:
-            k2 = evaluate_rhs(lat, c0 + 0.5 * dt * k1, order, pool=pool)
-            k3 = evaluate_rhs(lat, c0 + 0.5 * dt * k2, order, pool=pool)
-            k4 = evaluate_rhs(lat, c0 + dt * k3, order, pool=pool)
+            k2 = evaluate_rhs(lat, c0 + 0.5 * dt * k1, order)
+            k3 = evaluate_rhs(lat, c0 + 0.5 * dt * k2, order)
+            k4 = evaluate_rhs(lat, c0 + dt * k3, order)
             c_new = c0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         new_state = FlowState(state.time + dt, gc.TripleField(lat, c_new),
                               base_periods=state.base_periods,
                               sample_points=state.sample_points)
-        new_state.ensure_fields(thr, pool)   # post-step positivity guard
+        new_state.ensure_fields(thr)   # post-step positivity guard
     except NotPositive as exc:
         raise StepRejected(
             f"step from t={state.time:.6g} with dt={dt:.3e} left the positive "
@@ -220,7 +222,7 @@ def draw_points(lat: gc.Lattice, k: int, seed: int) -> tuple:
     return tuple(tuple(int(v) for v in np.unravel_index(i, lat.shape)) for i in flat)
 
 
-def dual_lift_torsion(state: FlowState, points, order: int = 4, pool=None) -> float:
+def dual_lift_torsion(state: FlowState, points, order: int = 4) -> float:
     """Max |torsion trace| of the dual-triple lift at ``points`` of a state.
 
     The dual triple sigma_i = (Q^-1)_ik w_k is not closed away from fixed
@@ -232,7 +234,7 @@ def dual_lift_torsion(state: FlowState, points, order: int = 4, pool=None) -> fl
     from . import fiber_g2 as fg
     q, g, _ = state.ensure_fields()
     sigma = ta._product(ta.adj3(q), state.tf.c)
-    dsig = gc.d(state.tf.lattice, sigma, 2, order, pool)
+    dsig = gc.d(state.tf.lattice, sigma, 2, order)
     at = tuple(np.transpose(points))   # one index array per lattice axis
     trace = fg.torsion_trace(fg.build_phi(sigma[at]), fg.assemble_dphi(dsig[at]),
                              fg.metric7_block(ta.adj3(q[at]), g[at]))
@@ -240,19 +242,19 @@ def dual_lift_torsion(state: FlowState, points, order: int = 4, pool=None) -> fl
 
 
 def diagnostics(state: FlowState, config: FlowConfig, step_index: int = 0,
-                dt: float = 0.0, pool=None) -> dict:
+                dt: float = 0.0) -> dict:
     """Named diagnostic values of a state (see DIAG_COLUMNS)."""
     lat = state.tf.lattice
     order = config.stencil_order
-    q = state.ensure_fields(config.degeneration_threshold, pool)[0]
-    max_dw = state.keep(("max_dw", order), lambda: state.tf.max_dabs(order, pool))
+    q = state.ensure_fields(config.degeneration_threshold)[0]
+    max_dw = state.keep(("max_dw", order), lambda: state.tf.max_dabs(order))
     det_dev = float(np.abs(ta.det3(q) - 1.0).max())
     if state.base_periods is not None:
         periods = state.keep("periods", state.tf.periods)
         drift = float(np.abs(periods - state.base_periods).max())
     else:
         drift = 0.0
-    r = rhs(state, order, pool)
+    r = rhs(state, order)
     rhs_l2 = float(np.sqrt((r * r).sum() * lat.cell_volume))
     q = np.ascontiguousarray(q)   # grid-first in memory, so the means sum in the same order
     qbar = q.mean(axis=(0, 1, 2, 3))
@@ -267,7 +269,7 @@ def diagnostics(state: FlowState, config: FlowConfig, step_index: int = 0,
         "period_drift": drift,
         "rhs_l2": rhs_l2,
         "q_dev": q_dev,
-        "torsion_sample": dual_lift_torsion(state, state.sample_points, order, pool),
+        "torsion_sample": dual_lift_torsion(state, state.sample_points, order),
     }
     state.diagnostics = row
     return row
@@ -283,35 +285,35 @@ class FlowResult:
         return np.array([row[name] for row in self.rows])
 
 
-def init_state(config: FlowConfig, tf: gc.TripleField, pool=None) -> FlowState:
+def init_state(config: FlowConfig, tf: gc.TripleField) -> FlowState:
     """Validate initial data and attach run baselines (periods, fiber samples).
     The closedness defect and periods computed here are kept for row 0."""
     config.validate()
     order = config.stencil_order
     state = FlowState(0.0, tf)
-    max_dw = state.keep(("max_dw", order), lambda: tf.max_dabs(order, pool))
+    max_dw = state.keep(("max_dw", order), lambda: tf.max_dabs(order))
     if max_dw > CLOSEDNESS_GATE:
         raise ValidationError(
             f"initial triple field is not closed: max |dw| = {max_dw:.3e} "
             f"> {CLOSEDNESS_GATE:g}")
-    state.ensure_fields(config.degeneration_threshold, pool)
+    state.ensure_fields(config.degeneration_threshold)
     state.base_periods = state.keep("periods", tf.periods)
     state.sample_points = draw_points(tf.lattice, config.fiber_samples, config.seed)
     return state
 
 
 def run(config: FlowConfig, initial: gc.TripleField, row_sink=None,
-        checkpoint_sink=None, pool=None) -> FlowResult:
+        checkpoint_sink=None) -> FlowResult:
     """Integrate to t_end / max_steps, emitting diagnostics rows at the cadence.
 
     ``row_sink(row)`` and ``checkpoint_sink(step, state)`` are optional
     callbacks (the command-line layer streams them to disk).  On positivity
     loss the partial result is returned with ``aborted`` set to a message
-    carrying full context.  ``pool``, a thread pool, runs the right-hand
-    side, the guard's normalization and the derivatives of large lattices in
-    slabs (see :func:`evaluate_rhs`); the result is the same without it.
+    carrying full context.  In ``grid_calculus.slab_threads``, the
+    right-hand side, the guard's normalization and the derivatives of large
+    lattices run in slabs on its threads (see :func:`evaluate_rhs`).
     """
-    state = init_state(config, initial, pool)
+    state = init_state(config, initial)
     rows = []
     cad = config.checkpoint_cadence
 
@@ -329,20 +331,20 @@ def run(config: FlowConfig, initial: gc.TripleField, row_sink=None,
 
     step_index, aborted = 0, None
     dt = config.dt if config.cfl is None else stable_dt(state, config.cfl)
-    emit(diagnostics(state, config, 0, dt, pool))
+    emit(diagnostics(state, config, 0, dt))
     while not done():
         if config.cfl is not None and step_index > 0:   # step 1 takes row 0's dt
             dt = stable_dt(state, config.cfl)
         if config.t_end is not None:
             dt = min(dt, config.t_end - state.time)
         try:
-            state = step(state, dt, config, pool)
+            state = step(state, dt, config)
         except StepRejected as exc:
             aborted = f"aborted at step {step_index + 1}: {exc}"
             break
         step_index += 1
         if step_index % config.diag_cadence == 0 or done():
-            emit(diagnostics(state, config, step_index, dt, pool))
+            emit(diagnostics(state, config, step_index, dt))
         if checkpoint_sink is not None and on_cadence(step_index):
             checkpoint_sink(step_index, state)
     if checkpoint_sink is not None and not on_cadence(step_index):

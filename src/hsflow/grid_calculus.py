@@ -19,6 +19,7 @@ closedness and cohomology preservation that the flow engine relies on.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,8 +56,8 @@ class Lattice:
             raise ValueError("lattice needs four axis sizes and four lengths")
         if any(int(m) < 4 for m in self.n):
             raise ValueError("need at least 4 points per axis for the stencils")
-        if any(l <= 0 for l in self.L):
-            raise ValueError("period lengths must be positive")
+        if not all(0 < l < math.inf for l in self.L):
+            raise ValueError("period lengths must be positive and finite")
         object.__setattr__(self, 'n', tuple(int(m) for m in self.n))
         object.__setattr__(self, 'L', tuple(float(l) for l in self.L))
 
@@ -96,18 +97,34 @@ class Lattice:
 # of 32768 points stay well past that crossover; lattices under 65536
 # points, 64x4x4x4 and 16x8x8x8 among them, run on one thread.
 SLAB_POINTS = 32768
+_pool, _workers = None, 1   # the threads of slab_threads, while it holds them
 
 
-def _slabs(shape: tuple, pool) -> list:
+@contextmanager
+def slab_threads(workers: int):
+    """Run the slabs (see :func:`_slabs`) of the block's stages on up to
+    ``workers`` threads, the calling one among them; on exit, also by a
+    raise, shut the others down and put back the previous ones."""
+    from concurrent.futures import ThreadPoolExecutor   # here: only hsflow flow needs it
+    global _pool, _workers
+    saved = _pool, _workers
+    with ThreadPoolExecutor(workers, "hsflow-slab") as pool:
+        _pool, _workers = pool, workers
+        try:
+            yield
+        finally:
+            _pool, _workers = saved
+
+
+def _slabs(shape: tuple) -> list:
     """The slabs, ranges of axis-0 planes, in which the pointwise stages run
-    on a lattice (or batch) of ``shape``: with a ``pool`` of ``workers``
-    threads (its ``_max_workers``), ``min(workers, points // SLAB_POINTS)``
-    of them, as even as can be; else one, ``...``.  Slabs start on
-    ``triple_algebra._DENSITY_BLOCK`` boundaries, so that the metric density
-    sums each block of points as a serial run does; a lattice that cannot
-    be cut so is one slab."""
+    on a lattice (or batch) of ``shape``: in :func:`slab_threads` of
+    ``workers``, ``min(workers, points // SLAB_POINTS)`` of them, as even as
+    can be; else one, ``...``.  Slabs start on the metric density's blocks
+    (``triple_algebra._DENSITY_BLOCK``), so that it sums each block of points
+    as a serial run does; a lattice that cannot be cut so is one slab."""
     points = math.prod(shape)
-    count = 0 if pool is None else min(pool._max_workers, points // SLAB_POINTS)
+    count = min(_workers, points // SLAB_POINTS)
     if count < 2:
         return [...]
     # planes per block boundary, and the slabs' count in units of those
@@ -120,21 +137,17 @@ def _slabs(shape: tuple, pool) -> list:
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
-def _each(pool, fn, items) -> None:
+def _each(fn, items) -> None:
     """``fn(item)`` for every item: the first on the calling thread and the
-    others on ``pool``'s threads, or all in turn without a pool.  Returns
-    when all are done and raises the first item's exception, if any.  ``fn``
-    must not submit to ``pool``.
+    others on the slab threads, which there are when there are several.
+    Returns when all are done and raises the first item's exception, if
+    any.  ``fn`` must not submit to the slab threads.
 
-    The calling thread takes a share, so ``n`` items occupy ``n - 1`` pool
+    The calling thread takes a share, so ``n`` items occupy ``n - 1`` slab
     threads.  Each thread's allocator arena keeps what its share freed; with
-    every share on the pool, the peak RSS of a 32x16x16x16 flow was 7%
-    higher (387 against 361 MB)."""
-    if pool is None:
-        for item in items:
-            fn(item)
-        return
-    futures = [pool.submit(fn, item) for item in items[1:]]
+    every share on the slab threads, the peak RSS of a 32x16x16x16 flow was
+    7% higher (387 against 361 MB)."""
+    futures = [_pool.submit(fn, item) for item in items[1:]]
     try:
         fn(items[0])
     finally:
@@ -144,7 +157,7 @@ def _each(pool, fn, items) -> None:
         future.result()
 
 
-def _by_slab(pool, shape: tuple, stage, *cores):
+def _by_slab(shape: tuple, stage, *cores):
     """``stage(slab, *out)`` for every slab of a lattice of ``shape`` (see
     :func:`_slabs`); returns its outputs, one array per core (a shape such
     as ``(3, 6)``, or ``()`` for a scalar field).
@@ -156,12 +169,12 @@ def _by_slab(pool, shape: tuple, stage, *cores):
     stage run as one slab, so that its message, which names the first
     failing lattice index of the whole lattice, is word for word a serial
     run's."""
-    slabs = _slabs(shape, pool)
+    slabs = _slabs(shape)
     if len(slabs) == 1:
         return stage(..., *(None for _ in cores))
     outs = tuple(ta._pointwise(ta._component_major(core, shape), len(core)) for core in cores)
     try:
-        _each(pool, lambda at: stage(at, *(out[at] for out in outs)), slabs)
+        _each(lambda at: stage(at, *(out[at] for out in outs)), slabs)
     except NotPositive:
         stage(..., *outs)
         raise
@@ -202,16 +215,15 @@ def partial(lat: Lattice, f: np.ndarray, axis: int, order: int = 4) -> np.ndarra
     return out.reshape(f.shape)
 
 
-def _d(lat: Lattice, f: np.ndarray, k: int, order: int = 4, pool=None) -> np.ndarray:
+def _d(lat: Lattice, f: np.ndarray, k: int, order: int = 4) -> np.ndarray:
     """:func:`d`'s kernel: it differentiates component-major memory, which it
     copies ``f`` into unless ``f`` is already a view of it, and returns a
     view of component-major memory.
 
     Each output component sums its terms of the assembly table in table
-    order.  With a ``pool``, on a lattice of more than one slab (see
-    :func:`_slabs`), the components are dealt out to as many threads as
-    there are slabs, each summing into its own memory, so the result is the
-    same at any worker count.
+    order.  On a lattice of several slabs (see :func:`_slabs`), the
+    components are dealt out to one thread per slab, each summing into its
+    own memory, so the result is the same at any worker count.
     """
     if k >= 4:
         raise ValueError("no 5-forms on a 4-manifold")
@@ -230,32 +242,29 @@ def _d(lat: Lattice, f: np.ndarray, k: int, order: int = 4, pool=None) -> np.nda
                 out[..., dst, :] += term
             else:
                 out[..., dst, :] -= term
-    count = len(_slabs(lat.shape, pool))
-    _each(pool if count > 1 else None, components, range(count))
+    count = len(_slabs(lat.shape))
+    _each(components, range(count))
     return ta._pointwise(out.reshape(out.shape[:-1] + lat.shape), tail)
 
 
-def d(lat: Lattice, f: np.ndarray, k: int, order: int = 4, pool=None) -> np.ndarray:
+def d(lat: Lattice, f: np.ndarray, k: int, order: int = 4) -> np.ndarray:
     """Exterior derivative of a degree-k form field (component axis last),
-    returned C-ordered; ``pool`` as in :func:`_d`."""
-    return np.ascontiguousarray(_d(lat, f, k, order, pool))
+    returned C-ordered."""
+    return np.ascontiguousarray(_d(lat, f, k, order))
 
 
 def codiff2(lat: Lattice, beta: np.ndarray, g: np.ndarray, mu_g: np.ndarray,
-            order: int = 4, h: np.ndarray | None = None) -> np.ndarray:
+            order: int = 4) -> np.ndarray:
     """Metric codifferential of a 2-form field: d* beta = -*4 d *4 beta.
 
     ``g`` is the pointwise metric field (grid..., 4, 4) and ``mu_g`` its
-    volume coefficient sqrt(det g).  Pass ``h`` to reuse a precomputed
-    inverse metric, as the flow does with the one its normalization keeps.
-    Without it, ``g`` must be positive definite (NotPositive names the first
-    point where it is not) and g^-1 comes from the same adjugate-over-
-    determinant helper as ``hodge2``.  ``beta`` may carry one batch axis
-    before the component axis (e.g. a whole triple at once).
+    volume coefficient sqrt(det g).  ``g`` must be positive definite
+    (NotPositive names the first point where it is not); g^-1 comes from the
+    same adjugate-over-determinant helper as ``hodge2``.  ``beta`` may carry
+    one batch axis before the component axis (e.g. a whole triple at once).
     The result is a view of component-major memory.
     """
-    if h is None:
-        h = ta._inverse4(g, "codiff2: metric")
+    h = ta._inverse4(g, "codiff2: metric")
     # -*4 is *4 with the volume coefficient negated: x / -mu = -(x / mu) exactly
     return ta.star3(_d(lat, ta.star2(beta, h, mu_g), 2, order), g, np.negative(mu_g))
 
@@ -293,17 +302,17 @@ class TripleField:
         if self.c.shape != expected:
             raise ValueError(f"triple field shape {self.c.shape} != {expected}")
 
-    def normalized(self, threshold: float, pool=None):
-        """``_normalize_fields(self.c, threshold, pool)``: the attached
+    def normalized(self, threshold: float):
+        """``_normalize_fields(self.c, threshold)``: the attached
         ``fields`` when they were made at ``threshold``, else computed now."""
         kept, self.fields = self.fields, None
         if kept is not None and kept[0] == threshold:
             return kept[1]
-        return _normalize_fields(self.c, threshold, pool)
+        return _normalize_fields(self.c, threshold)
 
-    def max_dabs(self, order: int = 4, pool=None) -> float:
+    def max_dabs(self, order: int = 4) -> float:
         """Sup-norm of the exterior derivatives of the three forms."""
-        return float(np.abs(d(self.lattice, self.c, 2, order, pool)).max())
+        return float(np.abs(d(self.lattice, self.c, 2, order)).max())
 
     def periods(self) -> np.ndarray:
         """(3, 6) array of the cohomology periods of each form."""
@@ -315,11 +324,11 @@ def constant_triple_field(lat: Lattice, triple: np.ndarray) -> TripleField:
     return TripleField(lat, c)
 
 
-def _normalize_fields(c: np.ndarray, threshold: float | None = None, pool=None):
+def _normalize_fields(c: np.ndarray, threshold: float | None = None):
     """``(q, g, mu, h, eig)``: see pointwise_normalize; ``h`` is the inverse
     metric.  ``q``, ``g`` and ``h`` are views of component-major memory, and
     ``c`` may be one.  The metric, ``h`` and ``q`` are computed per slab of
-    the lattice (see :func:`_slabs`), on ``pool``'s threads when there are
+    the lattice (see :func:`_slabs`), on the slab threads when there are
     several, each slab writing its part of the lattice-wide arrays; every
     point's values are those of one serial run.
 
@@ -337,7 +346,7 @@ def _normalize_fields(c: np.ndarray, threshold: float | None = None, pool=None):
         g, s, cof, det = ta._metric_parts(c[at], 0.0, g, s)
         h = ta._adjugate4(cof, np.multiply, s / det, h)   # g^-1 = s adj(K) / det K
         return ta.gram(c[at], s, q), g, s, h
-    q, g, s, h = _by_slab(pool, c.shape[:-2], slab, (3, 3), (4, 4), (), (4, 4))
+    q, g, s, h = _by_slab(c.shape[:-2], slab, (3, 3), (4, 4), (), (4, 4))
     if threshold is None:
         return q, g, s, h, None
     bottom, top, radius = ta._gram_extremes(q)

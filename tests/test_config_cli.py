@@ -1,6 +1,9 @@
 import json
+import math
 import os
 import struct
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -94,6 +97,54 @@ def test_schema_validates_json_form():
     jsonschema.validate(json.loads(cfg.to_json()), schema)
 
 
+SCHEMA = json.loads((Path(__file__).parent.parent / "docs" / "config.schema.json").read_text())
+
+
+def _schema_limits():
+    """``(section, key, value, accepted)`` for every limit of the schema: the
+    last value it accepts and the first one past it, and for an enum each
+    member and one value outside it."""
+    cases = []
+    for section, keys in SCHEMA["properties"].items():
+        for key, prop in keys["properties"].items():
+            spec = prop.get("items", prop)   # a list's limits hold for each entry
+            if spec.get("type") == "integer":
+                def past(x, d):
+                    return x + d
+            else:
+                def past(x, d):
+                    return math.nextafter(x, d * math.inf)
+            at = (section, key)
+            if "minimum" in spec:
+                cases += [(*at, spec["minimum"], True), (*at, past(spec["minimum"], -1), False)]
+            if "exclusiveMinimum" in spec:
+                low = spec["exclusiveMinimum"]
+                cases += [(*at, past(low, 1), True), (*at, low, False)]
+            if "maximum" in spec:
+                cases += [(*at, spec["maximum"], True), (*at, past(spec["maximum"], 1), False)]
+            if "enum" in spec:
+                members = spec["enum"]
+                outside = (max(members) + 1 if isinstance(members[0], int)
+                           else "not-" + members[0])
+                cases += [(*at, v, True) for v in members] + [(*at, outside, False)]
+    return cases
+
+
+@pytest.mark.parametrize("section,key,value,accepted", _schema_limits())
+def test_schema_limits_are_enforced(section, key, value, accepted):
+    sections = {"lattice": {"n": "4 4 4 4"}}
+    defaults = {("lattice", "n"): [4, 4, 4], ("lattice", "l"): [1, 1, 1]}
+    sections.setdefault(section, {})[key] = " ".join(
+        v if isinstance(v, str) else repr(v) for v in [value] + defaults.get((section, key), []))
+    ini = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                  for name, keys in sections.items())
+    if accepted:
+        config_mod.loads(ini)
+    else:
+        with pytest.raises(ValidationError):
+            config_mod.loads(ini)
+
+
 class TestCliFlow:
     def test_flow_lift_report(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -143,6 +194,23 @@ class TestCliFlow:
     def test_schema_limit_is_validation_error(self, tmp_path, capsys, line):
         p = tmp_path / "exp.ini"
         p.write_text(INI.format(out=tmp_path / "r").replace("[output]", line + "\n\n[output]"))
+        assert cli.main(["flow", "--config", str(p)]) == 1
+        assert "validation error" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("old,new", [
+        ("generator = t3-invariant", "generator = exact-perturbation\nmodes = 0"),
+        ("generator = t3-invariant", "generator = exact-perturbation\nmodes = -3"),
+        ("amplitude = 0.05", "amplitude = nan"),
+        ("L = 1 1 1 1", "L = nan 1 1 1"),
+        ("L = 1 1 1 1", "L = inf 1 1 1"),
+        ("cfl = 0.2", "dt = nan"),
+        ("cfl = 0.2", "dt = inf"),
+        ("max_steps = 12", "max_steps = 12\nt_end = nan"),
+        ("max_steps = 12", "max_steps = 12\ndegeneration_threshold = inf")])
+    def test_out_of_range_or_non_finite_is_validation_error(self, tmp_path, capsys, old, new):
+        p = tmp_path / "exp.ini"
+        p.write_text(INI.format(out=tmp_path / "r").replace(old, new))
         assert cli.main(["flow", "--config", str(p)]) == 1
         assert "validation error" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
@@ -198,6 +266,17 @@ def test_lift_bad_header_lattice_is_validation_error(tmp_path, capsys):
     path.write_bytes(bytes(raw))
     assert cli.main(["lift", "--snapshot", str(path)]) == 1
     assert "validation error" in capsys.readouterr().err
+
+
+def test_lift_non_finite_header_length_is_validation_error(tmp_path, capsys):
+    path = tmp_path / "state.hsf"
+    snap.write_snapshot(path, gc.constant_triple_field(gc.Lattice((4, 4, 4, 4)),
+                                                       ta.standard_triple()))
+    raw = bytearray(path.read_bytes())
+    raw[20:28] = struct.pack("<d", float("nan"))    # first period length of the header
+    path.write_bytes(bytes(raw))
+    assert cli.main(["lift", "--snapshot", str(path)]) == 1
+    assert "bad lattice in header" in capsys.readouterr().err
 
 
 def test_lift_evaluates_each_field_once(tmp_path, monkeypatch, capsys):
@@ -423,6 +502,21 @@ class TestWorkers:
     def test_default_is_the_usable_cpus(self, monkeypatch):
         monkeypatch.delenv("HSF_WORKERS", raising=False)
         assert cli._workers() == len(os.sched_getaffinity(0))
+
+    @pytest.mark.parametrize("argv", [["verify", "--trials", "2"], ["lift", "--snapshot"]])
+    def test_other_commands_import_no_thread_pool(self, tmp_path, argv):
+        # in a fresh interpreter: only hsflow flow's slab threads need it
+        if argv[0] == "lift":
+            argv = argv + [str(_exact_snapshot(tmp_path))]
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        code = ("import sys\nfrom hsflow import cli\n"
+                "assert cli.main(sys.argv[1:]) == 0\n"
+                "assert 'concurrent.futures' not in sys.modules\n")
+        done = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
 
     def test_no_pool_thread_outlives_the_run(self, tmp_path, monkeypatch):
         seen, step = set(), fe.step

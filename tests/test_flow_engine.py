@@ -1,8 +1,8 @@
+import contextlib
 import re
 import sys
 import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -533,9 +533,10 @@ def _bytes(*arrays):
 
 
 class TestSlabs:
-    """On a pool the pointwise stages run per axis-0 slab and the derivatives
-    per output component; every result must equal the serial one byte for
-    byte, at any worker count.  16x16x16x16 is two slabs of SLAB_POINTS."""
+    """In slab threads the pointwise stages run per axis-0 slab and the
+    derivatives per output component; every result must equal the serial one
+    byte for byte, at any worker count.  16x16x16x16 is two slabs of
+    SLAB_POINTS."""
 
     LAT = gc.Lattice((16, 16, 16, 16))
 
@@ -544,39 +545,45 @@ class TestSlabs:
         return initial_data.generate_initial(self.LAT, "exact-perturbation", 0.05, 7).c
 
     @pytest.fixture(params=[1, 2, 4])
-    def pool(self, request):
-        with ThreadPoolExecutor(request.param) as pool:
-            yield pool
+    def workers(self, request):
+        return request.param
 
-    def test_slab_count(self, pool):
-        slabs = gc._slabs(self.LAT.shape, pool)
-        assert len(slabs) == min(pool._max_workers, 2)
-        assert gc._slabs(self.LAT.shape, None) == [...]
-        assert gc._slabs(gc.Lattice((64, 4, 4, 4)).shape, pool) == [...]
+    def test_slab_count(self, workers):
+        with gc.slab_threads(workers):
+            slabs = gc._slabs(self.LAT.shape)
+            assert len(slabs) == min(workers, 2)
+            assert gc._slabs(gc.Lattice((64, 4, 4, 4)).shape) == [...]
+        assert gc._slabs(self.LAT.shape) == [...]
 
     def test_slabs_start_on_density_blocks(self, monkeypatch):
         monkeypatch.setattr(gc, "SLAB_POINTS", 256)
-        with ThreadPoolExecutor(4) as pool:
+        with gc.slab_threads(4):
             # 128 points a plane: a block boundary every 8 planes
-            assert gc._slabs((32, 8, 4, 4), pool) == [slice(0, 8), slice(8, 16),
-                                                      slice(16, 24), slice(24, 32)]
-            assert gc._slabs((12, 8, 4, 4), pool) == [...]
-            assert gc._slabs((5, 5, 5, 5), pool) == [...]
+            assert gc._slabs((32, 8, 4, 4)) == [slice(0, 8), slice(8, 16),
+                                                slice(16, 24), slice(24, 32)]
+            assert gc._slabs((12, 8, 4, 4)) == [...]
+            assert gc._slabs((5, 5, 5, 5)) == [...]
 
-    def test_rhs(self, field, pool):
-        assert _bytes(fe.evaluate_rhs(self.LAT, field, pool=pool)) == \
-            _bytes(fe.evaluate_rhs(self.LAT, field))
+    def test_rhs(self, field, workers):
+        serial = _bytes(fe.evaluate_rhs(self.LAT, field))
+        with gc.slab_threads(workers):
+            assert _bytes(fe.evaluate_rhs(self.LAT, field)) == serial
 
-    def test_guarded_normalization(self, field, pool):
+    def test_guarded_normalization(self, field, workers):
         (*serial, (top, low)) = gc._normalize_fields(field, 1e-6)
-        (*slabbed, (top_s, low_s)) = gc._normalize_fields(field, 1e-6, pool)
+        with gc.slab_threads(workers):
+            (*slabbed, (top_s, low_s)) = gc._normalize_fields(field, 1e-6)
         assert _bytes(*serial, *top) == _bytes(*slabbed, *top_s) and low == low_s
 
-    def test_max_dabs_and_d(self, field, pool):
+    def test_max_dabs_and_d(self, field, workers):
         tf = gc.TripleField(self.LAT, field)
-        assert tf.max_dabs(4, pool) == tf.max_dabs(4)
-        for k, f in ((1, field[..., :4]), (2, field)):
-            assert _bytes(gc.d(self.LAT, f, k, 2, pool)) == _bytes(gc.d(self.LAT, f, k, 2))
+
+        def results():
+            return [tf.max_dabs(4)] + [_bytes(gc.d(self.LAT, f, k, 2))
+                                       for k, f in ((1, field[..., :4]), (2, field))]
+        serial = results()
+        with gc.slab_threads(workers):
+            assert results() == serial
 
     @pytest.mark.parametrize("where", [[(12, 1, 2, 3)], [(12, 1, 2, 3), (3, 5, 6, 7)]])
     def test_degenerate_point_message(self, where):
@@ -586,15 +593,14 @@ class TestSlabs:
         for at in where:
             c[at + (2,)] *= -1.0
         first = str(min(where))
-        with ThreadPoolExecutor(2) as pool:
-            for kernel in (lambda p: fe.evaluate_rhs(self.LAT, c, pool=p),
-                           lambda p: gc._normalize_fields(c, 1e-6, p)):
-                with pytest.raises(NotPositive) as serial:
-                    kernel(None)
-                with pytest.raises(NotPositive) as slabbed:
-                    kernel(pool)
-                assert str(slabbed.value) == str(serial.value)
-                assert str(serial.value).endswith(f"at lattice index {first}")
+        for kernel in (lambda: fe.evaluate_rhs(self.LAT, c),
+                       lambda: gc._normalize_fields(c, 1e-6)):
+            with pytest.raises(NotPositive) as serial:
+                kernel()
+            with gc.slab_threads(2), pytest.raises(NotPositive) as slabbed:
+                kernel()
+            assert str(slabbed.value) == str(serial.value)
+            assert str(serial.value).endswith(f"at lattice index {first}")
 
     @pytest.mark.parametrize("plant,what", [("flip", "metric density"),
                                             ("collapse", "Gram matrix eigenvalue")])
@@ -606,12 +612,11 @@ class TestSlabs:
             c[12, 1, 2, 3, 0] *= 1e-9
         cfg = fe.FlowConfig(dt=1e-6, cfl=None)
         messages = []
-        with ThreadPoolExecutor(2) as pool:
-            for p in (None, pool):
-                state = fe.FlowState(0.0, gc.TripleField(self.LAT, c))
-                with pytest.raises(StepRejected) as exc:
-                    fe.step(state, 1e-6, cfg, p)
-                messages.append(str(exc.value))
+        for threads in (contextlib.nullcontext(), gc.slab_threads(2)):
+            state = fe.FlowState(0.0, gc.TripleField(self.LAT, c))
+            with threads, pytest.raises(StepRejected) as exc:
+                fe.step(state, 1e-6, cfg)
+            messages.append(str(exc.value))
         assert messages[0] == messages[1]
         assert re.search(what + r".* at lattice index \(12, 1, 2, 3\)", messages[0])
 
@@ -625,19 +630,40 @@ class TestSlabs:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with ThreadPoolExecutor(4) as pool:
-                assert len(gc._slabs(lat.shape, pool)) == 4
+            with gc.slab_threads(4):
+                assert len(gc._slabs(lat.shape)) == 4
                 for _ in range(3):
-                    assert _bytes(fe.evaluate_rhs(lat, c, pool=pool),
-                                  *gc._normalize_fields(c, None, pool)[:4]) == serial
+                    assert _bytes(fe.evaluate_rhs(lat, c),
+                                  *gc._normalize_fields(c)[:4]) == serial
         finally:
             sys.setswitchinterval(interval)
+
+    def test_slab_threads_end_with_a_raise(self):
+        c = np.broadcast_to(STD, self.LAT.shape + (3, 6)).copy()
+        c[12, 1, 2, 3, 2] *= -1.0
+        with pytest.raises(NotPositive):
+            with gc.slab_threads(2):
+                assert len(gc._slabs(self.LAT.shape)) == 2
+                fe.evaluate_rhs(self.LAT, c)
+        assert gc._slabs(self.LAT.shape) == [...]
+        assert not any(t.name.startswith("hsflow-slab") and t.is_alive()
+                       for t in threading.enumerate())
+
+    def test_nested_slab_threads_restore_the_outer_ones(self, field):
+        serial = _bytes(fe.evaluate_rhs(self.LAT, field))
+        with gc.slab_threads(2):
+            with gc.slab_threads(1):
+                assert gc._slabs(self.LAT.shape) == [...]
+            assert len(gc._slabs(self.LAT.shape)) == 2
+            # the outer threads still run slabs
+            assert _bytes(fe.evaluate_rhs(self.LAT, field)) == serial
+        assert gc._slabs(self.LAT.shape) == [...]
 
     def test_one_slab_starts_no_thread(self):
         cfg = fe.FlowConfig(max_steps=3, diag_cadence=1, fiber_samples=2)
         tf = initial_data.generate_initial(gc.Lattice((64, 4, 4, 4)), "t3-invariant", 0.05, 7)
         before = threading.active_count()
-        with ThreadPoolExecutor(2) as pool:
-            res = fe.run(cfg, tf, pool=pool)
+        with gc.slab_threads(2):
+            res = fe.run(cfg, tf)
             assert threading.active_count() == before
         assert res.aborted is None and res.rows[-1]["step"] == 3
