@@ -54,6 +54,8 @@ def _fmt(x) -> str:
 
 
 def cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise ValidationError("--seed must be nonnegative")
     report = verify_mod.run_suite(args.trials, args.seed)
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
@@ -145,14 +147,14 @@ def _lift_report(tf: gc.TripleField, time: float, samples: int, seed: int,
 
 
 def cmd_lift(args) -> int:
-    if args.samples < 0:
-        raise ValidationError("--samples must be nonnegative")
+    if args.samples < 0 or args.seed < 0:
+        raise ValidationError("--samples and --seed must be nonnegative")
     tf, time = snap.read_snapshot(args.snapshot)
     try:
         sidecar = snap.read_sidecar(args.snapshot)
     except OSError:
         sidecar = None
-    except ValueError as exc:   # not JSON
+    except ValueError as exc:   # not a JSON object
         raise ValidationError(f"{args.snapshot}: unreadable sidecar: {exc}") from exc
     # the run's stencil order; order 4 for a snapshot without one
     order = (sidecar or {}).get("stencil_order", 4)

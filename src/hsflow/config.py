@@ -85,6 +85,8 @@ class ExperimentConfig:
             raise ValidationError("amplitude must be nonnegative and finite")
         if self.modes < 1:
             raise ValidationError("modes must be >= 1")
+        if self.initial_seed < 0:
+            raise ValidationError("initial seed must be nonnegative")
         return self
 
     def lattice(self) -> gc.Lattice:

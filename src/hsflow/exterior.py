@@ -3,15 +3,17 @@
 Degree-k forms are stored as flat coefficient vectors over an explicit ordered
 basis of index tuples.  Basis tuples may be given in non-sorted order (the
 4-dimensional 2-form basis uses ``(3, 1)`` for e31); all signs produced here
-account for that.  Everything in this module is metric-free; metric-dependent
-pieces (Gram matrices of form bases, Hodge stars) take the inverse metric as
-input and broadcast over arbitrary leading axes.
+account for that.  Everything in this module is metric-free but
+:func:`apply_metric`, the one kernel that applies Lambda^k of a symmetric
+matrix to k-forms; the Gram matrix of a form basis and the Hodge star from
+the pairing are built on it, take the inverse metric as input and broadcast
+over arbitrary leading axes.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -169,57 +171,48 @@ class CubicMatrix:
 
 
 @lru_cache(maxsize=16)
-def _laplace_tables(tuples, n: int):
-    """Index tables expanding det(h[I, J]) along the first index of I.
+def _dense_table(tuples, n: int):
+    """Where each basis k-form sits in the dense antisymmetric n^k tensor.
 
-    Term c of the expansion is ``sign[c] * h[I_0, J_c] * G[I_rest, J_rest_c]``
-    with G the Gram of the lexicographic degree-(k-1) basis; ``sign[c]``
-    carries (-1)^c and the parities that sort the two remaining tuples.
-    Returns ``(lower, row, sub_row, col, sub_col, sign)``, the column tables
-    stacked over c.
+    Row p of ``pos`` holds the flat tensor index of every tuple with its
+    indices permuted by the p-th permutation of ``range(k)``, ``sign[p]``
+    that permutation's parity; row 0 is the identity, so the tuples in their
+    stored order, which bakes in the sign of non-sorted labels.
     """
-    k = len(tuples[0])
-    lower = lex_tuples(n, k - 1)
-    pos = {t: i for i, t in enumerate(lower)}
+    perms = list(permutations(range(len(tuples[0]))))
+    pos = np.array([[np.ravel_multi_index([t[i] for i in p], (n,) * len(p)) for t in tuples]
+                    for p in perms], dtype=np.intp)
+    return pos, np.array([float(tuple_parity(p)) for p in perms])
 
-    def rest(t, c):   # position of t without its c-th index, and that tuple's parity
-        r = t[:c] + t[c + 1:]
-        return pos[tuple(sorted(r))], tuple_parity(r)
 
-    row = np.array([I[0] for I in tuples], dtype=np.intp)
-    sub_row, row_sign = np.array([rest(I, 0) for I in tuples]).T
-    col = np.array([[J[c] for J in tuples] for c in range(k)], dtype=np.intp)
-    sub_col, col_sign = np.array([[rest(J, c) for J in tuples]
-                                  for c in range(k)]).transpose(2, 0, 1)
-    sign = ((-1.0) ** np.arange(k))[:, None, None] * row_sign[:, None] * col_sign[:, None, :]
-    return lower, row, sub_row, col, sub_col, sign
+def apply_metric(h: np.ndarray, coeffs: np.ndarray, tuples) -> np.ndarray:
+    """Lambda^k(h) applied to a k-form: ``out_J = sum_I det(h[J, I]) c_I``.
+
+    The coefficients are spread to the dense antisymmetric tensor, each of
+    its k indices is contracted with the symmetric matrix ``h`` by a batched
+    ``matmul``, and the basis entries are read back.  Broadcasts: coeffs
+    (..., m) over ``tuples``, h (..., n, n).
+    """
+    tuples = tuple(map(tuple, tuples))
+    n, k = h.shape[-1], len(tuples[0])
+    pos, sign = _dense_table(tuples, n)
+    batch = np.broadcast_shapes(coeffs.shape[:-1], h.shape[:-2])
+    t = np.zeros(batch + (n ** k,))
+    t[..., pos] = coeffs[..., None, :] * sign[:, None]
+    for _ in range(k):   # contract the leading index, then rotate it to the back
+        t = np.swapaxes(h @ t.reshape(batch + (n, -1)), -1, -2)
+    return t.reshape(batch + (n ** k,))[..., pos[0]]
 
 
 def metric_gram(h: np.ndarray, tuples) -> np.ndarray:
     """Gram matrix of the degree-k basis under the inner product induced by g.
 
     ``h`` is the inverse metric g^{-1}, shape (..., n, n).  Entry [m, l] is
-    det(h[I_m, J_l]); the index tuples are used in their stored order, which
-    bakes in the sign of non-sorted labels.  For k >= 3 the minors come by
-    Laplace expansion from the Gram of degree k - 1.  Broadcasts over
-    leading axes.
+    det(h[I_m, I_l]), the tuples taken in their stored order: the kernel
+    :func:`apply_metric` on each basis form.  Broadcasts over leading axes.
     """
-    idx = np.array([list(t) for t in tuples], dtype=np.intp)
-    k = idx.shape[1]
-    if k == 0:
-        shape = h.shape[:-2] + (1, 1)
-        return np.ones(shape, dtype=h.dtype)
-    if k >= 3:
-        lower, row, sub_row, col, sub_col, sign = _laplace_tables(
-            tuple(map(tuple, tuples)), h.shape[-1])
-        G = metric_gram(h, lower)
-        return sum(sign[c] * h[..., row[:, None], col[c][None, :]]
-                   * G[..., sub_row[:, None], sub_col[c][None, :]] for c in range(k))
-    sub = h[..., idx[:, None, :, None], idx[None, :, None, :]]
-    if k == 1:
-        return sub[..., 0, 0]
-    return (sub[..., 0, 0] * sub[..., 1, 1]
-            - sub[..., 0, 1] * sub[..., 1, 0])
+    m = len(tuples)
+    return np.swapaxes(apply_metric(h[..., None, :, :], np.eye(m), tuples), -1, -2)
 
 
 def star_via_pairing(coeffs: np.ndarray, h: np.ndarray, sqrt_det_g: np.ndarray,
@@ -229,9 +222,7 @@ def star_via_pairing(coeffs: np.ndarray, h: np.ndarray, sqrt_det_g: np.ndarray,
     ``w_inv`` is the inverse of ``pairing_matrix(tuples_k, tuples_{n-k}, n)``.
     Broadcasts: coeffs (..., m), h (..., n, n), sqrt_det_g (...).
     """
-    G = metric_gram(h, tuples_k)
-    raised = np.einsum('...ml,...l->...m', G, coeffs)
-    out = np.einsum('pm,...m->...p', w_inv, raised)
+    out = apply_metric(h, coeffs, tuples_k) @ w_inv.T
     return out * sqrt_det_g[..., None] if np.ndim(sqrt_det_g) else out * sqrt_det_g
 
 

@@ -13,7 +13,9 @@ lift``, ``hsflow verify`` and the flow's torsion sample hand all their
 points or trials to each kernel in one call.  The two costly kernels, the
 metric density (a cubic form with 735 monomials) and the 7-dimensional
 Hodge star, run ``_BLOCK`` points at a time, so their working set stays
-bounded whatever the batch.
+bounded whatever the batch.  The star forms no Gram matrix: it applies
+Lambda^3 of g^{-1} to a 3-form, and Lambda^3 of g to the complement of a
+4-form (:func:`exterior.apply_metric`).
 """
 
 from __future__ import annotations
@@ -53,15 +55,13 @@ DENSITY7 = _density_table()
 
 # embedding of the R^4 2-form basis (package order) as signed sorted pairs on
 # coframe indices 3..6
-_X2_PAIRS = []
-for _t in ta.LAMBDA2_TUPLES:
-    _shifted = tuple(x + 3 for x in _t)
-    _X2_PAIRS.append((tuple(sorted(_shifted)), exterior.tuple_parity(_shifted)))
+_X2_PAIRS = [(tuple(sorted(x + 3 for x in t)), exterior.tuple_parity(t))
+             for t in ta.LAMBDA2_TUPLES]
 
 _X3_TRIPLES = [tuple(x + 3 for x in t) for t in ta.LAMBDA3_TUPLES]
 
 # 2-form pieces of the 3-torus: hat basis (dt23, dt31, dt12) paired with dt^j
-_HAT_PAIRS = (((1, 2), 1), ((0, 2), -1), ((0, 1), 1))
+_HAT_PAIRS = [(tuple(sorted(t)), exterior.tuple_parity(t)) for t in ((1, 2), (2, 0), (0, 1))]
 
 
 def _set3(idx, sign, out, value):
@@ -162,8 +162,6 @@ def hodge7(coeffs: np.ndarray, g7: np.ndarray, degree: int) -> np.ndarray:
     """
     if degree not in (3, 4):
         raise ValueError("degree must be 3 or 4")
-    # the pairings are signed permutations: each inverse is the transpose
-    tuples, w_inv = (LAMBDA3_7, _W34.T) if degree == 3 else (LAMBDA4_7, _W43.T)
     coeffs = np.asarray(coeffs, dtype=float)
     g7 = np.asarray(g7, dtype=float)
     ta._require_positive(np.linalg.eigvalsh(g7)[..., 0] > 0,
@@ -173,10 +171,13 @@ def hodge7(coeffs: np.ndarray, g7: np.ndarray, degree: int) -> np.ndarray:
     g = np.broadcast_to(g7, shape + (7, 7)).reshape(-1, 7, 7)
     out = np.empty_like(c)
     for start in range(0, len(c), _BLOCK):
-        gb = g[start:start + _BLOCK]
-        out[start:start + _BLOCK] = exterior.star_via_pairing(
-            c[start:start + _BLOCK], np.linalg.inv(gb), np.sqrt(np.linalg.det(gb)),
-            tuples, w_inv)
+        cb, gb = c[start:start + _BLOCK], g[start:start + _BLOCK]
+        if degree == 3:   # the pairing is a signed permutation: its inverse is the transpose
+            out[start:start + _BLOCK] = exterior.star_via_pairing(
+                cb, np.linalg.inv(gb), np.sqrt(np.linalg.det(gb)), LAMBDA3_7, _W43)
+        else:             # Lambda^4(g^-1) = _W43 Lambda^3(g) _W43^T / det g
+            out[start:start + _BLOCK] = exterior.apply_metric(
+                gb, cb @ _W43, LAMBDA3_7) / np.sqrt(np.linalg.det(gb))[:, None]
     return out.reshape(shape + (35,))
 
 

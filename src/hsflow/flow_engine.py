@@ -55,8 +55,8 @@ class FlowConfig:
             raise ValidationError("exactly one of dt / cfl must be set")
         if self.dt is not None and not 0 < self.dt < math.inf:
             raise ValidationError("dt must be positive and finite")
-        if self.t_end is not None and not math.isfinite(self.t_end):
-            raise ValidationError("t_end must be finite")
+        if self.t_end is not None and not 0 < self.t_end < math.inf:
+            raise ValidationError("t_end must be positive and finite")
         if self.cfl is not None and not (0.0 < self.cfl <= 1.0):
             raise ValidationError("cfl factor must lie in (0, 1]")
         if self.max_steps < 0:
@@ -69,8 +69,8 @@ class FlowConfig:
             raise ValidationError("diag_cadence must be >= 1")
         if not 0 < self.degeneration_threshold < math.inf:
             raise ValidationError("degeneration_threshold must be positive and finite")
-        if self.fiber_samples < 0:
-            raise ValidationError("fiber_samples must be nonnegative")
+        if self.fiber_samples < 0 or self.seed < 0:
+            raise ValidationError("fiber_samples and seed must be nonnegative")
         if self.checkpoint_cadence < 0:
             raise ValidationError("checkpoint_cadence must be nonnegative")
         return self

@@ -40,9 +40,6 @@ _BASES = {
 
 _D_TABLE = {k: exterior.d_entries(_BASES[k], _BASES[k + 1], 4) for k in range(4)}
 
-# axis pairs of the six coordinate 2-tori, matching the 2-form component order
-PERIOD_PAIRS = ((0, 1), (0, 2), (0, 3), (2, 3), (3, 1), (1, 2))
-
 
 @dataclass(frozen=True)
 class Lattice:
@@ -278,7 +275,7 @@ def periods(lat: Lattice, w: np.ndarray) -> np.ndarray:
     to roundoff, under adding any discrete-exact form.
     """
     mean = w.mean(axis=(0, 1, 2, 3))
-    areas = np.array([lat.L[a] * lat.L[b] for a, b in PERIOD_PAIRS])
+    areas = np.array([lat.L[a] * lat.L[b] for a, b in ta.LAMBDA2_TUPLES])
     return mean * areas
 
 

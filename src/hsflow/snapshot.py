@@ -80,5 +80,9 @@ def write_sidecar(path, payload: dict) -> None:
 
 
 def read_sidecar(path) -> dict:
+    """The sidecar's JSON object; ValueError when the file holds anything else."""
     with open(str(path) + ".json") as fh:
-        return json.load(fh)
+        payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError(f"{fh.name} holds no JSON object")
+    return payload

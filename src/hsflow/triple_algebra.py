@@ -44,15 +44,8 @@ _W32 = exterior.pairing_matrix(LAMBDA3_TUPLES, LAMBDA1_TUPLES, 4)
 _W2INV = np.linalg.inv(WEDGE2)
 _W32INV = np.linalg.inv(_W32)
 
-EPS3 = np.zeros((3, 3, 3))
-for _p in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-    EPS3[_p] = 1.0
-for _p in ((0, 2, 1), (2, 1, 0), (1, 0, 2)):
-    EPS3[_p] = -1.0
-
-# index bookkeeping for the Lambda^3 Gram shortcut (see star3)
-_OMITTED = np.array([3, 2, 1, 0])           # coordinate missing from each lex 3-tuple
-_SIGMA3 = np.array([-1.0, 1.0, -1.0, 1.0])  # (-1)^omitted
+EPS3 = np.array([[[exterior.tuple_parity((i, j, k)) for k in range(3)] for j in range(3)]
+                 for i in range(3)], dtype=float)
 
 
 def _signed_permutation(w: np.ndarray) -> tuple:
@@ -65,6 +58,8 @@ def _signed_permutation(w: np.ndarray) -> tuple:
 _PAIRING_COLUMNS = _signed_permutation(WEDGE2)
 _STAR2_COLUMNS = _signed_permutation(_W2INV)
 _STAR3_COLUMNS = _signed_permutation(_W32INV.T)
+# (coordinate missing from each lex 3-tuple, sign of e^I ∧ e^missing), for star3
+_OMITTED = _signed_permutation(_W32.T)
 
 
 def _density_table() -> exterior.CubicMatrix:
@@ -420,14 +415,15 @@ def star3(coeffs: np.ndarray, g: np.ndarray, sqrt_det_g) -> np.ndarray:
     """Hodge star Lambda^3 -> Lambda^1 (lex 3-form basis in, 1-form basis out).
 
     Uses the complementary-minor identity: the Lambda^3 Gram of g^{-1} is
-    D g D / det(g) with D the signs of the omitted coordinates, so only ``g``
-    itself is needed.  Batch axis and layout as in :func:`star2`.
+    D g D / det(g) with D the signs of the omitted coordinates (only their
+    products enter), so only ``g`` itself is needed.  Batch axis and layout
+    as in :func:`star2`.
     """
     e = _entries(g)
     G = _component_major((4, 4), e.shape[2:])
-    for m, a in enumerate(_OMITTED):
-        for l, b in enumerate(_OMITTED):
-            np.multiply(e[a, b], _SIGMA3[m] * _SIGMA3[l], out=G[m, l, ...])
+    for m, (a, sa) in enumerate(_OMITTED):
+        for l, (b, sb) in enumerate(_OMITTED):
+            np.multiply(e[a, b], sa * sb, out=G[m, l, ...])
     return _star(np.asarray(coeffs, dtype=float), _pointwise(G), _STAR3_COLUMNS,
                  sqrt_det_g, np.divide)
 

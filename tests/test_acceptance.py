@@ -195,6 +195,7 @@ def test_criterion_4_g2_lift(rng):
               f"torsion={torsion_worst:.3e} (all <= 1e-9, 200 triples)")
 
 
+@pytest.mark.slow
 def test_criterion_5_fixed_point(fixed_point_runs):
     (out, elapsed), _ = fixed_point_runs
     series = _read_rows(out)
@@ -212,6 +213,7 @@ def test_criterion_5_fixed_point(fixed_point_runs):
           f"{drift:.3e} <= 1e-11, {elapsed:.1f}s < 30s")
 
 
+@pytest.mark.slow
 def test_criterion_6_structural_conservation(conservation_runs):
     (out, elapsed), _ = conservation_runs
     series = _read_rows(out)
@@ -251,6 +253,7 @@ def test_criterion_7_convergence_order():
           f"ratio={ratio:.2f} within 16 +- 15%")
 
 
+@pytest.mark.slow
 def test_criterion_8_empirical_decay(conservation_runs):
     # decay of the Gram-deviation diagnostic at desk scale; reported as an
     # observation, with no claim beyond the cited convergence setting
@@ -262,6 +265,7 @@ def test_criterion_8_empirical_decay(conservation_runs):
           f"q_dev: {q0:.3e} -> {qT:.3e} (ratio {qT / q0:.3e} <= 0.5)")
 
 
+@pytest.mark.slow
 def test_criterion_9_determinism(fixed_point_runs, conservation_runs):
     pairs = [fixed_point_runs, conservation_runs]
     identical = True

@@ -207,6 +207,9 @@ class TestCliFlow:
         ("cfl = 0.2", "dt = nan"),
         ("cfl = 0.2", "dt = inf"),
         ("max_steps = 12", "max_steps = 12\nt_end = nan"),
+        ("max_steps = 12", "max_steps = 12\nt_end = -1"),
+        ("seed = 7", "seed = -7"),
+        ("fiber_samples = 2\nseed = 1", "fiber_samples = 2\nseed = -1"),
         ("max_steps = 12", "max_steps = 12\ndegeneration_threshold = inf")])
     def test_out_of_range_or_non_finite_is_validation_error(self, tmp_path, capsys, old, new):
         p = tmp_path / "exp.ini"
@@ -344,12 +347,27 @@ def test_lift_bad_sidecar_is_validation_error(tmp_path, capsys):
     Path(str(path) + ".json").write_text("{not json")
     assert cli.main(["lift", "--snapshot", str(path)]) == 1
     assert "validation error" in capsys.readouterr().err
+    Path(str(path) + ".json").write_text("[1, 2]")    # JSON, but not an object
+    assert cli.main(["lift", "--snapshot", str(path)]) == 1
+    assert f"validation error: {path}: unreadable sidecar: {path}.json holds no JSON object" \
+        in capsys.readouterr().err
 
 
 def test_lift_negative_samples_is_validation_error(tmp_path, capsys):
     assert cli.main(["lift", "--snapshot", str(_exact_snapshot(tmp_path)),
                      "--samples", "-1"]) == 1
     assert "validation error" in capsys.readouterr().err
+
+
+def test_lift_negative_seed_is_validation_error(tmp_path, capsys):
+    assert cli.main(["lift", "--snapshot", str(_exact_snapshot(tmp_path)),
+                     "--seed", "-3"]) == 1
+    assert "validation error: --samples and --seed" in capsys.readouterr().err
+
+
+def test_verify_negative_seed_is_validation_error(capsys):
+    assert cli.main(["verify", "--trials", "5", "--seed", "-1"]) == 1
+    assert "validation error: --seed" in capsys.readouterr().err
 
 
 def test_lift_samples_like_the_flow(tmp_path, monkeypatch, capsys):
@@ -409,10 +427,13 @@ def test_lift_report_matches_per_point_loop(tmp_path, monkeypatch):
 
 
 def test_lift_calls_each_fiber_kernel_once(tmp_path, monkeypatch, capsys):
+    # and the 7-dimensional star forms no Gram matrix
+    from hsflow import exterior
     from hsflow import fiber_g2 as fg
     path = _exact_snapshot(tmp_path)
     calls = {}
     _record_calls(monkeypatch, fg, ("metric_from_phi", "hodge7"), calls)
+    _record_calls(monkeypatch, exterior, ("metric_gram",), calls)
     assert cli.main(["lift", "--snapshot", str(path), "--samples", "200"]) == 0
     assert json.loads(capsys.readouterr().out)["points_sampled"] == 200
     assert {name: len(args) for name, args in calls.items()} == {

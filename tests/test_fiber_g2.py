@@ -297,6 +297,19 @@ class TestHodge7:
         ref = oracles.star7_oracle(c, g7, fg.LAMBDA3_7, fg.LAMBDA4_7)
         assert np.abs(fg.hodge7(c, g7, 3) - ref).max() < 1e-10
 
+    def test_generic_metrics_against_bitmask_oracle(self, rng):
+        # 70 SPD metrics with no block structure: two full blocks and a partial one
+        a = rng.uniform(-1, 1, (70, 7, 7))
+        g7 = a @ np.swapaxes(a, -1, -2) + 0.3 * np.eye(7)
+        assert 70 % fg._BLOCK and np.abs(g7[:, :3, 3:]).min() > 0
+        c = rng.uniform(-1, 1, (70, 35))
+        for degree, bases in ((3, (fg.LAMBDA3_7, fg.LAMBDA4_7)),
+                              (4, (fg.LAMBDA4_7, fg.LAMBDA3_7))):
+            got = fg.hodge7(c, g7, degree)
+            for i in range(70):
+                ref = oracles.star7_oracle(c[i], g7[i], *bases)
+                assert np.abs(got[i] - ref).max() <= 1e-13 * np.abs(ref).max()
+
     def test_t3_tables_match_restricted_hodge7(self, rng):
         # the closed-form 3-torus star equals the T3 factor of the full
         # 7-dimensional star on split forms: for alpha a hat-basis 2-form,
