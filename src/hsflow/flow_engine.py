@@ -5,12 +5,13 @@ The evolution law is, per form,
     dw_i/dt = d( Q_ik d*( Q^kl w_l ) )
 
 with Q the unit-determinant Gram field of the evolving triple and d* the
-codifferential of the triple's own metric.  Every right-hand side is the
-discrete d of something, so closedness and the cohomology periods of the
-state are conserved to roundoff by construction, independent of step size.
-The same triple can be read as the flow variable of the dimensionally
-reduced 4-form evolution on the 3-torus product; the engine stores one field
-and makes no distinction.
+codifferential of the triple's own metric.  The w_i, and so sigma = Q^-1 w,
+are self-dual for it: d* sigma = -*d sigma (Fine & Yao, Duke Math. J. 2018).
+Every right-hand side is the discrete d of something, so closedness and the
+cohomology periods of the state are conserved to roundoff by construction,
+independent of step size.  The same triple can be read as the flow variable
+of the dimensionally reduced 4-form evolution on the 3-torus product; the
+engine stores one field and makes no distinction.
 
 Positivity loss is a meaningful event (the state leaves the positive cone),
 so steps that degenerate are rejected rather than projected back.
@@ -81,8 +82,8 @@ class FlowState:
     """Evolving triple, run baselines, and what is computed once per state:
     normalization, the guard's Gram eigenvalue results, and in ``kept`` the
     periods and, per stencil order, the closedness defect and the RHS.
-    ``q``, ``g`` and ``h`` are views of the component-major memory that
-    the right-hand side reads.  ``q_eig_min`` is LAPACK's value; ``q_top``
+    ``q`` and ``g`` are views of the component-major memory that the
+    right-hand side reads.  ``q_eig_min`` is LAPACK's value; ``q_top``
     is the closed-form estimate, a bracket ``(lo, hi)`` that holds each
     point's largest Gram eigenvalue (see ``grid_calculus._normalize_fields``)."""
 
@@ -91,7 +92,6 @@ class FlowState:
     q: np.ndarray | None = None
     g: np.ndarray | None = None
     mu: np.ndarray | None = None
-    h: np.ndarray | None = None           # inverse metric
     q_top: tuple | None = None            # bracket of each point's largest Gram eigenvalue
     q_eig_min: float | None = None        # smallest Gram eigenvalue anywhere
     base_periods: np.ndarray | None = None
@@ -101,7 +101,7 @@ class FlowState:
 
     def ensure_fields(self, threshold: float = 1e-6):
         if self.q is None:
-            self.q, self.g, self.mu, self.h, (self.q_top, self.q_eig_min) = \
+            self.q, self.g, self.mu, (self.q_top, self.q_eig_min) = \
                 self.tf.normalized(threshold)
         return self.q, self.g, self.mu
 
@@ -117,10 +117,11 @@ def evaluate_rhs(lat: gc.Lattice, c: np.ndarray, order: int = 4,
     """One right-hand side evaluation on raw coefficients; shape (grid, 3, 6).
 
     The update is assembled strictly as d(applied to 1-form fields), so it
-    lies in the image of the discrete d.  Without ``fields`` (q, g, mu, h),
-    as at mid-stages, ``c`` is normalized here with no eigenvalue guard, only
+    lies in the image of the discrete d.  Without ``fields`` (q, g, mu), as
+    at mid-stages, ``c`` is normalized here with no eigenvalue guard, only
     the metric density's minors; the threshold guards committed states.
-    Every stage from ``Q^-1 w`` on, and the normalization, writes
+    ``sigma = Q^-1 w`` is self-dual, so d* sigma = -*d sigma takes one star.
+    Every stage from ``sigma`` on, and the normalization, writes
     component-major memory, ``(3, 6, n0, n1, n2, n3)`` for the triple; the
     result is copied back to a C-ordered array once.
 
@@ -131,17 +132,17 @@ def evaluate_rhs(lat: gc.Lattice, c: np.ndarray, order: int = 4,
     same threads.  The result is the same at any worker count, bit for bit.
     """
     if fields is None:
-        q, g, mu, h, _ = gc._normalize_fields(c)
+        q, g, mu, _ = gc._normalize_fields(c)
     else:
-        q, g, mu, h = fields
+        q, g, mu = fields
 
-    def dual_star(at, out):   # *2 of sigma = Q^-1 w; det q = 1, so adjugate = inverse
-        return ta.star2(ta._product(ta.adj3(q[at]), c[at]), h[at], mu[at], out)
+    def dual(at, out):    # sigma = Q^-1 w; det q = 1, so adjugate = inverse
+        return ta._product(ta.adj3(q[at]), c[at], out)
 
-    def flux(at, out):        # Q d* sigma, with d* = -*4 d *4 (see grid_calculus.codiff2)
-        return ta._product(q[at], ta.star3(dbeta[at], g[at], np.negative(mu[at])), out)
+    def flux(at, out):    # Q d* sigma = Q (-*3 d sigma)
+        return ta._product(q[at], ta.star3(dsigma[at], g[at], np.negative(mu[at])), out)
 
-    dbeta = gc._d(lat, gc._by_slab(lat.shape, dual_star, (3, 6)), 2, order)
+    dsigma = gc._d(lat, gc._by_slab(lat.shape, dual, (3, 6)), 2, order)
     eta = gc._by_slab(lat.shape, flux, (3, 4))
     return np.ascontiguousarray(gc._d(lat, eta, 1, order))
 
@@ -151,8 +152,7 @@ def rhs(state: FlowState, order: int = 4) -> np.ndarray:
     shape (grid, 3, 6), read-only.  Kept per stencil order, so a diagnostics
     row is also the next step's first stage."""
     def compute():
-        fields = state.ensure_fields() + (state.h,)
-        out = evaluate_rhs(state.tf.lattice, state.tf.c, order, fields)
+        out = evaluate_rhs(state.tf.lattice, state.tf.c, order, state.ensure_fields())
         out.flags.writeable = False
         return out
     return state.keep(("rhs", order), compute)

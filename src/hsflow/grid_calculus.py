@@ -181,12 +181,17 @@ def _by_slab(shape: tuple, stage, *cores):
 def _shift_difference(rows: np.ndarray, s: int) -> np.ndarray:
     """``f[j + s] - f[j - s]`` along the last axis of ``rows``, periodic in
     each row.  The bulk is one subtraction over the flattened rows; the
-    ``s`` entries at each end of a row, which wrap, are then overwritten."""
+    ``s`` entries at each end of a row, which wrap, are then overwritten, for
+    s <= 2 (the innermost grid axis) one offset at a time: a (rows, 2) block
+    costs ~20 ns a row, a long strided run far less."""
     out = np.empty(rows.shape)
     flat, flat_out = rows.reshape(rows.shape[:-2] + (-1,)), out.reshape(out.shape[:-2] + (-1,))
     np.subtract(flat[..., 2 * s:], flat[..., :-2 * s], out=flat_out[..., s:-s])
-    np.subtract(rows[..., s:2 * s], rows[..., -s:], out=out[..., :s])
-    np.subtract(rows[..., :s], rows[..., -2 * s:-s], out=out[..., -s:])
+    width = 1 if s <= 2 else s
+    for a in range(0, s, width):   # out[a:b] and out[c:c + width] wrap
+        b, c = a + width, rows.shape[-1] - s + a
+        np.subtract(rows[..., a + s:b + s], rows[..., c:c + width], out=out[..., a:b])
+        np.subtract(rows[..., a:b], rows[..., c - s:c - s + width], out=out[..., c:c + width])
     return out
 
 
@@ -322,12 +327,11 @@ def constant_triple_field(lat: Lattice, triple: np.ndarray) -> TripleField:
 
 
 def _normalize_fields(c: np.ndarray, threshold: float | None = None):
-    """``(q, g, mu, h, eig)``: see pointwise_normalize; ``h`` is the inverse
-    metric.  ``q``, ``g`` and ``h`` are views of component-major memory, and
-    ``c`` may be one.  The metric, ``h`` and ``q`` are computed per slab of
-    the lattice (see :func:`_slabs`), on the slab threads when there are
-    several, each slab writing its part of the lattice-wide arrays; every
-    point's values are those of one serial run.
+    """``(q, g, mu, eig)``: see pointwise_normalize.  ``q`` and ``g`` are
+    views of component-major memory, and ``c`` may be one.  The metric and
+    ``q`` are computed per slab of the lattice (see :func:`_slabs`), on the
+    slab threads when there are several, each slab writing its part of the
+    lattice-wide arrays; every point's values are those of one serial run.
 
     The Gram eigenvalue guard runs exactly when a ``threshold`` is given.
     ``eig`` is then ``(top, lowest)``, else None.  ``lowest``, the smallest
@@ -339,13 +343,12 @@ def _normalize_fields(c: np.ndarray, threshold: float | None = None):
     estimate, the bracket ``(lo, hi)`` that holds each point's largest Gram
     eigenvalue.
     """
-    def slab(at, q, g, s, h):
-        g, s, cof, det = ta._metric_parts(c[at], 0.0, g, s)
-        h = ta._adjugate4(cof, np.multiply, s / det, h)   # g^-1 = s adj(K) / det K
-        return ta.gram(c[at], s, q), g, s, h
-    q, g, s, h = _by_slab(c.shape[:-2], slab, (3, 3), (4, 4), (), (4, 4))
+    def slab(at, q, g, s):
+        g, s = ta.metric_from_triple(c[at], 0.0, g, s)
+        return ta.gram(c[at], s, q), g, s
+    q, g, s = _by_slab(c.shape[:-2], slab, (3, 3), (4, 4), ())
     if threshold is None:
-        return q, g, s, h, None
+        return q, g, s, None
     bottom, top, radius = ta._gram_extremes(q)
     decides = max(threshold, float(np.min(bottom + radius)))
     index, lam = ta._screened_eigvalsh(q, bottom - radius <= decides)
@@ -354,7 +357,7 @@ def _normalize_fields(c: np.ndarray, threshold: float | None = None):
     ok = np.ones(q.shape[:-2], dtype=bool)
     ok.flat[index] = min_eig > threshold
     ta._require_positive(ok, f"Gram matrix eigenvalue {lowest:.3e} <= {threshold:g}")
-    return q, g, s, h, ((top - radius, top + radius), lowest)
+    return q, g, s, ((top - radius, top + radius), lowest)
 
 
 def pointwise_normalize(tf: TripleField, threshold: float = 1e-6):

@@ -149,24 +149,16 @@ def wedge22(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum('...m,mn,...n->...', a, WEDGE2, b)
 
 
-def _memory(core: tuple, batch: tuple, out) -> np.ndarray:
-    """Component-major memory for a result of shape ``batch + core``: that of
-    ``out``, a view of such memory, or new."""
-    if out is None:
-        return _component_major(core, batch)
-    return np.moveaxis(out, tuple(range(-len(core), 0)), tuple(range(len(core))))
-
-
 def gram(triple: np.ndarray, mu=1.0, out=None) -> np.ndarray:
     """Gram matrix Q with w_i ∧ w_j = 2 Q_ij * (mu e0123); written into
-    ``out`` (see :func:`_memory`) when given."""
+    ``out``, a (..., 3, 3) view of component-major memory, when given."""
     triple = np.asarray(triple, dtype=float)
     batch = triple.shape[:-2]
     paired = _component_major((6, 3), batch)   # paired[m, i] = (w_i @ WEDGE2)_m
     for m, (src, sign) in enumerate(_PAIRING_COLUMNS):
         np.multiply(np.moveaxis(triple[..., src], -1, 0), sign, out=paired[m])
     # Q^T = w @ paired: the products of (w @ WEDGE2) @ w^T, summed in the same order
-    q = _memory((3, 3), batch, out)
+    q = _component_major((3, 3), batch) if out is None else np.moveaxis(out, (-2, -1), (0, 1))
     np.matmul(triple, _pointwise(paired), out=np.swapaxes(_pointwise(q), -1, -2))
     # in place on a flat view, which numpy needs no copy for
     flat = np.reshape(q, (3, 3, -1), copy=False)
@@ -306,14 +298,13 @@ def _pd_cofactors4(m: np.ndarray, what: str, tol: float = 0.0):
     return cof, det
 
 
-def _adjugate4(cof: dict, op=np.multiply, scale=1.0, out=None) -> np.ndarray:
-    """``op(adj, scale)`` for the (..., 4, 4) adjugate from the cofactors of
-    :func:`_pd_cofactors4` and a pointwise scalar ``scale``, written into
-    ``out`` (see :func:`_memory`) when given; each entry is copied to both
-    sides of the diagonal, so the result is exactly symmetric."""
-    adj = _memory((4, 4), np.shape(cof[0, 0]), out)
+def _adjugate4(cof: dict, det=1.0) -> np.ndarray:
+    """The (..., 4, 4) adjugate from the cofactors of :func:`_pd_cofactors4`
+    over a pointwise ``det``; each entry is copied to both sides of the
+    diagonal, so the result is exactly symmetric."""
+    adj = _component_major((4, 4), np.shape(cof[0, 0]))
     for (a, b), v in cof.items():
-        op(v, scale, out=adj[a, b, ...])
+        np.divide(v, det, out=adj[a, b, ...])
         if a != b:
             adj[b, a] = adj[a, b]
     return _pointwise(adj)
@@ -323,35 +314,29 @@ def _inverse4(g: np.ndarray, what: str) -> np.ndarray:
     """Inverse of a symmetric positive definite 4x4 stack, adj(g) / det g;
     NotPositive names ``what`` and the first failing batch index."""
     cof, det = _pd_cofactors4(g, what)
-    return _adjugate4(cof, np.divide, det)
+    return _adjugate4(cof, det)
 
 
-def _metric_parts(triple: np.ndarray, tol: float, g=None, s=None):
-    """``(g, s, cof, det)`` for a triple: the metric ``g = K / s`` with
-    ``s = det(K)^{1/6}`` the volume coefficient, and the cofactors and
-    determinant of its density ``K`` (see :func:`_pd_cofactors4`).  A given
-    ``g`` or ``s`` is written into."""
-    g = metric_density(triple, g)
-    cof, det = _pd_cofactors4(g, "metric density", tol)
-    s = det ** (1.0 / 6.0) if s is None else np.power(det, 1.0 / 6.0, out=s)
-    # in place on a flat view, which numpy needs no copy for
-    flat = np.reshape(np.moveaxis(g, (-2, -1), (0, 1)), (16, -1), copy=False)
-    np.divide(flat, np.reshape(s, -1), out=flat)
-    return g, s, cof, det
-
-
-def metric_from_triple(triple: np.ndarray, tol: float = 1e-12):
+def metric_from_triple(triple: np.ndarray, tol: float = 1e-12, g=None, mu_w=None):
     """Riemannian metric and volume coefficient determined by a positive triple.
 
     Returns ``(g, mu_w)`` where ``g`` solves K = g sqrt(det g) for the density
     of :func:`metric_density` (``g = K det(K)^{-1/6}``) and ``mu_w`` is the
     coefficient of the Riemannian volume form, ``mu_w = det(K)^{1/6}``, equal
     to ``det(gram(triple, mu))^{1/3} * mu`` for any reference volume ``mu``.
+    A given ``g`` (a view of component-major memory) or ``mu_w`` is written
+    into.
 
     Raises NotPositive unless every leading minor of the density exceeds
     ``tol`` (Gram positivity plus right-handedness of the triple in its span).
     """
-    return _metric_parts(triple, tol)[:2]
+    g = metric_density(triple, g)
+    _, det = _pd_cofactors4(g, "metric density", tol)
+    mu_w = det ** (1.0 / 6.0) if mu_w is None else np.power(det, 1.0 / 6.0, out=mu_w)
+    # in place on a flat view, which numpy needs no copy for
+    flat = np.reshape(np.moveaxis(g, (-2, -1), (0, 1)), (16, -1), copy=False)
+    np.divide(flat, np.reshape(mu_w, -1), out=flat)
+    return g, mu_w
 
 
 def normalize(triple: np.ndarray):
@@ -381,34 +366,31 @@ def lambda2_gram(h: np.ndarray) -> np.ndarray:
     return _pointwise(out)
 
 
-def _star(coeffs: np.ndarray, gram_: np.ndarray, columns: tuple, scale, op,
-          out=None) -> np.ndarray:
+def _star(coeffs: np.ndarray, gram_: np.ndarray, columns: tuple, scale, op) -> np.ndarray:
     """``op(coeffs @ gram_ @ w, scale)`` at every point, with ``w`` the signed
     permutation that ``columns`` tabulates (see :func:`_signed_permutation`).
 
     ``coeffs`` is (..., [B,] m) over points (...) that match ``gram_``
     (..., m, m); ``scale`` is a pointwise scalar.  The permutation is applied
-    as a gather, and its signs to ``scale``, which is exact.  A given
-    ``out`` is a (..., B, m) view of component-major memory.
+    as a gather, and its signs to ``scale``, which is exact.
     """
-    points = gram_.shape[:-2]
+    coeffs, points = np.asarray(coeffs, dtype=float), gram_.shape[:-2]
     raised = _entries(_product(coeffs.reshape(points + (-1, coeffs.shape[-1])), gram_))
-    target = _memory(raised.shape[:2], raised.shape[2:], out)
+    target = _component_major(raised.shape[:2], raised.shape[2:])
     signed = {1.0: scale, -1.0: np.negative(scale)}
     for p, (src, sign) in enumerate(columns):
         op(raised[:, src], signed[sign], out=target[:, p])
     return _pointwise(target).reshape(coeffs.shape)
 
 
-def star2(coeffs: np.ndarray, h: np.ndarray, sqrt_det_g, out=None) -> np.ndarray:
+def star2(coeffs: np.ndarray, h: np.ndarray, sqrt_det_g) -> np.ndarray:
     """Hodge star on 2-forms, fast path: no validation, caller supplies g^{-1}.
 
     ``coeffs`` may carry one batch axis before the component axis (a triple);
     leading axes otherwise match the metric stack.  The result is a
-    component-major view, (B, 6, ...) in memory, of ``out`` when given.
+    component-major view, (B, 6, ...) in memory.
     """
-    return _star(np.asarray(coeffs, dtype=float), lambda2_gram(h), _STAR2_COLUMNS,
-                 sqrt_det_g, np.multiply, out)
+    return _star(coeffs, lambda2_gram(h), _STAR2_COLUMNS, sqrt_det_g, np.multiply)
 
 
 def star3(coeffs: np.ndarray, g: np.ndarray, sqrt_det_g) -> np.ndarray:
@@ -424,8 +406,7 @@ def star3(coeffs: np.ndarray, g: np.ndarray, sqrt_det_g) -> np.ndarray:
     for m, (a, sa) in enumerate(_OMITTED):
         for l, (b, sb) in enumerate(_OMITTED):
             np.multiply(e[a, b], sa * sb, out=G[m, l, ...])
-    return _star(np.asarray(coeffs, dtype=float), _pointwise(G), _STAR3_COLUMNS,
-                 sqrt_det_g, np.divide)
+    return _star(coeffs, _pointwise(G), _STAR3_COLUMNS, sqrt_det_g, np.divide)
 
 
 def hodge2(b: np.ndarray, g: np.ndarray, mu_g) -> np.ndarray:

@@ -36,8 +36,10 @@ def random_positive_mixes(rng, count: int, extra: int = 0, cond_max: float = 100
     condition number exceeds ``cond_max``, negated when its determinant is
     negative, and followed on acceptance by ``rng.uniform(-1, 1, (extra, 3))``.
     Candidates are drawn in blocks of rows of three and tested with one
-    batched ``det`` and ``cond`` per block; a candidate is any three
-    consecutive rows, starting where the loop would start it.
+    batched ``det`` per block; a candidate is any three consecutive rows,
+    starting where the loop would start it.  ``cond`` runs on the ones the
+    loop reaches: the walk takes them as accepted until a batch is tested,
+    and after a rejection resumes from the first rejected one.
     """
     start = rng.bit_generator.state
     step = math.gcd(3, extra)        # candidates start on rows divisible by it
@@ -50,11 +52,23 @@ def random_positive_mixes(rng, count: int, extra: int = 0, cond_max: float = 100
         used, pos = used + pos, 0
         win = rows[np.arange(0, len(rows) - 2, step)[:, None] + np.arange(3)]
         det = np.linalg.det(win)
-        ok = np.abs(det) >= det_min
-        ok[ok] = np.linalg.cond(win[ok]) <= cond_max
-        ok, picks = ok.tolist(), []
-        while len(picks) < count and pos + span <= len(rows):
-            if ok[pos // step]:
+        # per candidate: 0 rejected, 1 det passed and cond untested, 2 accepted
+        state = (np.abs(det) >= det_min).astype(int).tolist()
+        picks, untested, batch = [], [], 8
+        while True:
+            if len(picks) == count or pos + span > len(rows) or len(untested) == batch:
+                if not untested:
+                    break
+                passed = np.linalg.cond(win[np.array(untested) // step]) <= cond_max
+                for p, ok in zip(untested, passed.tolist()):
+                    state[p // step] = 2 * ok
+                if not passed.all():   # the walk was right up to the first rejection
+                    pos = untested[np.argmin(passed)]
+                    del picks[picks.index(pos):]
+                batch, untested = 2 * batch if passed.all() else 8, []
+            elif state[pos // step]:
+                if state[pos // step] == 1:
+                    untested.append(pos)
                 picks.append(pos)
                 pos += span
             else:

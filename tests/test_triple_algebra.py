@@ -397,21 +397,23 @@ class TestDensityTable:
 
 
 class TestInverseMetric:
-    """g^-1 from the cofactors of K, and the Lambda^2 Gram built from it."""
+    """g^-1 from the cofactors of g, and the Lambda^2 Gram built from it."""
 
     def field(self, rng, shape=(6, 4, 4, 5)):
         x = rng.uniform(-1, 1, shape + (3, 6))
         return np.broadcast_to(STD, shape + (3, 6)) + 0.2 * x
 
     def test_normalization_inverse_metric(self, rng):
-        q, g, mu, h, _ = gc._normalize_fields(self.field(rng))
+        _, g, _, _ = gc._normalize_fields(self.field(rng))
+        h = ta._inverse4(g, "metric")
         assert np.array_equal(h, np.swapaxes(h, -1, -2))
         assert np.abs(h @ g - np.eye(4)).max() <= 1e-13
         assert np.abs(h - np.linalg.inv(g)).max() <= 1e-13 * np.abs(h).max()
 
     def test_standard_triple_exact(self):
         lat = gc.Lattice((4, 4, 4, 4))
-        _, _, mu, h, _ = gc._normalize_fields(gc.constant_triple_field(lat, STD).c)
+        _, g, mu, _ = gc._normalize_fields(gc.constant_triple_field(lat, STD).c)
+        h = ta._inverse4(g, "metric")
         assert np.array_equal(h, np.broadcast_to(np.eye(4), h.shape))
         assert np.all(mu == 1.0)
 
@@ -433,7 +435,8 @@ class TestInverseMetric:
 
     def test_lambda2_gram_entries_are_minors(self, rng):
         # entry (m, l) is det h[I_m, I_l] in the stored index order of the basis
-        _, g, _, h, _ = gc._normalize_fields(self.field(rng, (4, 4, 4, 4)))
+        _, g, _, _ = gc._normalize_fields(self.field(rng, (4, 4, 4, 4)))
+        h = ta._inverse4(g, "metric")
         got = ta.lambda2_gram(h)
         pairs = ta.LAMBDA2_TUPLES
         expected = np.stack([np.stack([np.linalg.det(h[..., I, :][..., :, J])
