@@ -11,11 +11,11 @@ Hodge stars, and evaluates the torsion trace.
 Every function is pure and broadcasts over leading batch axes: ``hsflow
 lift``, ``hsflow verify`` and the flow's torsion sample hand all their
 points or trials to each kernel in one call.  The two costly kernels, the
-metric density (a cubic form with 735 monomials) and the 7-dimensional
-Hodge star, run ``_BLOCK`` points at a time, so their working set stays
-bounded whatever the batch.  The star forms no Gram matrix: it applies
-Lambda^3 of g^{-1} to a 3-form, and Lambda^3 of g to the complement of a
-4-form (:func:`exterior.apply_metric`).
+metric density (a cubic form with 735 monomials, see
+``exterior.CubicMatrix``) and the 7-dimensional Hodge star, run in blocks
+of points, so their working set stays bounded whatever the batch.  The star
+forms no Gram matrix: it applies Lambda^3 of g^{-1} to a 3-form, and
+Lambda^3 of g to the complement of a 4-form (:func:`exterior.apply_metric`).
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ _W22_4 = exterior.wedge_table(_LAMBDA2_7, _LAMBDA2_7, LAMBDA4_7)  # Lambda^2 ∧
 _W43 = exterior.pairing_matrix(LAMBDA4_7, LAMBDA3_7, 7)
 _W34 = _W43.T       # a 3-form and a 4-form commute under the wedge
 
-_BLOCK = 32   # points per block of the 7-dimensional kernels: 32 x 735 monomials is 188 kB
+_BLOCK = 32   # points per block of hodge7: 32 x 7^3 dense tensor entries is 88 kB
 
 
 def _density_table() -> exterior.CubicMatrix:
@@ -47,7 +47,7 @@ def _density_table() -> exterior.CubicMatrix:
     6 K_ab e(0..6) = (e_a ⌟ phi) ∧ (e_b ⌟ phi) ∧ phi, expanded over the
     nonzero entries of the interior, wedge and pairing tables."""
     a, b, u, v, w, s = exterior.slot_terms(_INT3, _W22_4, _W43)
-    return exterior.CubicMatrix(7, a, b, np.stack([u, v, w]), s, _BLOCK)
+    return exterior.CubicMatrix(7, a, b, np.stack([u, v, w]), s)
 
 
 # 735 monomials, coefficients ±1/2, ±1

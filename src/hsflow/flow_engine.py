@@ -81,7 +81,8 @@ class FlowConfig:
 class FlowState:
     """Evolving triple, run baselines, and what is computed once per state:
     normalization, the guard's Gram eigenvalue results, and in ``kept`` the
-    periods and, per stencil order, the closedness defect and the RHS.
+    periods and, per stencil order, the closedness defect, the RHS and
+    sigma and d sigma at the sample points.
     ``q`` and ``g`` are views of the component-major memory that the
     right-hand side reads.  ``q_eig_min`` is LAPACK's value; ``q_top``
     is the closed-form estimate, a bracket ``(lo, hi)`` that holds each
@@ -112,8 +113,16 @@ class FlowState:
         return self.kept[key]
 
 
+def _dual(lat: gc.Lattice, c: np.ndarray, q: np.ndarray, order: int):
+    """sigma = Q^-1 w per slab (det q = 1, so adjugate = inverse) and its
+    lattice-wide d, views of component-major memory."""
+    sigma = gc._by_slab(lat.shape, lambda at, out: ta._product(ta.adj3(q[at]), c[at], out),
+                        (3, 6))
+    return sigma, gc._d(lat, sigma, 2, order)
+
+
 def evaluate_rhs(lat: gc.Lattice, c: np.ndarray, order: int = 4,
-                 fields=None) -> np.ndarray:
+                 fields=None, seen=None) -> np.ndarray:
     """One right-hand side evaluation on raw coefficients; shape (grid, 3, 6).
 
     The update is assembled strictly as d(applied to 1-form fields), so it
@@ -130,19 +139,21 @@ def evaluate_rhs(lat: gc.Lattice, c: np.ndarray, order: int = 4,
     (see ``grid_calculus._slabs``), each slab writing its part of one
     lattice-wide array; the derivatives hand their output components to the
     same threads.  The result is the same at any worker count, bit for bit.
+    ``seen(sigma, dsigma)``, when given, is shown the lattice-wide dual
+    triple and its derivative (see :func:`_dual`) before they are dropped.
     """
     if fields is None:
         q, g, mu, _ = gc._normalize_fields(c)
     else:
         q, g, mu = fields
 
-    def dual(at, out):    # sigma = Q^-1 w; det q = 1, so adjugate = inverse
-        return ta._product(ta.adj3(q[at]), c[at], out)
-
     def flux(at, out):    # Q d* sigma = Q (-*3 d sigma)
         return ta._product(q[at], ta.star3(dsigma[at], g[at], np.negative(mu[at])), out)
 
-    dsigma = gc._d(lat, gc._by_slab(lat.shape, dual, (3, 6)), 2, order)
+    sigma, dsigma = _dual(lat, c, q, order)
+    if seen is not None:
+        seen(sigma, dsigma)
+    del sigma
     eta = gc._by_slab(lat.shape, flux, (3, 4))
     return np.ascontiguousarray(gc._d(lat, eta, 1, order))
 
@@ -150,9 +161,16 @@ def evaluate_rhs(lat: gc.Lattice, c: np.ndarray, order: int = 4,
 def rhs(state: FlowState, order: int = 4) -> np.ndarray:
     """Right-hand side at a state's guarded fields (``state.ensure_fields()``);
     shape (grid, 3, 6), read-only.  Kept per stencil order, so a diagnostics
-    row is also the next step's first stage."""
+    row is also the next step's first stage; sigma and d sigma at the
+    sample points are kept too, for :func:`dual_lift_torsion`."""
+    points = state.sample_points
+
+    def seen(sigma, dsigma):
+        state.kept[("dual", order, points)] = _at(points, sigma, dsigma)
+
     def compute():
-        out = evaluate_rhs(state.tf.lattice, state.tf.c, order, state.ensure_fields())
+        out = evaluate_rhs(state.tf.lattice, state.tf.c, order, state.ensure_fields(),
+                           seen if points else None)
         out.flags.writeable = False
         return out
     return state.keep(("rhs", order), compute)
@@ -222,22 +240,30 @@ def draw_points(lat: gc.Lattice, k: int, seed: int) -> tuple:
     return tuple(tuple(int(v) for v in np.unravel_index(i, lat.shape)) for i in flat)
 
 
+def _at(points, *fields) -> tuple:
+    """Each field's values at ``points`` (lattice indices), copied."""
+    at = tuple(np.transpose(points))   # one index array per lattice axis
+    return tuple(f[at] for f in fields)
+
+
 def dual_lift_torsion(state: FlowState, points, order: int = 4) -> float:
     """Max |torsion trace| of the dual-triple lift at ``points`` of a state.
 
     The dual triple sigma_i = (Q^-1)_ik w_k is not closed away from fixed
     points, so this exercises the lift on genuinely non-closed data; the
     trace still vanishes because the product under the star pairs nothing.
+    sigma and d sigma at the points are those :func:`rhs` kept, else
+    computed here (:func:`_dual`).
     """
     if not points:
         return 0.0
     from . import fiber_g2 as fg
     q, g, _ = state.ensure_fields()
-    sigma = ta._product(ta.adj3(q), state.tf.c)
-    dsig = gc.d(state.tf.lattice, sigma, 2, order)
-    at = tuple(np.transpose(points))   # one index array per lattice axis
-    trace = fg.torsion_trace(fg.build_phi(sigma[at]), fg.assemble_dphi(dsig[at]),
-                             fg.metric7_block(ta.adj3(q[at]), g[at]))
+    sigma, dsig = state.keep(("dual", order, points), lambda: _at(
+        points, *_dual(state.tf.lattice, state.tf.c, q, order)))
+    q_at, g_at = _at(points, q, g)
+    trace = fg.torsion_trace(fg.build_phi(sigma), fg.assemble_dphi(dsig),
+                             fg.metric7_block(ta.adj3(q_at), g_at))
     return float(np.abs(trace).max())
 
 

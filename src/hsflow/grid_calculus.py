@@ -116,21 +116,13 @@ def slab_threads(workers: int):
 def _slabs(shape: tuple) -> list:
     """The slabs, ranges of axis-0 planes, in which the pointwise stages run
     on a lattice (or batch) of ``shape``: in :func:`slab_threads` of
-    ``workers``, ``min(workers, points // SLAB_POINTS)`` of them, as even as
-    can be; else one, ``...``.  Slabs start on the metric density's blocks
-    (``triple_algebra._DENSITY_BLOCK``), so that it sums each block of points
-    as a serial run does; a lattice that cannot be cut so is one slab."""
-    points = math.prod(shape)
-    count = min(_workers, points // SLAB_POINTS)
+    ``workers``, ``min(workers, points // SLAB_POINTS, planes)`` of them,
+    the planes split as evenly as can be; else one, ``...``.  Every
+    pointwise kernel gives each point the same bits in any slab."""
+    count = min(_workers, math.prod(shape) // SLAB_POINTS, shape[0])
     if count < 2:
         return [...]
-    # planes per block boundary, and the slabs' count in units of those
-    unit = ta._DENSITY_BLOCK // math.gcd(ta._DENSITY_BLOCK, points // shape[0])
-    units = shape[0] // unit
-    count = min(count, units)
-    if count < 2:
-        return [...]
-    bounds = [units * i // count * unit for i in range(count)] + [shape[0]]
+    bounds = [shape[0] * i // count for i in range(count + 1)]
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 

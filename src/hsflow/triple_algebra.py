@@ -78,10 +78,9 @@ def _density_table() -> exterior.CubicMatrix:
         4, np.tile(a, len(perms)), np.tile(b, len(perms)),
         np.concatenate([np.stack([6 * i + u, 6 * j + v, 6 * k + w]) for i, j, k in perms],
                        axis=1),
-        np.concatenate([EPS3[i, j, k] * s for i, j, k in perms]), _DENSITY_BLOCK)
+        np.concatenate([EPS3[i, j, k] * s for i, j, k in perms]))
 
 
-_DENSITY_BLOCK = 1024   # points per gather: 1024 x 96 monomials is 0.8 MB of temporaries
 # K.ravel() = DENSITY_COEF @ (x[f0] * x[f1] * x[f2]) over the flattened triple x,
 # with (f0, f1, f2) the columns of DENSITY_FACTORS: 96 monomials, coefficients ±1/2, ±1
 DENSITY = _density_table()
@@ -241,8 +240,8 @@ def metric_density(triple: np.ndarray, out=None) -> np.ndarray:
 
     K_ab * e0123 = (1/6) eps_ijk (e_a ⌟ w_i) ∧ (e_b ⌟ w_j) ∧ w_k.  Independent
     of any reference volume form.  Evaluated as the cubic form
-    :data:`DENSITY`, one block of points at a time, into ``out`` when given;
-    a single fiber is a block of one.
+    :data:`DENSITY` (see ``exterior.CubicMatrix``), into ``out`` when given;
+    each point's value is the same bits in any batch, slab or layout.
     """
     triple = np.asarray(triple, dtype=float)
     return DENSITY(triple.reshape(triple.shape[:-2] + (18,)), out)
@@ -258,43 +257,51 @@ def _require_positive(ok, message: str, where: str = "lattice index") -> None:
     raise NotPositive(message)
 
 
-def _minors4(e):
+def _minors4(e, s_columns: int = 4):
     """The 2x2 minors ``(s, c)`` of rows (0, 1) and (2, 3) of a 4x4 matrix
-    with entries ``e[a, b]`` (arrays over a batch), keyed by column pair."""
-    def minors(r, t):
+    with entries ``e[a, b]`` (arrays over a batch), keyed by column pair;
+    ``s`` only on the first ``s_columns`` columns."""
+    def minors(r, t, columns):
         return {(j, k): e[r, j] * e[t, k] - e[r, k] * e[t, j]
-                for j in range(4) for k in range(j + 1, 4)}
-    return minors(0, 1), minors(2, 3)
+                for j in range(columns) for k in range(j + 1, columns)}
+    return minors(0, 1, s_columns), minors(2, 3, 4)
 
 
-def _pd_cofactors4(m: np.ndarray, what: str, tol: float = 0.0):
-    """Cofactors and determinant of a symmetric 4x4 stack that must be
-    positive definite.
-
-    Returns ``(cof, det)``: ``cof`` maps ``(a, b)``, a <= b, to the (a, b)
-    cofactor, built from the minors of :func:`_minors4`; ``det`` is row 0
-    times its cofactors.  Raises NotPositive, naming ``what`` and the first
-    failing batch index, unless every leading principal minor exceeds
-    ``tol`` (the third is the (3, 3) cofactor).
-    """
-    e = _entries(m)
-    s, c = _minors4(e)
+def _pd_det4(e, s, c, what: str, tol: float = 0.0):
+    """``(cof, det)`` of a symmetric 4x4 stack with entries ``e[a, b]`` and
+    minors ``(s, c)`` (:func:`_minors4`): ``cof`` maps ``(a, b)`` to the
+    cofactors of row 0 and (3, 3), ``det`` is row 0 times its cofactors.
+    Raises NotPositive, naming ``what`` and the first failing batch index,
+    unless every leading principal minor exceeds ``tol`` (the third is the
+    (3, 3) cofactor)."""
     cof = {
         (0, 0): e[1, 1] * c[2, 3] - e[1, 2] * c[1, 3] + e[1, 3] * c[1, 2],
         (0, 1): -(e[1, 0] * c[2, 3] - e[1, 2] * c[0, 3] + e[1, 3] * c[0, 2]),
         (0, 2): e[1, 0] * c[1, 3] - e[1, 1] * c[0, 3] + e[1, 3] * c[0, 1],
         (0, 3): -(e[1, 0] * c[1, 2] - e[1, 1] * c[0, 2] + e[1, 2] * c[0, 1]),
-        (1, 1): e[0, 0] * c[2, 3] - e[0, 2] * c[0, 3] + e[0, 3] * c[0, 2],
-        (1, 2): -(e[0, 0] * c[1, 3] - e[0, 1] * c[0, 3] + e[0, 3] * c[0, 1]),
-        (1, 3): e[0, 0] * c[1, 2] - e[0, 1] * c[0, 2] + e[0, 2] * c[0, 1],
-        (2, 2): e[3, 0] * s[1, 3] - e[3, 1] * s[0, 3] + e[3, 3] * s[0, 1],
-        (2, 3): -(e[3, 0] * s[1, 2] - e[3, 1] * s[0, 2] + e[3, 2] * s[0, 1]),
         (3, 3): e[2, 0] * s[1, 2] - e[2, 1] * s[0, 2] + e[2, 2] * s[0, 1],
     }
     det = (e[0, 0] * cof[0, 0] + e[0, 1] * cof[0, 1]
            + e[0, 2] * cof[0, 2] + e[0, 3] * cof[0, 3])
     ok = (e[0, 0] > tol) & (s[0, 1] > tol) & (cof[3, 3] > tol) & (det > tol)
     _require_positive(ok, f"{what} not positive definite")
+    return cof, det
+
+
+def _pd_cofactors4(m: np.ndarray, what: str, tol: float = 0.0):
+    """All cofactors and the determinant of a symmetric 4x4 stack that must
+    be positive definite: :func:`_pd_det4`'s, with ``cof`` completed to every
+    ``(a, b)``, a <= b."""
+    e = _entries(m)
+    s, c = _minors4(e)
+    cof, det = _pd_det4(e, s, c, what, tol)
+    cof.update({
+        (1, 1): e[0, 0] * c[2, 3] - e[0, 2] * c[0, 3] + e[0, 3] * c[0, 2],
+        (1, 2): -(e[0, 0] * c[1, 3] - e[0, 1] * c[0, 3] + e[0, 3] * c[0, 1]),
+        (1, 3): e[0, 0] * c[1, 2] - e[0, 1] * c[0, 2] + e[0, 2] * c[0, 1],
+        (2, 2): e[3, 0] * s[1, 3] - e[3, 1] * s[0, 3] + e[3, 3] * s[0, 1],
+        (2, 3): -(e[3, 0] * s[1, 2] - e[3, 1] * s[0, 2] + e[3, 2] * s[0, 1]),
+    })
     return cof, det
 
 
@@ -331,7 +338,8 @@ def metric_from_triple(triple: np.ndarray, tol: float = 1e-12, g=None, mu_w=None
     ``tol`` (Gram positivity plus right-handedness of the triple in its span).
     """
     g = metric_density(triple, g)
-    _, det = _pd_cofactors4(g, "metric density", tol)
+    e = _entries(g)
+    _, det = _pd_det4(e, *_minors4(e, 3), "metric density", tol)
     mu_w = det ** (1.0 / 6.0) if mu_w is None else np.power(det, 1.0 / 6.0, out=mu_w)
     # in place on a flat view, which numpy needs no copy for
     flat = np.reshape(np.moveaxis(g, (-2, -1), (0, 1)), (16, -1), copy=False)

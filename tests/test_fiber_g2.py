@@ -138,9 +138,14 @@ class TestDensity7Table:
         assert np.array_equal(got, np.swapaxes(got, -1, -2))
 
     def test_lifted_triples(self, rng):
-        # 200 points: six full blocks and a partial one
-        assert 200 % fg._BLOCK != 0
         self.check(fg.build_phi(np.stack([random_triple(rng) for _ in range(200)])))
+
+    def test_batch_over_several_blocks(self, rng, monkeypatch):
+        # three full blocks and a partial one, of generic 3-forms near a lift;
+        # blocks of 40 points keep the oracle's (points, 7, 7, 35) array small
+        monkeypatch.setattr(fg.DENSITY7, "block", 40)
+        phi = fg.build_phi(np.broadcast_to(STD, (135, 3, 6)))
+        self.check(phi + 0.2 * rng.uniform(-1, 1, phi.shape))
 
     def test_generic_definite_forms(self, rng):
         phi = fg.build_phi(np.stack([random_triple(rng) for _ in range(200)]))

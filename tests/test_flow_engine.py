@@ -571,14 +571,32 @@ class TestSlabs:
             assert gc._slabs(gc.Lattice((64, 4, 4, 4)).shape) == [...]
         assert gc._slabs(self.LAT.shape) == [...]
 
-    def test_slabs_start_on_density_blocks(self, monkeypatch):
+    def test_slabs_split_planes_evenly(self, monkeypatch):
         monkeypatch.setattr(gc, "SLAB_POINTS", 256)
         with gc.slab_threads(4):
-            # 128 points a plane: a block boundary every 8 planes
             assert gc._slabs((32, 8, 4, 4)) == [slice(0, 8), slice(8, 16),
                                                 slice(16, 24), slice(24, 32)]
-            assert gc._slabs((12, 8, 4, 4)) == [...]
-            assert gc._slabs((5, 5, 5, 5)) == [...]
+            assert gc._slabs((10, 5, 5, 5)) == [slice(0, 2), slice(2, 5),
+                                                slice(5, 7), slice(7, 10)]
+            assert gc._slabs((3, 32, 4, 4)) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+            assert gc._slabs((5, 5, 2, 4)) == [...]   # 200 points
+
+    @pytest.mark.parametrize("density,build", [(ta.metric_density, lambda c: c),
+                                               (fg.metric_density7, fg.build_phi)])
+    def test_density_bits_independent_of_partition(self, density, build):
+        # a point's density is the same bits in any slab, batch or layout;
+        # 4416 points span blocks of both tables
+        lat = gc.Lattice((23, 4, 8, 6))
+        x = build(initial_data.generate_initial(lat, "exact-perturbation", 0.05, 3).c)
+        whole = density(x)
+        assert lat.num_points > ta.DENSITY.block
+        cut = [0, 1, 4, 5, 17, 23]
+        parts = np.concatenate([density(x[a:b]) for a, b in zip(cut, cut[1:])])
+        core = x.shape[4:]
+        rows = ta._pointwise(ta._entries(x, len(core)), len(core))   # component-major
+        assert _bytes(parts, density(rows)) == _bytes(whole, whole)
+        for at in [(0, 0, 0, 0), (22, 3, 7, 5), (5, 2, 0, 3)]:
+            assert _bytes(density(x[at])) == _bytes(whole[at])
 
     def test_rhs(self, field, workers):
         serial = _bytes(fe.evaluate_rhs(self.LAT, field))

@@ -254,21 +254,21 @@ class TestPeriods:
 
 def point_major_normalize(c):
     """``_normalize_fields`` without the guard, evaluated point-major on
-    C-ordered arrays as it was before the right-hand side went
-    component-major: the density's monomials gathered per point in blocks of
-    1024 and a plain matmul for the Gram matrix, with the package's cofactor
-    formulas for the determinant."""
+    C-ordered arrays: the density's monomials gathered per point, each
+    entry's summed one by one in table order with their signs and then
+    scaled by its one |coefficient|; a plain matmul for the Gram matrix,
+    with the package's cofactor formulas for the determinant."""
     x = c.reshape(-1, 18)
     f0, f1, f2 = ta.DENSITY_FACTORS
-    iu, ju = np.triu_indices(4)
-    upper = np.ascontiguousarray(ta.DENSITY_COEF[iu * 4 + ju].T)
+    mono = x[:, f0] * x[:, f1] * x[:, f2]
     K = np.empty((len(x), 4, 4))
-    for start in range(0, len(x), 1024):
-        b = x[start:start + 1024]
-        # C-ordered monomials: BLAS rounds a product in an order set by the layout
-        k10 = (np.take(b, f0, axis=1) * np.take(b, f1, axis=1) * np.take(b, f2, axis=1)) @ upper
-        K[start:start + 1024, iu, ju] = k10
-        K[start:start + 1024, ju, iu] = k10
+    for a, b in zip(*np.triu_indices(4)):
+        coef = ta.DENSITY_COEF[4 * a + b]
+        col = np.flatnonzero(coef)
+        acc = np.sign(coef[col[0]]) * mono[:, col[0]]
+        for k in col[1:]:
+            acc = acc + np.sign(coef[k]) * mono[:, k]
+        K[:, a, b] = K[:, b, a] = acc * np.abs(coef[col[0]])
     K = K.reshape(c.shape[:-2] + (4, 4))
     _, det = ta._pd_cofactors4(K, "metric density")
     s = det ** (1.0 / 6.0)
