@@ -134,7 +134,7 @@ def _lift_report(tf: gc.TripleField, time: float, samples: int, seed: int,
         at = tuple(np.transpose(points))   # one index array per lattice axis
         w = tf.c[at]
         phi = fg.build_phi(w)
-        psi = fg.build_psi(np.matmul(ta.adj3(q[at]), w), mu[at])
+        psi = fg.build_psi(ta._product(ta.adj3(q[at]), w), mu[at])   # sigma, as fe._dual
         g7, _ = fg.metric_from_phi(phi)
         star_worst = fg.check_star7(phi, psi, g7)
         torsion_worst = max(torsion_worst, float(np.abs(

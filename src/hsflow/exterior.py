@@ -12,6 +12,7 @@ over arbitrary leading axes.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from itertools import combinations, permutations
 
@@ -115,91 +116,97 @@ def slot_terms(inner: np.ndarray, wedge: np.ndarray, pairing: np.ndarray):
     return a[ia[keep]], a[ib[keep]], u[ia[keep]], u[ib[keep]], w, s[keep].astype(np.intp)
 
 
-# Bytes of the rows one block of points works on: x's, the entries' on and
-# above the diagonal, one pair product and one term.  1 MB stays in L2; in
-# runs on 4096 to 65536 points, 512 kB took 1.3-2x as long, 2 MB about the
-# same, and 4 MB up to 2x as long on 65536.
-_BLOCK_BYTES = 1 << 20
+# Bytes of the rows one block of points works on: x's, the entries', one
+# prefix product and one term.  Fewer, longer rows save ufunc calls: one
+# serial right-hand side on 32x16x16x16 took 227, 217, 205 and 213 ms at 1,
+# 2, 4 and 8 MB, and 210, 161, 144 and 140 ms on two slab threads, on a
+# machine with 2 MB of L2 per core and a large L3.
+_BLOCK_BYTES = 4 << 20
 
 
-class CubicMatrix:
-    """A symmetric n x n matrix whose entries are cubic forms in a vector x.
+class RowProducts:
+    """Entries that are signed sums of products of component rows.
 
-    Built from terms ``(a, b, f, c)``: entry (a, b) gains
-    ``c / 6 * x[f0] x[f1] x[f2]``.  The factors of each monomial are sorted
-    and the integer coefficients of 6 M summed and rounded, so ``coef``
-    (n * n rows, one column per monomial in lexicographic order of
-    ``factors``) is exact.  M is evaluated by ufuncs on component rows,
-    ``block`` points at a time: each distinct pair product ``x[f0] x[f1]``
-    once, in order, and with it every entry on and above the diagonal adds
-    or subtracts ``pair * x[f2]`` for its monomials of that pair.  So each
-    entry sums its monomials in table order; it then takes its one
-    |coefficient| (1 or 1/2: exact) and is copied to both sides.  Every
-    result is exactly symmetric, and a point's bits do not depend on its
-    block, batch or layout.
+    Built from integer terms ``(e, f0, ..., fd, num)``: entry e, a flat index
+    into ``shape``, gains ``num / den * x[f0] ... x[fd]``, of two or three
+    factors.  Each term's factors are sorted and equal monomials summed, so
+    ``coef`` (entries x monomials, in lexicographic order of ``factors``) is
+    exact.  A ``symmetric`` (n, n) matrix is evaluated on and above its
+    diagonal and copied below it.
+
+    Evaluated by ufuncs on component rows, ``block`` points at a time: the
+    product of a monomial's factors but its last, once per distinct prefix
+    and in order, and with it every entry adds or subtracts its product with
+    the last factor.  So each entry sums its monomials in table order, then
+    takes its one |coefficient| and, given a pointwise row, ``op`` with it.
+    No gather, transpose or BLAS call is made: a point's bits do not depend
+    on its block, batch or layout.
     """
 
-    def __init__(self, n: int, a, b, factors, six_coef):
-        f0, f1, f2 = factors
-        f0, f1 = np.minimum(f0, f1), np.maximum(f0, f1)     # sort each monomial's factors
-        f1, f2 = np.minimum(f1, f2), np.maximum(f1, f2)
-        f0, f1 = np.minimum(f0, f1), np.maximum(f0, f1)
-        nvar = int(f2.max()) + 1
-        # one key per (entry, monomial); the summed integer coefficients of 6 M
-        terms, at = np.unique(((a * n + b) * nvar + f0) * nvar ** 2 + f1 * nvar + f2,
-                              return_inverse=True)
-        six = np.rint(np.bincount(at, weights=six_coef))
-        entry, mono = np.divmod(terms[six != 0], nvar ** 3)
+    def __init__(self, shape, terms, den=1, symmetric=False):
+        entry, *factors, num = np.asarray(terms, dtype=np.intp).T
+        factors = np.sort(factors, axis=0)   # each term's factors, ascending
+        degree, nvar, size = len(factors), int(factors.max()) + 1, math.prod(shape)
+        monos = nvar ** degree
+        keys, at = np.unique(entry * monos
+                             + np.ravel_multi_index(tuple(factors), (nvar,) * degree),
+                             return_inverse=True)
+        total = np.rint(np.bincount(at, weights=num))
+        entry, mono = np.divmod(keys[total != 0], monos)
         mono, col = np.unique(mono, return_inverse=True)
-        self.coef = np.zeros((n * n, len(mono)))
-        self.coef[entry, col] = six[six != 0] / 6.0
-        self.factors = np.stack(np.unravel_index(mono, (nvar,) * 3))
-        iu, ju = np.triu_indices(n)
-        upper = self.coef[iu * n + ju]
-        scale = np.abs(upper).max(axis=1)
-        # the upper entries' terms, monomial by monomial in table order
-        mono, entry = np.nonzero(upper.T)
-        if np.any(np.abs(upper[entry, mono]) != scale[entry]) or not np.all(scale):
+        self.coef = np.zeros((size, len(mono)))
+        self.coef[entry, col] = total[total != 0] / den
+        self.factors = np.stack(np.unravel_index(mono, (nvar,) * degree))
+        rows = mirrors = np.arange(size)
+        if symmetric:
+            iu, ju = np.triu_indices(shape[0])
+            rows, mirrors = iu * shape[0] + ju, ju * shape[0] + iu
+        evaluated = self.coef[rows]
+        scale = np.abs(evaluated).max(axis=1)
+        # the evaluated entries' terms, monomial by monomial in table order
+        mono, at = np.nonzero(evaluated.T)
+        if np.any(np.abs(evaluated[at, mono]) != scale[at]) or not np.all(scale):
             raise ValueError("each entry needs monomials of one |coefficient|")
         first = np.zeros(len(mono), dtype=bool)
-        first[np.unique(entry, return_index=True)[1]] = True
-        pairs, pair_of = np.unique(self.factors[0] * nvar + self.factors[1], return_inverse=True)
-        # per pair: its factors and its terms (entry row, f2, negated, entry's first)
-        self._pairs = [divmod(int(p), nvar) + ([],) for p in pairs]
-        for k, e, neg, fst in zip(mono.tolist(), (iu * n + ju)[entry].tolist(),
-                                  (upper[entry, mono] < 0).tolist(), first.tolist()):
-            self._pairs[pair_of[k]][2].append((e, int(self.factors[2, k]), neg, fst))
-        self._entries = list(zip((iu * n + ju).tolist(), (ju * n + iu).tolist(), scale.tolist()))
-        self.n, self.block = n, max(1, _BLOCK_BYTES // (8 * (nvar + len(iu) + 2)))
+        first[np.unique(at, return_index=True)[1]] = True
+        prefixes, group = np.unique(np.ravel_multi_index(tuple(self.factors[:-1]),
+                                                         (nvar,) * (degree - 1)),
+                                    return_inverse=True)
+        # per prefix: its factors and its terms (entry row, last factor, negated, entry's first)
+        self._groups = [(tuple(map(int, np.unravel_index(p, (nvar,) * (degree - 1)))), [])
+                        for p in prefixes]
+        for k, e, neg, fst in zip(mono.tolist(), rows[at].tolist(),
+                                  (evaluated[at, mono] < 0).tolist(), first.tolist()):
+            self._groups[group[k]][1].append((e, int(self.factors[-1, k]), neg, fst))
+        self._entries = list(zip(rows.tolist(), mirrors.tolist(), scale.tolist()))
+        self.shape, self.block = tuple(shape), max(1, _BLOCK_BYTES // (8 * (nvar + len(rows) + 2)))
 
-    def __call__(self, x: np.ndarray, out=None) -> np.ndarray:
-        """M(x) for x of shape (..., nvar); shape (..., n, n), a view of an
-        array that holds each entry contiguously over the points, ``out``'s
-        when given.  x is read as component rows, copied once to them unless
-        it is laid out so already."""
-        x = np.asarray(x, dtype=float)
-        cols = np.moveaxis(x, -1, 0).reshape(x.shape[-1], -1)
-        if out is None:
-            out = np.moveaxis(np.empty((self.n, self.n) + x.shape[:-1]), (0, 1), (-2, -1))
-        rows = np.reshape(np.moveaxis(out, (-2, -1), (0, 1)), (self.n * self.n, -1), copy=False)
-        scratch = np.empty((2, min(self.block, cols.shape[1])))
-        for start in range(0, cols.shape[1], self.block):
+    def __call__(self, xs, out: np.ndarray, row=None, op=np.multiply) -> np.ndarray:
+        """The entries, written into the rows of ``out`` (entries, points);
+        the rows of x are those of the (rows, points) arrays ``xs`` in turn.
+        With a pointwise ``row`` (points,), each entry ends as
+        ``op(entry, row)``."""
+        scratch = np.empty((2, min(self.block, out.shape[1])))
+        for start in range(0, out.shape[1], self.block):
             at = slice(start, start + self.block)
-            xs, entry = list(cols[:, at]), list(rows[:, at])
-            pair, term = scratch[:, :len(xs[0])]
-            for f0, f1, terms in self._pairs:
-                np.multiply(xs[f0], xs[f1], out=pair)
-                for e, f2, neg, first in terms:
+            x, entry = [r for rows in xs for r in rows[:, at]], list(out[:, at])
+            pair, term = scratch[:, :len(entry[0])]
+            for prefix, terms in self._groups:
+                p = x[prefix[0]] if len(prefix) == 1 else np.multiply(
+                    x[prefix[0]], x[prefix[1]], out=pair)
+                for e, f, neg, first in terms:
                     if first:
-                        np.multiply(pair, xs[f2], out=entry[e])
+                        np.multiply(p, x[f], out=entry[e])
                         if neg:
                             np.negative(entry[e], out=entry[e])
                     else:
-                        np.multiply(pair, xs[f2], out=term)
+                        np.multiply(p, x[f], out=term)
                         (np.subtract if neg else np.add)(entry[e], term, out=entry[e])
             for e, mirror, scale in self._entries:
                 if scale != 1.0:
                     entry[e] *= scale
+                if row is not None:
+                    op(entry[e], row[at], out=entry[e])
                 if mirror != e:
                     entry[mirror][...] = entry[e]
         return out

@@ -12,7 +12,7 @@ Every function is pure and broadcasts over leading batch axes: ``hsflow
 lift``, ``hsflow verify`` and the flow's torsion sample hand all their
 points or trials to each kernel in one call.  The two costly kernels, the
 metric density (a cubic form with 735 monomials, see
-``exterior.CubicMatrix``) and the 7-dimensional Hodge star, run in blocks
+``exterior.RowProducts``) and the 7-dimensional Hodge star, run in blocks
 of points, so their working set stays bounded whatever the batch.  The star
 forms no Gram matrix: it applies Lambda^3 of g^{-1} to a 3-form, and
 Lambda^3 of g to the complement of a 4-form (:func:`exterior.apply_metric`).
@@ -42,12 +42,13 @@ _W34 = _W43.T       # a 3-form and a 4-form commute under the wedge
 _BLOCK = 32   # points per block of hodge7: 32 x 7^3 dense tensor entries is 88 kB
 
 
-def _density_table() -> exterior.CubicMatrix:
+def _density_table() -> exterior.RowProducts:
     """The metric density as a cubic form in the 35 coefficients of phi:
     6 K_ab e(0..6) = (e_a ⌟ phi) ∧ (e_b ⌟ phi) ∧ phi, expanded over the
     nonzero entries of the interior, wedge and pairing tables."""
     a, b, u, v, w, s = exterior.slot_terms(_INT3, _W22_4, _W43)
-    return exterior.CubicMatrix(7, a, b, np.stack([u, v, w]), s)
+    return exterior.RowProducts((7, 7), np.stack([7 * a + b, u, v, w, s], axis=1), 6,
+                                symmetric=True)
 
 
 # 735 monomials, coefficients ±1/2, ±1
@@ -99,7 +100,7 @@ def build_psi(sigma: np.ndarray, mu_sigma) -> np.ndarray:
 def metric_density7(phi: np.ndarray) -> np.ndarray:
     """K_ab with K_ab * e(0..6) = (1/6)(e_a ⌟ phi) ∧ (e_b ⌟ phi) ∧ phi,
     evaluated as the cubic form :data:`DENSITY7`."""
-    return DENSITY7(phi)
+    return ta._apply(DENSITY7, np.asarray(phi, dtype=float)[..., None, :])
 
 
 def metric_from_phi(phi: np.ndarray):

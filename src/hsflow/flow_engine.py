@@ -84,9 +84,10 @@ class FlowState:
     periods and, per stencil order, the closedness defect, the RHS and
     sigma and d sigma at the sample points.
     ``q`` and ``g`` are views of the component-major memory that the
-    right-hand side reads.  ``q_eig_min`` is LAPACK's value; ``q_top``
-    is the closed-form estimate, a bracket ``(lo, hi)`` that holds each
-    point's largest Gram eigenvalue (see ``grid_calculus._normalize_fields``)."""
+    right-hand side reads, and so is ``tf.c`` after a step (:func:`step`).
+    ``q_eig_min`` is LAPACK's value; ``q_top`` is the closed-form estimate,
+    a bracket ``(lo, hi)`` that holds each point's largest Gram eigenvalue
+    (see ``grid_calculus._normalize_fields``)."""
 
     time: float
     tf: gc.TripleField
@@ -131,8 +132,8 @@ def evaluate_rhs(lat: gc.Lattice, c: np.ndarray, order: int = 4,
     the metric density's minors; the threshold guards committed states.
     ``sigma = Q^-1 w`` is self-dual, so d* sigma = -*d sigma takes one star.
     Every stage from ``sigma`` on, and the normalization, writes
-    component-major memory, ``(3, 6, n0, n1, n2, n3)`` for the triple; the
-    result is copied back to a C-ordered array once.
+    component-major memory, ``(3, 6, n0, n1, n2, n3)`` for the triple, and
+    the result is a view of it; ``c`` is read in place when it is one too.
 
     The pointwise stages before and after the first d run once per slab of
     the lattice, on ``grid_calculus.slab_threads`` when there are several
@@ -155,14 +156,14 @@ def evaluate_rhs(lat: gc.Lattice, c: np.ndarray, order: int = 4,
         seen(sigma, dsigma)
     del sigma
     eta = gc._by_slab(lat.shape, flux, (3, 4))
-    return np.ascontiguousarray(gc._d(lat, eta, 1, order))
+    return gc._d(lat, eta, 1, order)
 
 
 def rhs(state: FlowState, order: int = 4) -> np.ndarray:
     """Right-hand side at a state's guarded fields (``state.ensure_fields()``);
-    shape (grid, 3, 6), read-only.  Kept per stencil order, so a diagnostics
-    row is also the next step's first stage; sigma and d sigma at the
-    sample points are kept too, for :func:`dual_lift_torsion`."""
+    shape (grid, 3, 6), read-only, component-major.  Kept per stencil order,
+    so a diagnostics row is also the next step's first stage; sigma and d
+    sigma at the sample points are kept too, for :func:`dual_lift_torsion`."""
     points = state.sample_points
 
     def seen(sigma, dsigma):
@@ -203,8 +204,10 @@ def step(state: FlowState, dt: float, config: FlowConfig) -> FlowState:
     """One explicit step (classical RK4, or forward Euler when configured).
 
     Every stage increment is a discrete-exact form, so the step conserves
-    closedness and periods to roundoff.  Raises StepRejected when any stage
-    or the post-step state fails the positivity guard.
+    closedness and periods to roundoff.  Stage inputs and the new state take
+    the layout of ``c`` and the right-hand sides: component-major when ``c``
+    is.  Raises StepRejected when any stage or the post-step state fails the
+    positivity guard.
     """
     lat = state.tf.lattice
     order = config.stencil_order

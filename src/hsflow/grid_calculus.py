@@ -5,8 +5,8 @@ axis; a degree-k form field appends a trailing component axis over the same
 bases used by the pointwise modules (1-forms ``(e0..e3)``, 2-forms ``(e01,
 e02, e03, e23, e31, e12)``, 3-forms lexicographic), and any batch axes sit
 between the grid axes and the component axis (a triple field is ``(n0, n1,
-n2, n3, 3, 6)``).  That is the layout of the API.  Inside the flow's
-right-hand side the same shapes are views of component-major memory, ``(3,
+n2, n3, 3, 6)``).  That is the layout of the API.  The flow's states and
+right-hand side use the same shapes as views of component-major memory, ``(3,
 6, n0, n1, n2, n3)``, where each component is one contiguous scalar field
 that the stencils and pointwise kernels read without strides.
 
@@ -68,7 +68,7 @@ class Lattice:
 
     @property
     def num_points(self) -> int:
-        return int(np.prod(self.n))
+        return math.prod(self.n)
 
     @property
     def cell_volume(self) -> float:
@@ -161,7 +161,7 @@ def _by_slab(shape: tuple, stage, *cores):
     slabs = _slabs(shape)
     if len(slabs) == 1:
         return stage(..., *(None for _ in cores))
-    outs = tuple(ta._pointwise(ta._component_major(core, shape), len(core)) for core in cores)
+    outs = tuple(ta._pointwise(np.empty(core + shape), len(core)) for core in cores)
     try:
         _each(lambda at: stage(at, *(out[at] for out in outs)), slabs)
     except NotPositive:
@@ -192,19 +192,21 @@ def partial(lat: Lattice, f: np.ndarray, axis: int, order: int = 4) -> np.ndarra
     stack of them, ``(..., n0, n1, n2, n3)``: the grid axes are the last four.
 
     Grouped as differences of shifted values, so fields constant along the
-    axis are annihilated exactly, not merely to roundoff.
+    axis are annihilated exactly, not merely to roundoff.  On a 4-point axis
+    the wide difference f[j + 2] - f[j - 2] is +0 for finite f: not taken.
     """
     if order not in (2, 4):
         raise ValueError("stencil order must be 2 or 4")
     f = np.asarray(f, dtype=float)
-    step = int(np.prod(f.shape[f.ndim - 3 + axis:]))   # elements per step along the axis
-    rows = f.reshape(f.shape[:-4] + (-1, f.shape[axis - 4] * step))
+    n, step = f.shape[axis - 4], math.prod(f.shape[f.ndim - 3 + axis:])   # elements per step
+    rows = f.reshape(f.shape[:-4] + (-1, n * step))
     out = _shift_difference(rows, step)
     if order == 2:
         out /= 2.0 * lat.h[axis]
     else:
         out *= 8.0
-        out -= _shift_difference(rows, 2 * step)
+        if 4 % n:
+            out -= _shift_difference(rows, 2 * step)
         out /= 12.0 * lat.h[axis]
     return out.reshape(f.shape)
 
@@ -225,7 +227,7 @@ def _d(lat: Lattice, f: np.ndarray, k: int, order: int = 4) -> np.ndarray:
     f = ta._entries(f, tail)
     # the sums run on a flat view of the grid, which numpy updates in place
     # without a temporary copy
-    out = ta._component_major(f.shape[:-5] + (NCOMP[k + 1],), (lat.num_points,), np.zeros)
+    out = np.zeros(f.shape[:-5] + (NCOMP[k + 1], lat.num_points))
 
     def components(share):   # the terms of every count-th output component
         for dst, src, axis, sign in _D_TABLE[k]:
@@ -288,7 +290,7 @@ class TripleField:
     """
 
     lattice: Lattice
-    c: np.ndarray   # (n0, n1, n2, n3, 3, 6)
+    c: np.ndarray   # (n0, n1, n2, n3, 3, 6), in any memory layout
     fields: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -306,7 +308,7 @@ class TripleField:
 
     def max_dabs(self, order: int = 4) -> float:
         """Sup-norm of the exterior derivatives of the three forms."""
-        return float(np.abs(d(self.lattice, self.c, 2, order)).max())
+        return float(np.abs(_d(self.lattice, self.c, 2, order)).max())
 
     def periods(self) -> np.ndarray:
         """(3, 6) array of the cohomology periods of each form."""

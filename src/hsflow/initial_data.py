@@ -88,11 +88,12 @@ def _generate(lat, generator, amplitude, seed, modes, stencil_order, threshold):
     if generator not in GENERATORS:
         raise ValidationError(f"unknown generator {generator!r}; "
                               f"choose one of {', '.join(GENERATORS)}")
-    base = np.broadcast_to(ta.standard_triple(), lat.shape + (3, 6)).copy()
+    base = ta._pointwise(np.empty((3, 6) + lat.shape))   # component-major, as flow states
+    base[...] = ta.standard_triple()
     if generator == "hyperkahler-standard" or amplitude == 0.0:
         return gc.TripleField(lat, base)
     pot = _sample_potential(lat, generator, amplitude, seed, modes)
-    dpot = gc.d(lat, pot, 1, stencil_order)
+    dpot = gc._d(lat, pot, 1, stencil_order)
     c = base + dpot
     try:
         return gc.TripleField(lat, c, (threshold, gc._normalize_fields(c, threshold)))

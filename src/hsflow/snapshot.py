@@ -40,7 +40,7 @@ def write_snapshot(path, tf: gc.TripleField, time: float = 0.0) -> None:
 
 
 def read_snapshot(path):
-    """Returns ``(triple_field, time)``; validates magic and payload size."""
+    """Returns ``(triple_field, time)``, c component-major; validates magic and size."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != MAGIC:
@@ -69,8 +69,10 @@ def read_snapshot(path):
             raise ValidationError(f"{path}: trailing bytes after payload")
     if nforms != 3:
         raise ValidationError(f"{path}: expected a triple (3 fields), got {nforms}")
-    c = np.stack(fields, axis=-2)
-    return gc.TripleField(lat, np.ascontiguousarray(c)), time
+    c = np.empty((3, 6) + lat.shape)   # component-major, as the flow's states
+    for i, f in enumerate(fields):
+        c[i] = np.moveaxis(f, -1, 0)
+    return gc.TripleField(lat, np.moveaxis(c, (0, 1), (-2, -1))), time
 
 
 def write_sidecar(path, payload: dict) -> None:

@@ -15,6 +15,9 @@ Conventions, fixed once and shared by every module in the package:
   result is a view ``(..., n, m)`` of an ``(n, m, ...)`` array, so each entry
   is one contiguous array over the batch.  Such views are accepted as inputs
   everywhere, and :func:`_entries` recovers the component arrays for free.
+  Per-point products (the Gram matrix, matrix products, the Hodge stars) are
+  signed sums of products of those rows, ``exterior.RowProducts`` tables
+  whose signs come from the signed permutations below.
 
 A triple is *positive* when its Gram matrix ``Q`` (pairwise wedge products
 against the reference volume) is positive definite.  Positivity of ``Q``
@@ -25,6 +28,10 @@ of the metric density and is rejected by ``metric_from_triple``).
 """
 
 from __future__ import annotations
+
+import math
+from functools import lru_cache
+from itertools import permutations
 
 import numpy as np
 
@@ -62,7 +69,51 @@ _STAR3_COLUMNS = _signed_permutation(_W32INV.T)
 _OMITTED = _signed_permutation(_W32.T)
 
 
-def _density_table() -> exterior.CubicMatrix:
+# adj(s)_ik = (1/2) eps_kab eps_icd s_ac s_bd: two monomials of coefficient ±1 each
+ADJ3 = exterior.RowProducts((3, 3), [
+    (3 * i + k, 3 * a + c, 3 * b + d, EPS3[k, a, b] * EPS3[i, c, d])
+    for i, k, a, b, c, d in np.ndindex((3,) * 6) if EPS3[k, a, b] and EPS3[i, c, d]], 2)
+# the Lambda^2 Gram matrix of h: 2x2 minors on the index pairs of the basis
+LAMBDA2_GRAM = exterior.RowProducts((6, 6), [
+    (6 * m + l, 4 * a + x, 4 * b + y, sign) for m, (a, b) in enumerate(LAMBDA2_TUPLES)
+    for l, (c, d) in enumerate(LAMBDA2_TUPLES[m:], m)
+    for x, y, sign in ((c, d, 1), (d, c, -1))], symmetric=True)
+# adj(g)_ab = (1/6) eps_bijk eps_almn g_il g_jm g_kn: six monomials of coefficient ±1 each
+ADJ4 = exterior.RowProducts((4, 4), [
+    (4 * r[0] + p[0], 4 * p[1] + r[1], 4 * p[2] + r[2], 4 * p[3] + r[3],
+     exterior.tuple_parity(p) * exterior.tuple_parity(r))
+    for p in permutations(range(4)) for r in permutations(range(4))], 6, symmetric=True)
+# Q mu = (1/2) w_i ∧ w_j over the flattened triple, on and above the diagonal:
+# w_i ∧ w_j = sum_p sign w_i[src] w_j[p] over the columns (src, sign) of WEDGE2
+GRAM = exterior.RowProducts((3, 3), [
+    (3 * i + j, 6 * i + src, 6 * j + p, sign) for i in range(3) for j in range(i, 3)
+    for p, (src, sign) in enumerate(_PAIRING_COLUMNS)], 2, symmetric=True)
+
+
+@lru_cache(maxsize=None)
+def _product_table(n: int, m: int, l: int) -> exterior.RowProducts:
+    """(a b)_ij = sum_k a_ik b_kj over the rows of a (n, m), then of b (m, l)."""
+    return exterior.RowProducts((n, l), [(l * i + j, m * i + k, n * m + l * k + j, 1)
+                                         for i in range(n) for j in range(l) for k in range(m)])
+
+
+@lru_cache(maxsize=None)
+def _star_table(degree: int, forms: int) -> exterior.RowProducts:
+    """``coeffs @ G @ w`` for ``forms`` rows of 2- or 3-form coefficients, w
+    the star's signed permutation.  star2's G is the Λ² Gram matrix, star3's
+    G[k, l] = s_k s_l g[o_k, o_l] over the omitted coordinates (:data:`_OMITTED`)."""
+    if degree == 2:
+        m, columns = 6, _STAR2_COLUMNS
+        cell = [[(6 * k + l, 1) for l in range(6)] for k in range(6)]
+    else:
+        m, columns = 4, _STAR3_COLUMNS
+        cell = [[(4 * a + b, sa * sb) for b, sb in _OMITTED] for a, sa in _OMITTED]
+    return exterior.RowProducts((forms, m), [
+        (m * i + p, m * i + k, m * forms + cell[k][src][0], cell[k][src][1] * sign)
+        for i in range(forms) for p, (src, sign) in enumerate(columns) for k in range(m)])
+
+
+def _density_table() -> exterior.RowProducts:
     """The metric density as a cubic form in the 18 triple coefficients.
 
     Expands K_ab e0123 = (1/6) eps_ijk (e_a ⌟ w_i) ∧ (e_b ⌟ w_j) ∧ w_k over
@@ -74,31 +125,15 @@ def _density_table() -> exterior.CubicMatrix:
         exterior.interior_table(LAMBDA2_TUPLES, LAMBDA1_TUPLES, 4),
         exterior.wedge_table(LAMBDA1_TUPLES, LAMBDA1_TUPLES, LAMBDA2_TUPLES), WEDGE2)
     perms = list(zip(*np.nonzero(EPS3)))   # w_i fills the first slot, w_j the second
-    return exterior.CubicMatrix(
-        4, np.tile(a, len(perms)), np.tile(b, len(perms)),
-        np.concatenate([np.stack([6 * i + u, 6 * j + v, 6 * k + w]) for i, j, k in perms],
-                       axis=1),
-        np.concatenate([EPS3[i, j, k] * s for i, j, k in perms]))
+    return exterior.RowProducts((4, 4), np.concatenate(
+        [np.stack([4 * a + b, 6 * i + u, 6 * j + v, 6 * k + w, EPS3[i, j, k] * s], axis=1)
+         for i, j, k in perms]), 6, symmetric=True)
 
 
 # K.ravel() = DENSITY_COEF @ (x[f0] * x[f1] * x[f2]) over the flattened triple x,
 # with (f0, f1, f2) the columns of DENSITY_FACTORS: 96 monomials, coefficients ±1/2, ±1
 DENSITY = _density_table()
 DENSITY_COEF, DENSITY_FACTORS = DENSITY.coef, DENSITY.factors
-
-
-# Components of a component-major array lie one 64-byte cache line further
-# apart than their power-of-two length, so that a per-point matrix product,
-# which reads a dozen of them at once, does not map them all to the same
-# cache sets; on 32x16x16x16 the gap halves the products' time.
-_GAP = 8
-
-
-def _component_major(core: tuple, batch: tuple, fill=np.empty) -> np.ndarray:
-    """A ``fill``-made array of shape ``core + batch`` in which each component
-    (an index into ``core``) is one contiguous array over the batch."""
-    size = int(np.prod(batch))
-    return fill((int(np.prod(core)), size + _GAP))[:, :size].reshape(core + batch)
 
 
 def _entries(a: np.ndarray, k: int = 2) -> np.ndarray:
@@ -108,7 +143,7 @@ def _entries(a: np.ndarray, k: int = 2) -> np.ndarray:
     array."""
     a = np.asarray(a, dtype=float)
     core, batch = a.shape[a.ndim - k:], a.shape[:a.ndim - k]
-    rows = a.reshape(-1, int(np.prod(core))).T
+    rows = a.reshape(-1, math.prod(core)).T
     if rows.strides[1] != rows.itemsize:   # not component-major yet
         rows = np.ascontiguousarray(rows)
     return rows.reshape(core + batch)
@@ -119,14 +154,27 @@ def _pointwise(e: np.ndarray, k: int = 2) -> np.ndarray:
     return np.moveaxis(e, tuple(range(k)), tuple(range(-k, 0)))
 
 
-def _product(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
-    """``a @ b`` at every point of matrix stacks (..., n, m) and (..., m, l),
-    written into ``out``, a (..., n, l) view of component-major memory, or
-    into a new component-major array; its (..., n, l) view is returned."""
+def _apply(table, *operands, row=None, op=np.multiply, out=None) -> np.ndarray:
+    """``table`` (an ``exterior.RowProducts``, ``op`` with a pointwise
+    ``row`` when given) at every point of ``operands``, (..., n, m) stacks of
+    one batch whose rows it reads in turn; written into ``out``, a
+    (..., *table.shape) view of component-major memory, or into a new one."""
+    batch = np.shape(operands[0])[:-2]
+    size = math.prod(batch)
+    xs = [_entries(a).reshape(math.prod(np.shape(a)[-2:]), size) for a in operands]
     if out is None:
-        batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-        out = _pointwise(_component_major((a.shape[-2], b.shape[-1]), batch))
-    return np.matmul(a, b, out=out)
+        out = _pointwise(np.empty(table.shape + batch))
+    rows = np.reshape(np.moveaxis(out, (-2, -1), (0, 1)), (len(table.coef), size), copy=False)
+    if row is not None:
+        row = np.broadcast_to(np.reshape(row, -1), (size,))
+    table(xs, rows, row, op)
+    return out
+
+
+def _product(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    """``a @ b`` at every point of (..., n, m) and (..., m, l) stacks of one
+    batch (:func:`_apply`); each entry sums its products in order of k."""
+    return _apply(_product_table(*np.shape(a)[-2:], np.shape(b)[-1]), a, b, out=out)
 
 
 def two_form(c01=0.0, c02=0.0, c03=0.0, c23=0.0, c31=0.0, c12=0.0) -> np.ndarray:
@@ -149,20 +197,10 @@ def wedge22(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def gram(triple: np.ndarray, mu=1.0, out=None) -> np.ndarray:
-    """Gram matrix Q with w_i ∧ w_j = 2 Q_ij * (mu e0123); written into
-    ``out``, a (..., 3, 3) view of component-major memory, when given."""
-    triple = np.asarray(triple, dtype=float)
-    batch = triple.shape[:-2]
-    paired = _component_major((6, 3), batch)   # paired[m, i] = (w_i @ WEDGE2)_m
-    for m, (src, sign) in enumerate(_PAIRING_COLUMNS):
-        np.multiply(np.moveaxis(triple[..., src], -1, 0), sign, out=paired[m])
-    # Q^T = w @ paired: the products of (w @ WEDGE2) @ w^T, summed in the same order
-    q = _component_major((3, 3), batch) if out is None else np.moveaxis(out, (-2, -1), (0, 1))
-    np.matmul(triple, _pointwise(paired), out=np.swapaxes(_pointwise(q), -1, -2))
-    # in place on a flat view, which numpy needs no copy for
-    flat = np.reshape(q, (3, 3, -1), copy=False)
-    np.divide(flat, np.reshape(2.0 * np.asarray(mu), -1), out=flat)
-    return _pointwise(q)
+    """Gram matrix Q with w_i ∧ w_j = 2 Q_ij * (mu e0123): :data:`GRAM` over
+    ``mu``, exactly symmetric; written into ``out``, a (..., 3, 3) view of
+    component-major memory, when given."""
+    return _apply(GRAM, np.asarray(triple, dtype=float), row=mu, op=np.divide, out=out)
 
 
 def is_positive(q: np.ndarray, tol: float = 0.0):
@@ -182,19 +220,8 @@ def det3(s: np.ndarray) -> np.ndarray:
 
 
 def adj3(s: np.ndarray) -> np.ndarray:
-    """Adjugate of a 3x3 stack; adj(s) @ s = det(s) I."""
-    s = np.asarray(s, dtype=float)
-    out = _component_major((3, 3), s.shape[:-2])
-    out[0, 0] = s[..., 1, 1] * s[..., 2, 2] - s[..., 1, 2] * s[..., 2, 1]
-    out[0, 1] = s[..., 0, 2] * s[..., 2, 1] - s[..., 0, 1] * s[..., 2, 2]
-    out[0, 2] = s[..., 0, 1] * s[..., 1, 2] - s[..., 0, 2] * s[..., 1, 1]
-    out[1, 0] = s[..., 1, 2] * s[..., 2, 0] - s[..., 1, 0] * s[..., 2, 2]
-    out[1, 1] = s[..., 0, 0] * s[..., 2, 2] - s[..., 0, 2] * s[..., 2, 0]
-    out[1, 2] = s[..., 0, 2] * s[..., 1, 0] - s[..., 0, 0] * s[..., 1, 2]
-    out[2, 0] = s[..., 1, 0] * s[..., 2, 1] - s[..., 1, 1] * s[..., 2, 0]
-    out[2, 1] = s[..., 0, 1] * s[..., 2, 0] - s[..., 0, 0] * s[..., 2, 1]
-    out[2, 2] = s[..., 0, 0] * s[..., 1, 1] - s[..., 0, 1] * s[..., 1, 0]
-    return _pointwise(out)
+    """Adjugate of a 3x3 stack; adj(s) @ s = det(s) I (:data:`ADJ3`)."""
+    return _apply(ADJ3, np.asarray(s, dtype=float))
 
 
 def inv3(s: np.ndarray) -> np.ndarray:
@@ -240,11 +267,9 @@ def metric_density(triple: np.ndarray, out=None) -> np.ndarray:
 
     K_ab * e0123 = (1/6) eps_ijk (e_a ⌟ w_i) ∧ (e_b ⌟ w_j) ∧ w_k.  Independent
     of any reference volume form.  Evaluated as the cubic form
-    :data:`DENSITY` (see ``exterior.CubicMatrix``), into ``out`` when given;
-    each point's value is the same bits in any batch, slab or layout.
+    :data:`DENSITY`, into ``out`` when given (see :func:`_apply`).
     """
-    triple = np.asarray(triple, dtype=float)
-    return DENSITY(triple.reshape(triple.shape[:-2] + (18,)), out)
+    return _apply(DENSITY, triple, out=out)
 
 
 def _require_positive(ok, message: str, where: str = "lattice index") -> None:
@@ -288,40 +313,13 @@ def _pd_det4(e, s, c, what: str, tol: float = 0.0):
     return cof, det
 
 
-def _pd_cofactors4(m: np.ndarray, what: str, tol: float = 0.0):
-    """All cofactors and the determinant of a symmetric 4x4 stack that must
-    be positive definite: :func:`_pd_det4`'s, with ``cof`` completed to every
-    ``(a, b)``, a <= b."""
-    e = _entries(m)
-    s, c = _minors4(e)
-    cof, det = _pd_det4(e, s, c, what, tol)
-    cof.update({
-        (1, 1): e[0, 0] * c[2, 3] - e[0, 2] * c[0, 3] + e[0, 3] * c[0, 2],
-        (1, 2): -(e[0, 0] * c[1, 3] - e[0, 1] * c[0, 3] + e[0, 3] * c[0, 1]),
-        (1, 3): e[0, 0] * c[1, 2] - e[0, 1] * c[0, 2] + e[0, 2] * c[0, 1],
-        (2, 2): e[3, 0] * s[1, 3] - e[3, 1] * s[0, 3] + e[3, 3] * s[0, 1],
-        (2, 3): -(e[3, 0] * s[1, 2] - e[3, 1] * s[0, 2] + e[3, 2] * s[0, 1]),
-    })
-    return cof, det
-
-
-def _adjugate4(cof: dict, det=1.0) -> np.ndarray:
-    """The (..., 4, 4) adjugate from the cofactors of :func:`_pd_cofactors4`
-    over a pointwise ``det``; each entry is copied to both sides of the
-    diagonal, so the result is exactly symmetric."""
-    adj = _component_major((4, 4), np.shape(cof[0, 0]))
-    for (a, b), v in cof.items():
-        np.divide(v, det, out=adj[a, b, ...])
-        if a != b:
-            adj[b, a] = adj[a, b]
-    return _pointwise(adj)
-
-
 def _inverse4(g: np.ndarray, what: str) -> np.ndarray:
-    """Inverse of a symmetric positive definite 4x4 stack, adj(g) / det g;
-    NotPositive names ``what`` and the first failing batch index."""
-    cof, det = _pd_cofactors4(g, what)
-    return _adjugate4(cof, det)
+    """Inverse of a symmetric positive definite 4x4 stack, :data:`ADJ4` over
+    det g, exactly symmetric; NotPositive names ``what`` and the first
+    failing batch index (:func:`_pd_det4`)."""
+    e = _entries(g)
+    _, det = _pd_det4(e, *_minors4(e, 3), what)
+    return _apply(ADJ4, g, row=det, op=np.divide)
 
 
 def metric_from_triple(triple: np.ndarray, tol: float = 1e-12, g=None, mu_w=None):
@@ -365,30 +363,21 @@ def lambda2_gram(h: np.ndarray) -> np.ndarray:
     elements m and l.  The 21 entries on and above the diagonal are computed
     from the entries of ``h`` and copied below it (``h`` is symmetric).
     """
-    e = _entries(h)
-    out = _component_major((6, 6), e.shape[2:])
-    for m, (a, b) in enumerate(LAMBDA2_TUPLES):
-        for l in range(m, 6):
-            c, d = LAMBDA2_TUPLES[l]
-            out[m, l] = out[l, m] = e[a, c] * e[b, d] - e[a, d] * e[b, c]
-    return _pointwise(out)
+    return _apply(LAMBDA2_GRAM, np.asarray(h, dtype=float))
 
 
-def _star(coeffs: np.ndarray, gram_: np.ndarray, columns: tuple, scale, op) -> np.ndarray:
-    """``op(coeffs @ gram_ @ w, scale)`` at every point, with ``w`` the signed
-    permutation that ``columns`` tabulates (see :func:`_signed_permutation`).
+def _star(degree: int, coeffs: np.ndarray, gram_: np.ndarray, scale, op) -> np.ndarray:
+    """``op(coeffs @ G @ w, scale)`` at every point (:func:`_star_table`),
+    G read from the rows of ``gram_``, w the star's signed permutation,
+    whose signs are the terms'.
 
     ``coeffs`` is (..., [B,] m) over points (...) that match ``gram_``
-    (..., m, m); ``scale`` is a pointwise scalar.  The permutation is applied
-    as a gather, and its signs to ``scale``, which is exact.
+    (..., n, n); ``scale`` is a pointwise scalar.
     """
-    coeffs, points = np.asarray(coeffs, dtype=float), gram_.shape[:-2]
-    raised = _entries(_product(coeffs.reshape(points + (-1, coeffs.shape[-1])), gram_))
-    target = _component_major(raised.shape[:2], raised.shape[2:])
-    signed = {1.0: scale, -1.0: np.negative(scale)}
-    for p, (src, sign) in enumerate(columns):
-        op(raised[:, src], signed[sign], out=target[:, p])
-    return _pointwise(target).reshape(coeffs.shape)
+    coeffs = np.asarray(coeffs, dtype=float)
+    c = coeffs.reshape(gram_.shape[:-2] + (-1, coeffs.shape[-1]))
+    return _apply(_star_table(degree, c.shape[-2]), c, gram_, row=scale,
+                  op=op).reshape(coeffs.shape)
 
 
 def star2(coeffs: np.ndarray, h: np.ndarray, sqrt_det_g) -> np.ndarray:
@@ -398,7 +387,7 @@ def star2(coeffs: np.ndarray, h: np.ndarray, sqrt_det_g) -> np.ndarray:
     leading axes otherwise match the metric stack.  The result is a
     component-major view, (B, 6, ...) in memory.
     """
-    return _star(coeffs, lambda2_gram(h), _STAR2_COLUMNS, sqrt_det_g, np.multiply)
+    return _star(2, coeffs, lambda2_gram(h), sqrt_det_g, np.multiply)
 
 
 def star3(coeffs: np.ndarray, g: np.ndarray, sqrt_det_g) -> np.ndarray:
@@ -409,12 +398,7 @@ def star3(coeffs: np.ndarray, g: np.ndarray, sqrt_det_g) -> np.ndarray:
     products enter), so only ``g`` itself is needed.  Batch axis and layout
     as in :func:`star2`.
     """
-    e = _entries(g)
-    G = _component_major((4, 4), e.shape[2:])
-    for m, (a, sa) in enumerate(_OMITTED):
-        for l, (b, sb) in enumerate(_OMITTED):
-            np.multiply(e[a, b], sa * sb, out=G[m, l, ...])
-    return _star(coeffs, _pointwise(G), _STAR3_COLUMNS, sqrt_det_g, np.divide)
+    return _star(3, coeffs, g, sqrt_det_g, np.divide)
 
 
 def hodge2(b: np.ndarray, g: np.ndarray, mu_g) -> np.ndarray:

@@ -286,3 +286,51 @@ def d_grid_first(f, k: int, h, order: int = 4):
     for dst, src, axis, sign in d_table(k):
         out[..., dst] += sign * partial_roll(f[..., src], axis, h[axis], order)
     return out
+
+
+# Per-point loops for the per-point products of the flow's right-hand side:
+# the Gram matrix, sigma = adj(Q) w, star3 and Q eta, on (points, ...) stacks.
+def gram_loop(triple, mu) -> np.ndarray:
+    """Q_ij = (w_i ∧ w_j) / (2 mu) at each point, the wedge by bitmask algebra."""
+    out = np.empty((len(triple), 3, 3))
+    for p, (t, m) in enumerate(zip(triple, mu)):
+        for i in range(3):
+            for j in range(3):
+                out[p, i, j] = wedge22_oracle(t[i], t[j]) / (2.0 * m)
+    return out
+
+
+def adjugate_loop(s) -> np.ndarray:
+    """adj(s)_ik = (-1)^(i+k) times the minor of s without row k and column i."""
+    adj = np.empty((3, 3))
+    for i in range(3):
+        for k in range(3):
+            r = [x for x in range(3) if x != k]
+            c = [x for x in range(3) if x != i]
+            adj[i, k] = (-1) ** (i + k) * (s[r[0], c[0]] * s[r[1], c[1]]
+                                           - s[r[0], c[1]] * s[r[1], c[0]])
+    return adj
+
+
+def product_loop(a, b) -> np.ndarray:
+    """a @ b at each point as explicit sums: a (points, n, m), b (points, m, l)."""
+    out = np.zeros((len(a), a.shape[1], b.shape[2]))
+    for p in range(len(a)):
+        for i in range(a.shape[1]):
+            for j in range(b.shape[2]):
+                for k in range(a.shape[2]):
+                    out[p, i, j] += a[p, i, k] * b[p, k, j]
+    return out
+
+
+def dual_loop(q, w) -> np.ndarray:
+    """sigma = adj(q) w at each point."""
+    return product_loop(np.stack([adjugate_loop(x) for x in q]), w)
+
+
+def star3_loop(coeffs, g) -> np.ndarray:
+    """The Hodge star of lex 3-forms (points, forms, 4) on R^4 at each point,
+    from the defining pairing (:func:`star_oracle`)."""
+    ones = [(0,), (1,), (2,), (3,)]
+    return np.stack([np.stack([star_oracle(c, gp, TRIPLES4, ones, 4) for c in cp])
+                     for cp, gp in zip(coeffs, g)])

@@ -386,6 +386,24 @@ def test_lift_samples_like_the_flow(tmp_path, monkeypatch, capsys):
     assert calls == [state.sample_points] and report["points_sampled"] == 5
 
 
+def test_lift_sigma_is_the_flows(tmp_path, monkeypatch):
+    # lift's dual triple at its samples is, bit for bit, the sigma that a
+    # flow's right-hand side keeps there (flow_engine._at), here from a
+    # component-major copy of the state as in a run
+    from hsflow import fiber_g2 as fg
+    tf, time = snap.read_snapshot(_exact_snapshot(tmp_path, (8, 4, 4, 4)))
+    seen = {}
+    _record_calls(monkeypatch, fg, ("build_psi",), seen)
+    cli._lift_report(tf, time, 6, 5)
+    (sigma, _), = seen["build_psi"]
+    flow_tf = gc.TripleField(tf.lattice, ta._pointwise(ta._entries(tf.c)))
+    state = fe.init_state(fe.FlowConfig(fiber_samples=6, seed=5), flow_tf)
+    fe.rhs(state)
+    kept, _ = state.kept[("dual", 4, state.sample_points)]
+    assert state.sample_points == fe.draw_points(tf.lattice, 6, 5)
+    assert sigma.tobytes() == np.ascontiguousarray(kept).tobytes()
+
+
 def _record_calls(monkeypatch, module, names, calls):
     """Wrap ``module.<name>`` so that ``calls[name]`` lists each call's arguments."""
     for name in names:
@@ -410,7 +428,7 @@ def test_lift_report_matches_per_point_loop(tmp_path, monkeypatch):
     rows = {"phi": [], "psi": [], "g7": [], "dphi": [], "star": []}
     for idx in fe.draw_points(tf.lattice, 40, 5):
         phi = fg.build_phi(tf.c[idx])
-        psi = fg.build_psi(np.matmul(ta.adj3(q[idx]), tf.c[idx]), mu[idx])
+        psi = fg.build_psi(ta._product(ta.adj3(q[idx]), tf.c[idx]), mu[idx])
         g7, _ = fg.metric_from_phi(phi)
         for key, value in (("phi", phi), ("psi", psi), ("g7", g7),
                            ("dphi", fg.assemble_dphi(dome[idx])),

@@ -139,7 +139,8 @@ class TestLayout:
         assert state.q.shape == n + (3, 3) and state.mu.shape == n
         h = ta._inverse4(state.g, "metric")
         assert state.g.shape == h.shape == n + (4, 4)
-        for field in (state.q, state.g, h):
+        after = fe.step(state, 1e-6, fe.FlowConfig(dt=1e-6, cfl=None))
+        for field in (state.q, state.g, h, tf.c, after.tf.c, fe.rhs(after)):
             # the component arrays are the field's own memory, not a copy
             assert np.shares_memory(ta._entries(field), field)
 
@@ -156,6 +157,42 @@ class TestLayout:
         finally:
             tracemalloc.stop()
         assert peak <= 6 * c.nbytes
+
+
+class TestNonFinite:
+    """A non-finite coefficient: the guard's normalization rejects the step
+    and hsflow lift exits 2.  Derivatives do not decide: on a 4-point axis the
+    stencil's wide difference, inf - inf there, is not taken, and an initial
+    infinity reads as an unclosed field on every lattice."""
+
+    LATTICES = (gc.Lattice((16, 4, 4, 4)), gc.Lattice((8, 6, 6, 6)))
+
+    def field(self, lat, value):
+        c = np.ascontiguousarray(
+            initial_data.generate_initial(lat, "exact-perturbation", 0.05, 7).c)
+        c[3, 1, 2, 0, 1, 2] = value
+        return gc.TripleField(lat, c)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_step_rejected(self, value):
+        for lat in self.LATTICES:
+            state = fe.FlowState(0.0, self.field(lat, value))
+            with pytest.raises(StepRejected, match=r"metric density.*\(3, 1, 2, 0\)"):
+                fe.step(state, 1e-6, fe.FlowConfig(dt=1e-6, cfl=None))
+
+    @pytest.mark.parametrize("value,error", [(np.inf, ValidationError), (np.nan, NotPositive)])
+    def test_initial_state(self, value, error):
+        for lat in self.LATTICES:
+            with pytest.raises(error):
+                fe.init_state(fe.FlowConfig(), self.field(lat, value))
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_lift_exits_2(self, value, tmp_path, capsys):
+        from hsflow import cli, snapshot
+        path = tmp_path / "s.hsf"
+        snapshot.write_snapshot(path, self.field(self.LATTICES[0], value))
+        assert cli.main(["lift", "--snapshot", str(path)]) == 2
+        assert "metric density not positive definite" in capsys.readouterr().err
 
 
 class TestStep:
@@ -548,6 +585,19 @@ def _bytes(*arrays):
     return [np.ascontiguousarray(a).tobytes() for a in arrays]
 
 
+def _star3_inputs(c):
+    """star3's inputs in the right-hand side: d sigma, g and -mu of ``c``."""
+    lat = gc.Lattice(c.shape[:4])
+    q, g, mu, _ = gc._normalize_fields(c)
+    return gc.d(lat, ta._product(ta.adj3(q), c), 2), g, -mu
+
+
+def _flux_inputs(c):
+    """The flux's inputs in the right-hand side: Q and eta = star3(d sigma, g, -mu)."""
+    q = gc._normalize_fields(c)[0]
+    return q, ta.star3(*_star3_inputs(c))
+
+
 class TestSlabs:
     """In slab threads the pointwise stages run per axis-0 slab and the
     derivatives per output component; every result must equal the serial one
@@ -581,22 +631,35 @@ class TestSlabs:
             assert gc._slabs((3, 32, 4, 4)) == [slice(0, 1), slice(1, 2), slice(2, 3)]
             assert gc._slabs((5, 5, 2, 4)) == [...]   # 200 points
 
-    @pytest.mark.parametrize("density,build", [(ta.metric_density, lambda c: c),
-                                               (fg.metric_density7, fg.build_phi)])
-    def test_density_bits_independent_of_partition(self, density, build):
-        # a point's density is the same bits in any slab, batch or layout;
-        # 4416 points span blocks of both tables
+    @pytest.mark.parametrize("density,build", [
+        (ta.metric_density, lambda c: c), (fg.metric_density7, fg.build_phi),
+        pytest.param(ta.gram, lambda c: (c, gc._normalize_fields(c)[2]), id="gram"),
+        pytest.param(ta._product, lambda c: (ta.adj3(gc._normalize_fields(c)[0]), c),
+                     id="sigma"),
+        pytest.param(ta.star3, lambda c: _star3_inputs(c), id="star3"),
+        pytest.param(ta._product, lambda c: _flux_inputs(c), id="flux")])
+    def test_density_bits_independent_of_partition(self, density, build, monkeypatch):
+        # a point's density, Gram matrix, sigma = adj(Q) w, star3 and Q eta are
+        # the same bits in any slab, batch or layout; blocks of 1000 points
+        # make the 4416 points span several
+        for table in (ta.DENSITY, fg.DENSITY7, ta.GRAM, ta._product_table(3, 3, 6),
+                      ta._star_table(3, 3), ta._product_table(3, 3, 4)):
+            monkeypatch.setattr(table, "block", 1000)
         lat = gc.Lattice((23, 4, 8, 6))
-        x = build(initial_data.generate_initial(lat, "exact-perturbation", 0.05, 3).c)
-        whole = density(x)
+        inputs = build(initial_data.generate_initial(lat, "exact-perturbation", 0.05, 3).c)
+        inputs = inputs if isinstance(inputs, tuple) else (inputs,)
+        whole = density(*inputs)
         assert lat.num_points > ta.DENSITY.block
         cut = [0, 1, 4, 5, 17, 23]
-        parts = np.concatenate([density(x[a:b]) for a, b in zip(cut, cut[1:])])
-        core = x.shape[4:]
-        rows = ta._pointwise(ta._entries(x, len(core)), len(core))   # component-major
-        assert _bytes(parts, density(rows)) == _bytes(whole, whole)
+        parts = np.concatenate([density(*(x[a:b] for x in inputs))
+                                for a, b in zip(cut, cut[1:])])
+        grid_first = [np.ascontiguousarray(x) for x in inputs]
+        rows = [ta._pointwise(ta._entries(x, x.ndim - 4), x.ndim - 4)   # component-major
+                for x in grid_first]
+        assert (_bytes(parts, density(*grid_first), density(*rows))
+                == _bytes(whole, whole, whole))
         for at in [(0, 0, 0, 0), (22, 3, 7, 5), (5, 2, 0, 3)]:
-            assert _bytes(density(x[at])) == _bytes(whole[at])
+            assert _bytes(density(*(x[at] for x in inputs))) == _bytes(whole[at])
 
     def test_rhs(self, field, workers):
         serial = _bytes(fe.evaluate_rhs(self.LAT, field))

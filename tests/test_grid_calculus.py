@@ -252,27 +252,67 @@ class TestPeriods:
         assert gc.periods(lat, perturbed)[0] == pytest.approx(1.0, abs=1e-12)
 
 
-def point_major_normalize(c):
-    """``_normalize_fields`` without the guard, evaluated point-major on
-    C-ordered arrays: the density's monomials gathered per point, each
-    entry's summed one by one in table order with their signs and then
-    scaled by its one |coefficient|; a plain matmul for the Gram matrix,
-    with the package's cofactor formulas for the determinant."""
-    x = c.reshape(-1, 18)
-    f0, f1, f2 = ta.DENSITY_FACTORS
-    mono = x[:, f0] * x[:, f1] * x[:, f2]
-    K = np.empty((len(x), 4, 4))
-    for a, b in zip(*np.triu_indices(4)):
-        coef = ta.DENSITY_COEF[4 * a + b]
+class TestFourPointAxis:
+    """On a 4-point axis j + 2 and j - 2 name one point; the wide difference
+    of the 4th-order stencil, +0 for finite fields, is not taken."""
+
+    @staticmethod
+    def grouped(lat, f, axis):
+        # the 4th-order stencil with both differences, as np.roll
+        a = f.ndim - 4 + axis
+        out = np.roll(f, -1, a) - np.roll(f, 1, a)
+        out *= 8.0
+        out -= np.roll(f, -2, a) - np.roll(f, 2, a)
+        out /= 12.0 * lat.h[axis]
+        return out
+
+    def test_bytes_of_both_differences(self, rng):
+        lat = gc.Lattice((8, 4, 6, 4), (1.0, 0.7, 1.3, 2.0))
+        f = rng.uniform(-1.0, 1.0, (3,) + lat.shape)
+        f[0, 1, 2] = -0.0
+        for axis in range(4):
+            assert gc.partial(lat, f, axis).tobytes() == self.grouped(lat, f, axis).tobytes()
+
+    def test_constant_field_exact_zeros(self):
+        lat = gc.Lattice((4, 4, 4, 4))
+        for value in (0.3, -0.0):
+            f = np.full(lat.shape, value)
+            for axis, order in np.ndindex(4, 2):
+                out = gc.partial(lat, f, axis, 2 * order + 2)
+                assert np.all(out == 0.0) and not np.any(np.signbit(out))
+
+
+def table_sum(table, x):
+    """An ``exterior.RowProducts`` symmetric table evaluated point-major on
+    the rows of ``x`` (points, nvar): each entry's monomials gathered per
+    point, summed one by one in table order with their signs, then scaled by
+    its one |coefficient|, on and above the diagonal and mirrored."""
+    n = table.shape[0]
+    mono = x[:, table.factors[0]]
+    for f in table.factors[1:]:
+        mono = mono * x[:, f]
+    out = np.empty((len(x), n, n))
+    for a, b in zip(*np.triu_indices(n)):
+        coef = table.coef[n * a + b]
         col = np.flatnonzero(coef)
         acc = np.sign(coef[col[0]]) * mono[:, col[0]]
         for k in col[1:]:
             acc = acc + np.sign(coef[k]) * mono[:, k]
-        K[:, a, b] = K[:, b, a] = acc * np.abs(coef[col[0]])
-    K = K.reshape(c.shape[:-2] + (4, 4))
-    _, det = ta._pd_cofactors4(K, "metric density")
+        out[:, a, b] = out[:, b, a] = acc * np.abs(coef[col[0]])
+    return out
+
+
+def point_major_normalize(c):
+    """``_normalize_fields`` without the guard, evaluated point-major on
+    C-ordered arrays: the density and the Gram matrix as :func:`table_sum`s,
+    the Gram matrix then over the volume, with the package's cofactor
+    formulas for the determinant (``metric_from_triple``'s)."""
+    x = c.reshape(-1, 18)
+    K = table_sum(ta.DENSITY, x).reshape(c.shape[:-2] + (4, 4))
+    e = ta._entries(K)
+    _, det = ta._pd_det4(e, *ta._minors4(e, 3), "metric density")
     s = det ** (1.0 / 6.0)
-    q = np.matmul(np.matmul(c, ta.WEDGE2), np.swapaxes(c, -1, -2)) / (2.0 * s[..., None, None])
+    q = table_sum(ta.GRAM, x).reshape(c.shape[:-2] + (3, 3)) / s[..., None, None]
     return q, K / s[..., None, None], s
 
 

@@ -4,6 +4,7 @@ import pytest
 from hsflow import grid_calculus as gc
 from hsflow import initial_data
 from hsflow import snapshot as snap
+from hsflow import triple_algebra as ta
 from hsflow.errors import ValidationError
 
 
@@ -16,6 +17,8 @@ def test_round_trip(tmp_path):
     assert t == 0.125
     assert back.lattice == lat
     assert np.array_equal(back.c, tf.c)
+    # read back component-major, as the flow's states: each component in place
+    assert np.shares_memory(ta._entries(back.c), back.c)
 
 
 def test_layout_is_documented_order(tmp_path):

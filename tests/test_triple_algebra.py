@@ -367,8 +367,9 @@ class TestDensityTable:
         rows = ta.DENSITY_COEF.reshape(4, 4, 96)
         assert np.array_equal(rows, rows.transpose(1, 0, 2))
 
-    def test_lattice_against_six_products(self, rng):
-        shape = (13, 7, 8, 11)   # 8008 points: one full block and a partial one
+    def test_lattice_against_six_products(self, rng, monkeypatch):
+        monkeypatch.setattr(ta.DENSITY, "block", 3000)
+        shape = (13, 7, 8, 11)   # 8008 points: two full blocks and a partial one
         npts = int(np.prod(shape))
         assert npts > ta.DENSITY.block and npts % ta.DENSITY.block != 0
         c = (np.broadcast_to(STD, shape + (3, 6))
@@ -420,8 +421,9 @@ class TestInverseMetric:
         for _ in range(20):
             a = rng.uniform(-1, 1, (4, 4))
             m = a @ a.T + 0.5 * np.eye(4)
-            cof, det = ta._pd_cofactors4(m, "test matrix")
-            adj = ta._adjugate4(cof)
+            e = ta._entries(m)
+            _, det = ta._pd_det4(e, *ta._minors4(e), "test matrix")
+            adj = ta._apply(ta.ADJ4, m)
             assert det == pytest.approx(np.linalg.det(m), rel=1e-13)
             assert np.array_equal(adj, adj.T)
             assert np.abs(adj @ m / det - np.eye(4)).max() <= 1e-13
@@ -430,7 +432,7 @@ class TestInverseMetric:
         m = np.broadcast_to(np.eye(4), (3, 2, 4, 4)).copy()
         m[2, 1, 3, 3] = -1.0
         with pytest.raises(NotPositive, match=r"test matrix not .* \(2, 1\)"):
-            ta._pd_cofactors4(m, "test matrix")
+            ta._inverse4(m, "test matrix")
 
     def test_lambda2_gram_entries_are_minors(self, rng):
         # entry (m, l) is det h[I_m, I_l] in the stored index order of the basis
@@ -444,3 +446,44 @@ class TestInverseMetric:
         assert np.array_equal(got, np.swapaxes(got, -1, -2))
         assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
         assert np.array_equal(ta.lambda2_gram(h[1, 2, 3, 0]), got[1, 2, 3, 0])
+
+
+class TestProductKernels:
+    """The per-point products of the right-hand side against per-point loops
+    from their definitions (tests/oracles.py), to roundoff."""
+
+    POINTS = 40
+
+    @pytest.fixture
+    def fields(self, rng):
+        t = np.stack([random_triple(rng) for _ in range(self.POINTS)])
+        q, mu = ta.normalize(t)
+        return t, q, ta.metric_from_triple(t)[0], mu
+
+    @staticmethod
+    def close(got, expected):
+        return np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
+
+    def test_gram(self, fields):
+        t, q, _, mu = fields
+        assert self.close(q, oracles.gram_loop(t, mu))
+        assert np.array_equal(q, np.swapaxes(q, -1, -2))
+        assert self.close(ta.gram(t), oracles.gram_loop(t, np.ones(self.POINTS)))
+
+    def test_dual(self, fields):
+        t, q, _, _ = fields
+        assert self.close(ta._product(ta.adj3(q), t), oracles.dual_loop(q, t))
+
+    def test_star3(self, fields, rng):
+        _, _, g, _ = fields
+        coeffs = rng.uniform(-1.0, 1.0, (self.POINTS, 3, 4))
+        sqrt_det_g = np.sqrt(np.linalg.det(g))
+        expected = oracles.star3_loop(coeffs, g)
+        assert self.close(ta.star3(coeffs, g, sqrt_det_g), expected)
+        assert self.close(ta.star3(coeffs[:, 1], g, sqrt_det_g), expected[:, 1])
+        assert self.close(ta.star3(coeffs, g, -sqrt_det_g), -expected)
+
+    def test_flux(self, fields, rng):
+        _, q, _, _ = fields
+        eta = rng.uniform(-1.0, 1.0, (self.POINTS, 3, 4))
+        assert self.close(ta._product(q, eta), oracles.product_loop(q, eta))
