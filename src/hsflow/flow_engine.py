@@ -33,6 +33,9 @@ DIAG_COLUMNS = ("step", "time", "dt", "max_dw", "min_eig_Q",
                 "q_dev", "torsion_sample")
 
 CLOSEDNESS_GATE = 1e-10
+# the memory a run's right-hand sides share, by core: q, g and mu of the unguarded
+# normalization, sigma, which a stage's result may overwrite, and d sigma, which eta does
+_WORK = ((3, 3), (4, 4), (), (3, 6), (3, 4))
 
 
 @dataclass
@@ -85,6 +88,8 @@ class FlowState:
     sigma and d sigma at the sample points.
     ``q`` and ``g`` are views of the component-major memory that the
     right-hand side reads, and so is ``tf.c`` after a step (:func:`step`).
+    ``work`` (:data:`_WORK`) is made by :func:`init_state`, or by
+    :func:`step` for a state without it, and handed on by :func:`step`.
     ``q_eig_min`` is LAPACK's value; ``q_top`` is the closed-form estimate,
     a bracket ``(lo, hi)`` that holds each point's largest Gram eigenvalue
     (see ``grid_calculus._normalize_fields``)."""
@@ -100,6 +105,7 @@ class FlowState:
     sample_points: tuple = ()
     diagnostics: dict = field(default_factory=dict)
     kept: dict = field(default_factory=dict)
+    work: tuple | None = field(default=None, repr=False, compare=False)
 
     def ensure_fields(self, threshold: float = 1e-6):
         if self.q is None:
@@ -114,16 +120,15 @@ class FlowState:
         return self.kept[key]
 
 
-def _dual(lat: gc.Lattice, c: np.ndarray, q: np.ndarray, order: int):
+def _dual(lat: gc.Lattice, c: np.ndarray, q: np.ndarray, order: int, sigma, dsigma):
     """sigma = Q^-1 w per slab (det q = 1, so adjugate = inverse) and its
-    lattice-wide d, views of component-major memory."""
-    sigma = gc._by_slab(lat.shape, lambda at, out: ta._product(ta.adj3(q[at]), c[at], out),
-                        (3, 6))
-    return sigma, gc._d(lat, sigma, 2, order)
+    lattice-wide d, written into ``sigma`` and ``dsigma`` (:data:`_WORK`)."""
+    gc._by_slab(lat.shape, lambda at, out: ta._product(ta.adj3(q[at]), c[at], out), sigma)
+    return sigma, gc._d(lat, sigma, 2, order, dsigma)
 
 
 def evaluate_rhs(lat: gc.Lattice, c: np.ndarray, order: int = 4,
-                 fields=None, seen=None) -> np.ndarray:
+                 fields=None, seen=None, work=None, out=None) -> np.ndarray:
     """One right-hand side evaluation on raw coefficients; shape (grid, 3, 6).
 
     The update is assembled strictly as d(applied to 1-form fields), so it
@@ -132,8 +137,10 @@ def evaluate_rhs(lat: gc.Lattice, c: np.ndarray, order: int = 4,
     the metric density's minors; the threshold guards committed states.
     ``sigma = Q^-1 w`` is self-dual, so d* sigma = -*d sigma takes one star.
     Every stage from ``sigma`` on, and the normalization, writes
-    component-major memory, ``(3, 6, n0, n1, n2, n3)`` for the triple, and
-    the result is a view of it; ``c`` is read in place when it is one too.
+    component-major memory, ``work`` (:data:`_WORK`) or new, ``(3, 6, n0,
+    n1, n2, n3)`` for the triple; ``c`` is read in place when it is one too.
+    The result is written into ``out``, which may be ``work``'s sigma, dead
+    by then, else into new memory.
 
     The pointwise stages before and after the first d run once per slab of
     the lattice, on ``grid_calculus.slab_threads`` when there are several
@@ -143,20 +150,20 @@ def evaluate_rhs(lat: gc.Lattice, c: np.ndarray, order: int = 4,
     ``seen(sigma, dsigma)``, when given, is shown the lattice-wide dual
     triple and its derivative (see :func:`_dual`) before they are dropped.
     """
+    q, g, mu, sigma, dsigma = work or gc._fields(lat.shape, *_WORK)
     if fields is None:
-        q, g, mu, _ = gc._normalize_fields(c)
+        gc._normalize_fields(c, None, (q, g, mu))
     else:
         q, g, mu = fields
 
-    def flux(at, out):    # Q d* sigma = Q (-*3 d sigma)
+    def flux(at, out):    # Q d* sigma = Q (-*3 d sigma); out, d sigma's slab, is read first
         return ta._product(q[at], ta.star3(dsigma[at], g[at], np.negative(mu[at])), out)
 
-    sigma, dsigma = _dual(lat, c, q, order)
+    _dual(lat, c, q, order, sigma, dsigma)
     if seen is not None:
         seen(sigma, dsigma)
-    del sigma
-    eta = gc._by_slab(lat.shape, flux, (3, 4))
-    return gc._d(lat, eta, 1, order)
+    gc._by_slab(lat.shape, flux, dsigma)   # eta, over d sigma
+    return gc._d(lat, dsigma, 1, order, out)
 
 
 def rhs(state: FlowState, order: int = 4) -> np.ndarray:
@@ -171,7 +178,7 @@ def rhs(state: FlowState, order: int = 4) -> np.ndarray:
 
     def compute():
         out = evaluate_rhs(state.tf.lattice, state.tf.c, order, state.ensure_fields(),
-                           seen if points else None)
+                           seen if points else None, state.work)
         out.flags.writeable = False
         return out
     return state.keep(("rhs", order), compute)
@@ -204,27 +211,37 @@ def step(state: FlowState, dt: float, config: FlowConfig) -> FlowState:
     """One explicit step (classical RK4, or forward Euler when configured).
 
     Every stage increment is a discrete-exact form, so the step conserves
-    closedness and periods to roundoff.  Stage inputs and the new state take
-    the layout of ``c`` and the right-hand sides: component-major when ``c``
-    is.  Raises StepRejected when any stage or the post-step state fails the
-    positivity guard.
+    closedness and periods to roundoff.  RK4 runs in place with the
+    operations, so the bits, of ``c0 + a*dt*k`` and ``c0 + (dt/6.0)*(k1 +
+    2.0*k2 + 2.0*k3 + k4)``: the stage inputs share one buffer, k2 to k4
+    ``state.work``'s sigma, and the sum the new state's component-major
+    ``c``.  Raises StepRejected when any stage or the post-step state fails
+    the positivity guard.
     """
     lat = state.tf.lattice
     order = config.stencil_order
     thr = config.degeneration_threshold
     c0 = state.tf.c
+    work = state.work or gc._fields(lat.shape, *_WORK)
     try:
         k1 = rhs(state, order)
         if config.method == "euler":
             c_new = c0 + dt * k1
-        else:
-            k2 = evaluate_rhs(lat, c0 + 0.5 * dt * k1, order)
-            k3 = evaluate_rhs(lat, c0 + 0.5 * dt * k2, order)
-            k4 = evaluate_rhs(lat, c0 + dt * k3, order)
-            c_new = c0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        else:   # the stage inputs c0 + a dt k in x; k2, k3 and k4 in turn in k
+            x, k = np.multiply(k1, 0.5 * dt), work[3]
+            evaluate_rhs(lat, np.add(x, c0, out=x), order, work=work, out=k)
+            np.add(np.multiply(k, 0.5 * dt, out=x), c0, out=x)
+            c_new = k1 + np.multiply(k, 2.0, out=k)
+            evaluate_rhs(lat, x, order, work=work, out=k)
+            np.add(np.multiply(k, dt, out=x), c0, out=x)
+            c_new += np.multiply(k, 2.0, out=k)
+            c_new += evaluate_rhs(lat, x, order, work=work, out=k)
+            del x   # before the guard's normalization
+            c_new *= dt / 6.0
+            c_new += c0
         new_state = FlowState(state.time + dt, gc.TripleField(lat, c_new),
                               base_periods=state.base_periods,
-                              sample_points=state.sample_points)
+                              sample_points=state.sample_points, work=work)
         new_state.ensure_fields(thr)   # post-step positivity guard
     except NotPositive as exc:
         raise StepRejected(
@@ -263,7 +280,8 @@ def dual_lift_torsion(state: FlowState, points, order: int = 4) -> float:
     from . import fiber_g2 as fg
     q, g, _ = state.ensure_fields()
     sigma, dsig = state.keep(("dual", order, points), lambda: _at(
-        points, *_dual(state.tf.lattice, state.tf.c, q, order)))
+        points, *_dual(state.tf.lattice, state.tf.c, q, order,
+                       *gc._fields(state.tf.lattice.shape, *_WORK[3:]))))
     q_at, g_at = _at(points, q, g)
     trace = fg.torsion_trace(fg.build_phi(sigma), fg.assemble_dphi(dsig),
                              fg.metric7_block(ta.adj3(q_at), g_at))
@@ -285,9 +303,10 @@ def diagnostics(state: FlowState, config: FlowConfig, step_index: int = 0,
         drift = 0.0
     r = rhs(state, order)
     rhs_l2 = float(np.sqrt((r * r).sum() * lat.cell_volume))
-    q = np.ascontiguousarray(q)   # grid-first in memory, so the means sum in the same order
-    qbar = q.mean(axis=(0, 1, 2, 3))
-    q_dev = float(np.sqrt(((q - qbar) ** 2).sum(axis=(-2, -1))).max())
+    # numpy's sums of a grid-first q: each mean's sequential, a point's nine squares pairwise
+    s = [(row - np.cumsum(row)[-1] / row.size) ** 2 for row in ta._entries(q).reshape(9, -1)]
+    s = ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7])) + s[8]
+    q_dev = float(np.sqrt(s).max())
     row = {
         "step": step_index,
         "time": state.time,
@@ -319,7 +338,7 @@ def init_state(config: FlowConfig, tf: gc.TripleField) -> FlowState:
     The closedness defect and periods computed here are kept for row 0."""
     config.validate()
     order = config.stencil_order
-    state = FlowState(0.0, tf)
+    state = FlowState(0.0, tf, work=gc._fields(tf.lattice.shape, *_WORK))
     max_dw = state.keep(("max_dw", order), lambda: tf.max_dabs(order))
     if max_dw > CLOSEDNESS_GATE:
         raise ValidationError(

@@ -146,28 +146,26 @@ def _each(fn, items) -> None:
         future.result()
 
 
-def _by_slab(shape: tuple, stage, *cores):
-    """``stage(slab, *out)`` for every slab of a lattice of ``shape`` (see
-    :func:`_slabs`); returns its outputs, one array per core (a shape such
-    as ``(3, 6)``, or ``()`` for a scalar field).
+def _fields(shape: tuple, *cores) -> tuple:
+    """New component-major arrays seen as ``shape + core``, one per core (a
+    shape such as ``(3, 6)``, or ``()`` for a scalar field)."""
+    return tuple(ta._pointwise(np.empty(core + shape), len(core)) for core in cores)
 
-    With one slab, ``out`` is all None: the stage's kernels make their own
-    output arrays, and the stage returns them.  With several, ``out`` are
-    the slab's parts of lattice-wide component-major arrays, which the
-    stage's kernels write.  A NotPositive in a slab is raised again by the
-    stage run as one slab, so that its message, which names the first
-    failing lattice index of the whole lattice, is word for word a serial
-    run's."""
+
+def _by_slab(shape: tuple, stage, *outs) -> None:
+    """``stage(slab, *out)`` for every slab of a lattice of ``shape`` (see
+    :func:`_slabs`), ``out`` the slab's parts of ``outs``, lattice-wide
+    arrays such as :func:`_fields` makes, which the stage's kernels write.
+    A NotPositive in one of several slabs is raised again by the stage run
+    as one slab, so that its message, which names the first failing lattice
+    index of the whole lattice, is word for word a serial run's."""
     slabs = _slabs(shape)
-    if len(slabs) == 1:
-        return stage(..., *(None for _ in cores))
-    outs = tuple(ta._pointwise(np.empty(core + shape), len(core)) for core in cores)
     try:
         _each(lambda at: stage(at, *(out[at] for out in outs)), slabs)
     except NotPositive:
-        stage(..., *outs)
+        if len(slabs) > 1:
+            stage(..., *outs)
         raise
-    return outs if len(outs) > 1 else outs[0]
 
 
 def _shift_difference(rows: np.ndarray, s: int) -> np.ndarray:
@@ -211,10 +209,10 @@ def partial(lat: Lattice, f: np.ndarray, axis: int, order: int = 4) -> np.ndarra
     return out.reshape(f.shape)
 
 
-def _d(lat: Lattice, f: np.ndarray, k: int, order: int = 4) -> np.ndarray:
+def _d(lat: Lattice, f: np.ndarray, k: int, order: int = 4, out=None) -> np.ndarray:
     """:func:`d`'s kernel: it differentiates component-major memory, which it
     copies ``f`` into unless ``f`` is already a view of it, and returns a
-    view of component-major memory.
+    view of component-major memory, ``out``'s when given (see :func:`_fields`).
 
     Each output component sums its terms of the assembly table in table
     order.  On a lattice of several slabs (see :func:`_slabs`), the
@@ -227,7 +225,9 @@ def _d(lat: Lattice, f: np.ndarray, k: int, order: int = 4) -> np.ndarray:
     f = ta._entries(f, tail)
     # the sums run on a flat view of the grid, which numpy updates in place
     # without a temporary copy
-    out = np.zeros(f.shape[:-5] + (NCOMP[k + 1], lat.num_points))
+    flat = f.shape[:-5] + (NCOMP[k + 1], lat.num_points)
+    out = np.empty(flat) if out is None else ta._entries(out, tail).reshape(flat)
+    out.fill(0.0)
 
     def components(share):   # the terms of every count-th output component
         for dst, src, axis, sign in _D_TABLE[k]:
@@ -320,12 +320,13 @@ def constant_triple_field(lat: Lattice, triple: np.ndarray) -> TripleField:
     return TripleField(lat, c)
 
 
-def _normalize_fields(c: np.ndarray, threshold: float | None = None):
-    """``(q, g, mu, eig)``: see pointwise_normalize.  ``q`` and ``g`` are
-    views of component-major memory, and ``c`` may be one.  The metric and
-    ``q`` are computed per slab of the lattice (see :func:`_slabs`), on the
-    slab threads when there are several, each slab writing its part of the
-    lattice-wide arrays; every point's values are those of one serial run.
+def _normalize_fields(c: np.ndarray, threshold: float | None = None, out=None):
+    """``(q, g, mu, eig)``: see pointwise_normalize.  ``q``, ``g`` and
+    ``mu`` are written into ``out`` (:func:`_fields`), else new memory, and
+    ``c`` may be component-major too.  The metric and ``q`` are computed per
+    slab of the lattice (see :func:`_slabs`), on the slab threads when there
+    are several, each slab writing its part of the lattice-wide arrays;
+    every point's values are those of one serial run.
 
     The Gram eigenvalue guard runs exactly when a ``threshold`` is given.
     ``eig`` is then ``(top, lowest)``, else None.  ``lowest``, the smallest
@@ -338,9 +339,10 @@ def _normalize_fields(c: np.ndarray, threshold: float | None = None):
     eigenvalue.
     """
     def slab(at, q, g, s):
-        g, s = ta.metric_from_triple(c[at], 0.0, g, s)
-        return ta.gram(c[at], s, q), g, s
-    q, g, s = _by_slab(c.shape[:-2], slab, (3, 3), (4, 4), ())
+        ta.metric_from_triple(c[at], 0.0, g, s)
+        ta.gram(c[at], s, q)
+    q, g, s = out or _fields(c.shape[:-2], (3, 3), (4, 4), ())
+    _by_slab(c.shape[:-2], slab, q, g, s)
     if threshold is None:
         return q, g, s, None
     bottom, top, radius = ta._gram_extremes(q)

@@ -335,9 +335,10 @@ def metric_from_triple(triple: np.ndarray, tol: float = 1e-12, g=None, mu_w=None
     Raises NotPositive unless every leading minor of the density exceeds
     ``tol`` (Gram positivity plus right-handedness of the triple in its span).
     """
-    g = metric_density(triple, g)
-    e = _entries(g)
-    _, det = _pd_det4(e, *_minors4(e, 3), "metric density", tol)
+    with np.errstate(invalid="ignore", over="ignore"):   # a non-finite triple fails the minors
+        g = metric_density(triple, g)
+        e = _entries(g)
+        _, det = _pd_det4(e, *_minors4(e, 3), "metric density", tol)
     mu_w = det ** (1.0 / 6.0) if mu_w is None else np.power(det, 1.0 / 6.0, out=mu_w)
     # in place on a flat view, which numpy needs no copy for
     flat = np.reshape(np.moveaxis(g, (-2, -1), (0, 1)), (16, -1), copy=False)
