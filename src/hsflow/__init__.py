@@ -24,9 +24,8 @@ from .triple_algebra import (adj3, det3, dual_triple, gram, hodge2, inv3,
 from .fiber_g2 import (assemble_dphi, build_phi, build_psi, check_star7,
                        hodge7, metric7_block, metric_from_phi, star3_t3,
                        torsion_trace)
-from .grid_calculus import (Lattice, TripleField, codiff2,
-                            constant_triple_field, d, partial, periods,
-                            pointwise_normalize)
+from .grid_calculus import (Lattice, TripleField, constant_triple_field, d,
+                            partial, periods, pointwise_normalize)
 from .flow_engine import (DIAG_COLUMNS, FlowConfig, FlowResult, FlowState,
                           diagnostics, evaluate_rhs, init_state, rhs, run,
                           stable_dt, step)

@@ -140,7 +140,8 @@ def evaluate_rhs(lat: gc.Lattice, c: np.ndarray, order: int = 4,
     component-major memory, ``work`` (:data:`_WORK`) or new, ``(3, 6, n0,
     n1, n2, n3)`` for the triple; ``c`` is read in place when it is one too.
     The result is written into ``out``, which may be ``work``'s sigma, dead
-    by then, else into new memory.
+    by then; else, without ``work``, into this call's own sigma, else into
+    new memory.
 
     The pointwise stages before and after the first d run once per slab of
     the lattice, on ``grid_calculus.slab_threads`` when there are several
@@ -163,7 +164,7 @@ def evaluate_rhs(lat: gc.Lattice, c: np.ndarray, order: int = 4,
     if seen is not None:
         seen(sigma, dsigma)
     gc._by_slab(lat.shape, flux, dsigma)   # eta, over d sigma
-    return gc._d(lat, dsigma, 1, order, out)
+    return gc._d(lat, dsigma, 1, order, sigma if work is None and out is None else out)
 
 
 def rhs(state: FlowState, order: int = 4) -> np.ndarray:

@@ -249,22 +249,6 @@ def d(lat: Lattice, f: np.ndarray, k: int, order: int = 4) -> np.ndarray:
     return np.ascontiguousarray(_d(lat, f, k, order))
 
 
-def codiff2(lat: Lattice, beta: np.ndarray, g: np.ndarray, mu_g: np.ndarray,
-            order: int = 4) -> np.ndarray:
-    """Metric codifferential of a 2-form field: d* beta = -*4 d *4 beta.
-
-    ``g`` is the pointwise metric field (grid..., 4, 4) and ``mu_g`` its
-    volume coefficient sqrt(det g).  ``g`` must be positive definite
-    (NotPositive names the first point where it is not); g^-1 comes from the
-    same adjugate-over-determinant helper as ``hodge2``.  ``beta`` may carry
-    one batch axis before the component axis (e.g. a whole triple at once).
-    The result is a view of component-major memory.
-    """
-    h = ta._inverse4(g, "codiff2: metric")
-    # -*4 is *4 with the volume coefficient negated: x / -mu = -(x / mu) exactly
-    return ta.star3(_d(lat, ta.star2(beta, h, mu_g), 2, order), g, np.negative(mu_g))
-
-
 def periods(lat: Lattice, w: np.ndarray) -> np.ndarray:
     """Integrals of a 2-form field over the six coordinate 2-tori.
 

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import permutations
 
 import numpy as np
 
@@ -48,8 +47,6 @@ LAMBDA3_TUPLES = exterior.lex_tuples(4, 3)
 WEDGE2 = exterior.pairing_matrix(LAMBDA2_TUPLES, LAMBDA2_TUPLES, 4)
 
 _W32 = exterior.pairing_matrix(LAMBDA3_TUPLES, LAMBDA1_TUPLES, 4)
-_W2INV = np.linalg.inv(WEDGE2)
-_W32INV = np.linalg.inv(_W32)
 
 EPS3 = np.array([[[exterior.tuple_parity((i, j, k)) for k in range(3)] for j in range(3)]
                  for i in range(3)], dtype=float)
@@ -63,8 +60,8 @@ def _signed_permutation(w: np.ndarray) -> tuple:
 
 
 _PAIRING_COLUMNS = _signed_permutation(WEDGE2)
-_STAR2_COLUMNS = _signed_permutation(_W2INV)
-_STAR3_COLUMNS = _signed_permutation(_W32INV.T)
+# a signed permutation's inverse is its transpose: star3's is _W32^-T = _W32
+_STAR3_COLUMNS = _signed_permutation(_W32)
 # (coordinate missing from each lex 3-tuple, sign of e^I ∧ e^missing), for star3
 _OMITTED = _signed_permutation(_W32.T)
 
@@ -73,16 +70,6 @@ _OMITTED = _signed_permutation(_W32.T)
 ADJ3 = exterior.RowProducts((3, 3), [
     (3 * i + k, 3 * a + c, 3 * b + d, EPS3[k, a, b] * EPS3[i, c, d])
     for i, k, a, b, c, d in np.ndindex((3,) * 6) if EPS3[k, a, b] and EPS3[i, c, d]], 2)
-# the Lambda^2 Gram matrix of h: 2x2 minors on the index pairs of the basis
-LAMBDA2_GRAM = exterior.RowProducts((6, 6), [
-    (6 * m + l, 4 * a + x, 4 * b + y, sign) for m, (a, b) in enumerate(LAMBDA2_TUPLES)
-    for l, (c, d) in enumerate(LAMBDA2_TUPLES[m:], m)
-    for x, y, sign in ((c, d, 1), (d, c, -1))], symmetric=True)
-# adj(g)_ab = (1/6) eps_bijk eps_almn g_il g_jm g_kn: six monomials of coefficient ±1 each
-ADJ4 = exterior.RowProducts((4, 4), [
-    (4 * r[0] + p[0], 4 * p[1] + r[1], 4 * p[2] + r[2], 4 * p[3] + r[3],
-     exterior.tuple_parity(p) * exterior.tuple_parity(r))
-    for p in permutations(range(4)) for r in permutations(range(4))], 6, symmetric=True)
 # Q mu = (1/2) w_i ∧ w_j over the flattened triple, on and above the diagonal:
 # w_i ∧ w_j = sum_p sign w_i[src] w_j[p] over the columns (src, sign) of WEDGE2
 GRAM = exterior.RowProducts((3, 3), [
@@ -95,22 +82,6 @@ def _product_table(n: int, m: int, l: int) -> exterior.RowProducts:
     """(a b)_ij = sum_k a_ik b_kj over the rows of a (n, m), then of b (m, l)."""
     return exterior.RowProducts((n, l), [(l * i + j, m * i + k, n * m + l * k + j, 1)
                                          for i in range(n) for j in range(l) for k in range(m)])
-
-
-@lru_cache(maxsize=None)
-def _star_table(degree: int, forms: int) -> exterior.RowProducts:
-    """``coeffs @ G @ w`` for ``forms`` rows of 2- or 3-form coefficients, w
-    the star's signed permutation.  star2's G is the Λ² Gram matrix, star3's
-    G[k, l] = s_k s_l g[o_k, o_l] over the omitted coordinates (:data:`_OMITTED`)."""
-    if degree == 2:
-        m, columns = 6, _STAR2_COLUMNS
-        cell = [[(6 * k + l, 1) for l in range(6)] for k in range(6)]
-    else:
-        m, columns = 4, _STAR3_COLUMNS
-        cell = [[(4 * a + b, sa * sb) for b, sb in _OMITTED] for a, sa in _OMITTED]
-    return exterior.RowProducts((forms, m), [
-        (m * i + p, m * i + k, m * forms + cell[k][src][0], cell[k][src][1] * sign)
-        for i in range(forms) for p, (src, sign) in enumerate(columns) for k in range(m)])
 
 
 def _density_table() -> exterior.RowProducts:
@@ -313,15 +284,6 @@ def _pd_det4(e, s, c, what: str, tol: float = 0.0):
     return cof, det
 
 
-def _inverse4(g: np.ndarray, what: str) -> np.ndarray:
-    """Inverse of a symmetric positive definite 4x4 stack, :data:`ADJ4` over
-    det g, exactly symmetric; NotPositive names ``what`` and the first
-    failing batch index (:func:`_pd_det4`)."""
-    e = _entries(g)
-    _, det = _pd_det4(e, *_minors4(e, 3), what)
-    return _apply(ADJ4, g, row=det, op=np.divide)
-
-
 def metric_from_triple(triple: np.ndarray, tol: float = 1e-12, g=None, mu_w=None):
     """Riemannian metric and volume coefficient determined by a positive triple.
 
@@ -357,38 +319,15 @@ def normalize(triple: np.ndarray):
     return gram(triple, mu_w), mu_w
 
 
-def lambda2_gram(h: np.ndarray) -> np.ndarray:
-    """Inner products of the Lambda^2 basis for inverse metric ``h`` (..., 6, 6).
-
-    Entry (m, l) is the 2x2 minor of ``h`` on the index pairs of basis
-    elements m and l.  The 21 entries on and above the diagonal are computed
-    from the entries of ``h`` and copied below it (``h`` is symmetric).
-    """
-    return _apply(LAMBDA2_GRAM, np.asarray(h, dtype=float))
-
-
-def _star(degree: int, coeffs: np.ndarray, gram_: np.ndarray, scale, op) -> np.ndarray:
-    """``op(coeffs @ G @ w, scale)`` at every point (:func:`_star_table`),
-    G read from the rows of ``gram_``, w the star's signed permutation,
-    whose signs are the terms'.
-
-    ``coeffs`` is (..., [B,] m) over points (...) that match ``gram_``
-    (..., n, n); ``scale`` is a pointwise scalar.
-    """
-    coeffs = np.asarray(coeffs, dtype=float)
-    c = coeffs.reshape(gram_.shape[:-2] + (-1, coeffs.shape[-1]))
-    return _apply(_star_table(degree, c.shape[-2]), c, gram_, row=scale,
-                  op=op).reshape(coeffs.shape)
-
-
-def star2(coeffs: np.ndarray, h: np.ndarray, sqrt_det_g) -> np.ndarray:
-    """Hodge star on 2-forms, fast path: no validation, caller supplies g^{-1}.
-
-    ``coeffs`` may carry one batch axis before the component axis (a triple);
-    leading axes otherwise match the metric stack.  The result is a
-    component-major view, (B, 6, ...) in memory.
-    """
-    return _star(2, coeffs, lambda2_gram(h), sqrt_det_g, np.multiply)
+@lru_cache(maxsize=None)
+def _hodge3_table(forms: int) -> exterior.RowProducts:
+    """``coeffs @ G @ w`` for ``forms`` rows of lex 3-form coefficients, w
+    star3's signed permutation and G[k, l] = s_k s_l g[o_k, o_l] over the
+    omitted coordinates (:data:`_OMITTED`)."""
+    cell = [[(4 * a + b, sa * sb) for b, sb in _OMITTED] for a, sa in _OMITTED]
+    return exterior.RowProducts((forms, 4), [
+        (4 * i + p, 4 * i + k, 4 * forms + cell[k][src][0], cell[k][src][1] * sign)
+        for i in range(forms) for p, (src, sign) in enumerate(_STAR3_COLUMNS) for k in range(4)])
 
 
 def star3(coeffs: np.ndarray, g: np.ndarray, sqrt_det_g) -> np.ndarray:
@@ -396,10 +335,16 @@ def star3(coeffs: np.ndarray, g: np.ndarray, sqrt_det_g) -> np.ndarray:
 
     Uses the complementary-minor identity: the Lambda^3 Gram of g^{-1} is
     D g D / det(g) with D the signs of the omitted coordinates (only their
-    products enter), so only ``g`` itself is needed.  Batch axis and layout
-    as in :func:`star2`.
+    products enter), so only ``g`` itself is needed.  Evaluated as the
+    table :func:`_hodge3_table`, whose term signs carry the star's, over
+    ``sqrt_det_g``.  ``coeffs`` may carry one batch axis before the component axis
+    (a triple); leading axes otherwise match the metric stack.  The result
+    is a component-major view, (B, 4, ...) in memory.
     """
-    return _star(3, coeffs, g, sqrt_det_g, np.divide)
+    coeffs = np.asarray(coeffs, dtype=float)
+    c = coeffs.reshape(g.shape[:-2] + (-1, 4))
+    return _apply(_hodge3_table(c.shape[-2]), c, g, row=sqrt_det_g,
+                  op=np.divide).reshape(coeffs.shape)
 
 
 def hodge2(b: np.ndarray, g: np.ndarray, mu_g) -> np.ndarray:
@@ -407,9 +352,21 @@ def hodge2(b: np.ndarray, g: np.ndarray, mu_g) -> np.ndarray:
 
     Defining relation: beta ∧ hodge2(gamma) = <beta, gamma>_g * (mu_g e0123)
     for all 2-forms beta.  Requires ``mu_g = sqrt(det g)``; an involution and
-    an isometry for Riemannian ``g``.  Raises NotPositive on indefinite g.
+    an isometry for Riemannian ``g``.  Uses the complementary-minor identity
+    Lambda^2(g^{-1}) = W Lambda^2(g) W / det g, W = :data:`WEDGE2` (the
+    half-swap, symmetric and its own inverse), so that *b = Lambda^2(g) W b
+    / mu_g and no inverse is taken.  ``b`` may carry one batch axis before
+    the component axis (a triple); leading axes otherwise match the metric
+    stack.  Raises NotPositive, naming the first failing batch index, on an
+    indefinite g.
     """
-    return star2(b, _inverse4(g, "hodge2: metric"), mu_g)
+    b, g = np.asarray(b, dtype=float), np.asarray(g, dtype=float)
+    e = _entries(g)
+    _pd_det4(e, *_minors4(e, 3), "hodge2: metric")
+    extra = (1,) * (b.ndim + 1 - g.ndim)   # the triple's axis, if any
+    out = exterior.apply_metric(g.reshape(g.shape[:-2] + extra + (4, 4)), b @ WEDGE2,
+                                LAMBDA2_TUPLES)
+    return out / np.reshape(mu_g, np.shape(mu_g) + extra + (1,))
 
 
 # The flow reads three things from the spectra of its Gram matrices q and

@@ -288,6 +288,40 @@ def d_grid_first(f, k: int, h, order: int = 4):
     return out
 
 
+# The metric codifferential of 2-form fields by two Hodge stars, each from
+# the defining pairing: the reference for the right-hand side's single star.
+def pairing4(tuples_a, tuples_b) -> np.ndarray:
+    """W[m, l] with e^{I_m} ∧ e^{J_l} = W[m, l] e0123, by bitmask algebra."""
+    return np.array([[top_coeff(wedge(mono(*I), mono(*J)), 4) for J in tuples_b]
+                     for I in tuples_a])
+
+
+def lambda_gram(h, tuples) -> np.ndarray:
+    """Inner products of a degree-k basis for inverse metric ``h`` (..., n, n):
+    entry (m, l) is det h[I_m, I_l], the tuples in their stored order."""
+    index = np.array(tuples)
+    return np.linalg.det(h[..., index[:, None, :, None], index[None, :, None, :]])
+
+
+def star4_fields(coeffs, g, tuples_k, tuples_comp) -> np.ndarray:
+    """Hodge star of degree-k form fields (..., [B,] m) for metrics g
+    (..., 4, 4): W^-1 Lambda^k(g^-1) c sqrt(det g), W the pairing of the
+    degree-k basis with its complement (:func:`pairing4`)."""
+    extra = (1,) * (coeffs.ndim + 1 - g.ndim)   # the batch axis B, if any
+    gram = lambda_gram(np.linalg.inv(g), tuples_k)
+    gram = gram.reshape(g.shape[:-2] + extra + gram.shape[-2:])
+    out = np.einsum('pm,...mn,...n->...p', np.linalg.inv(pairing4(tuples_k, tuples_comp)),
+                    gram, coeffs)
+    return out * np.sqrt(np.linalg.det(g)).reshape(g.shape[:-2] + extra + (1,))
+
+
+def codiff2_oracle(beta, g, h, order: int = 4) -> np.ndarray:
+    """d* beta = -*d*beta of a grid-first 2-form field (grid..., [B,] 6) for
+    the metric field g (grid..., 4, 4) on a lattice of spacings ``h``."""
+    starred = star4_fields(beta, g, PAIRS, PAIRS)
+    return -star4_fields(d_grid_first(starred, 2, h, order), g, TRIPLES4, BASES4[1])
+
+
 # Per-point loops for the per-point products of the flow's right-hand side:
 # the Gram matrix, sigma = adj(Q) w, star3 and Q eta, on (points, ...) stacks.
 def gram_loop(triple, mu) -> np.ndarray:

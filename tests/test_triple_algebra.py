@@ -15,6 +15,11 @@ def random_triple(rng, cond_max=100.0):
     return oracles.random_positive_mix(rng, cond_max) @ STD
 
 
+def close(got, expected):
+    """Equal to roundoff: within 1e-14 of the largest entry of ``expected``."""
+    return np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
 class TestWedge22:
     def test_basis_pair(self):
         assert ta.wedge22(E01, E23) == 1.0
@@ -264,6 +269,14 @@ class TestHodge2:
             g, mu_w = ta.metric_from_triple(t)
             for i in range(3):
                 assert np.abs(ta.hodge2(t[i], g, mu_w) - t[i]).max() < 1e-10
+        # a (N, 3, 6) stack of triples with its (N, 4, 4) metrics
+        ts = np.stack([random_triple(rng) for _ in range(30)])
+        g, mu_w = ta.metric_from_triple(ts)
+        batched = ta.hodge2(ts, g, mu_w)
+        assert batched.shape == ts.shape
+        assert close(batched, ts)
+        for n, i in np.ndindex(ts.shape[:2]):
+            assert close(batched[n, i], ta.hodge2(ts[n, i], g[n], mu_w[n]))
 
     def test_defining_relation_raised_index_oracle(self, rng):
         for _ in range(30):
@@ -274,6 +287,17 @@ class TestHodge2:
             lhs = ta.wedge22(beta, ta.hodge2(gamma, g, mu_w))
             rhs = oracles.inner_2forms(beta, gamma, ginv) * mu_w
             assert abs(lhs - rhs) < 1e-10
+        # (N, 6) forms with (N, 4, 4) metrics: the star whose pairing with
+        # each basis form is its raised-index inner product with gamma
+        g, mu_w = ta.metric_from_triple(np.stack([random_triple(rng) for _ in range(30)]))
+        gamma = rng.uniform(-1, 1, (30, 6))
+        batched = ta.hodge2(gamma, g, mu_w)
+        w_inv = np.linalg.inv(oracles.pairing4(oracles.PAIRS, oracles.PAIRS))
+        for n in range(30):
+            ginv = np.linalg.inv(g[n])
+            pairings = [oracles.inner_2forms(e, gamma[n], ginv) * mu_w[n] for e in np.eye(6)]
+            assert close(batched[n], w_inv @ pairings)
+            assert close(batched[n], ta.hodge2(gamma[n], g[n], mu_w[n]))
 
     def test_involution_and_isometry(self, rng):
         for _ in range(20):
@@ -397,55 +421,77 @@ class TestDensityTable:
 
 
 class TestInverseMetric:
-    """g^-1 from the cofactors of g, and the Lambda^2 Gram built from it."""
+    """The inverse metric on 2-forms, Lambda^2(g^-1) = W Lambda^2(g) W / det g
+    (W the wedge pairing), which hodge2 takes from the complementary minors
+    of g: hodge2 is W Lambda^2(g^-1) mu, and no inverse is taken."""
+
+    W = oracles.pairing4(oracles.PAIRS, oracles.PAIRS)
 
     def field(self, rng, shape=(6, 4, 4, 5)):
         x = rng.uniform(-1, 1, shape + (3, 6))
         return np.broadcast_to(STD, shape + (3, 6)) + 0.2 * x
 
+    @staticmethod
+    def star_matrix(g, mu):
+        """hodge2 per point as a (..., 6, 6) matrix: column l stars basis form l."""
+        return np.stack([ta.hodge2(e, g, mu) for e in np.eye(6)], -1)
+
     def test_normalization_inverse_metric(self, rng):
-        _, g, _, _ = gc._normalize_fields(self.field(rng))
-        h = ta._inverse4(g, "metric")
-        assert np.array_equal(h, np.swapaxes(h, -1, -2))
-        assert np.abs(h @ g - np.eye(4)).max() <= 1e-13
-        assert np.abs(h - np.linalg.inv(g)).max() <= 1e-13 * np.abs(h).max()
+        # W * = Lambda^2(g^-1) mu is symmetric, and * * = 1 as g^-1 g = 1
+        _, g, mu, _ = gc._normalize_fields(self.field(rng))
+        star = self.star_matrix(g, mu)
+        gram = self.W @ star
+        assert np.abs(gram - np.swapaxes(gram, -1, -2)).max() <= 1e-14 * np.abs(gram).max()
+        assert np.abs(star @ star - np.eye(6)).max() <= 1e-13
+        expected = oracles.lambda_gram(np.linalg.inv(g), oracles.PAIRS) * mu[..., None, None]
+        assert np.abs(gram - expected).max() <= 1e-13 * np.abs(expected).max()
 
     def test_standard_triple_exact(self):
         lat = gc.Lattice((4, 4, 4, 4))
         _, g, mu, _ = gc._normalize_fields(gc.constant_triple_field(lat, STD).c)
-        h = ta._inverse4(g, "metric")
-        assert np.array_equal(h, np.broadcast_to(np.eye(4), h.shape))
+        star = self.star_matrix(g, mu)
+        assert np.array_equal(star, np.broadcast_to(self.W, star.shape))
         assert np.all(mu == 1.0)
 
     def test_adjugate_and_minors(self, rng):
+        # the complementary minors of m are the adjugate of Lambda^2(m):
+        # W Lambda^2(m) W = det(m) Lambda^2(m^-1)
         for _ in range(20):
             a = rng.uniform(-1, 1, (4, 4))
             m = a @ a.T + 0.5 * np.eye(4)
             e = ta._entries(m)
             _, det = ta._pd_det4(e, *ta._minors4(e), "test matrix")
-            adj = ta._apply(ta.ADJ4, m)
             assert det == pytest.approx(np.linalg.det(m), rel=1e-13)
-            assert np.array_equal(adj, adj.T)
-            assert np.abs(adj @ m / det - np.eye(4)).max() <= 1e-13
+            minors = oracles.lambda_gram(m, oracles.PAIRS)
+            inverse = oracles.lambda_gram(np.linalg.inv(m), oracles.PAIRS)
+            assert np.abs(self.W @ minors @ self.W / det - inverse).max() <= 1e-13
+            star = self.star_matrix(m, np.sqrt(det))
+            assert np.abs(star - self.W @ inverse * np.sqrt(det)).max() <= 1e-13
 
     def test_indefinite_point_is_named(self):
         m = np.broadcast_to(np.eye(4), (3, 2, 4, 4)).copy()
         m[2, 1, 3, 3] = -1.0
-        with pytest.raises(NotPositive, match=r"test matrix not .* \(2, 1\)"):
-            ta._inverse4(m, "test matrix")
+        with pytest.raises(NotPositive, match=r"hodge2: metric not .* \(2, 1\)"):
+            ta.hodge2(E01, m, 1.0)
+        # a lattice of metrics, and a 2-form field on it
+        g = np.broadcast_to(np.eye(4), (4, 4, 4, 4, 4, 4)).copy()
+        g[1, 2, 3, 0] = -np.eye(4)
+        with pytest.raises(NotPositive, match=r"lattice index \(1, 2, 3, 0\)"):
+            ta.hodge2(np.zeros(g.shape[:4] + (6,)), g, np.ones(g.shape[:4]))
 
     def test_lambda2_gram_entries_are_minors(self, rng):
-        # entry (m, l) is det h[I_m, I_l] in the stored index order of the basis
-        _, g, _, _ = gc._normalize_fields(self.field(rng, (4, 4, 4, 4)))
-        h = ta._inverse4(g, "metric")
-        got = ta.lambda2_gram(h)
+        # entry (m, l) of W * / mu is det h[I_m, I_l] in the stored index
+        # order of the basis
+        _, g, mu, _ = gc._normalize_fields(self.field(rng, (4, 4, 4, 4)))
+        h = np.linalg.inv(g)
+        got = self.W @ self.star_matrix(g, mu) / mu[..., None, None]
         pairs = ta.LAMBDA2_TUPLES
         expected = np.stack([np.stack([np.linalg.det(h[..., I, :][..., :, J])
                                        for J in map(list, pairs)], -1)
                              for I in map(list, pairs)], -2)
-        assert np.array_equal(got, np.swapaxes(got, -1, -2))
         assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
-        assert np.array_equal(ta.lambda2_gram(h[1, 2, 3, 0]), got[1, 2, 3, 0])
+        point = self.W @ self.star_matrix(g[1, 2, 3, 0], mu[1, 2, 3, 0]) / mu[1, 2, 3, 0]
+        assert np.abs(point - got[1, 2, 3, 0]).max() <= 1e-14 * np.abs(point).max()
 
 
 class TestProductKernels:
@@ -460,30 +506,26 @@ class TestProductKernels:
         q, mu = ta.normalize(t)
         return t, q, ta.metric_from_triple(t)[0], mu
 
-    @staticmethod
-    def close(got, expected):
-        return np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
-
     def test_gram(self, fields):
         t, q, _, mu = fields
-        assert self.close(q, oracles.gram_loop(t, mu))
+        assert close(q, oracles.gram_loop(t, mu))
         assert np.array_equal(q, np.swapaxes(q, -1, -2))
-        assert self.close(ta.gram(t), oracles.gram_loop(t, np.ones(self.POINTS)))
+        assert close(ta.gram(t), oracles.gram_loop(t, np.ones(self.POINTS)))
 
     def test_dual(self, fields):
         t, q, _, _ = fields
-        assert self.close(ta._product(ta.adj3(q), t), oracles.dual_loop(q, t))
+        assert close(ta._product(ta.adj3(q), t), oracles.dual_loop(q, t))
 
     def test_star3(self, fields, rng):
         _, _, g, _ = fields
         coeffs = rng.uniform(-1.0, 1.0, (self.POINTS, 3, 4))
         sqrt_det_g = np.sqrt(np.linalg.det(g))
         expected = oracles.star3_loop(coeffs, g)
-        assert self.close(ta.star3(coeffs, g, sqrt_det_g), expected)
-        assert self.close(ta.star3(coeffs[:, 1], g, sqrt_det_g), expected[:, 1])
-        assert self.close(ta.star3(coeffs, g, -sqrt_det_g), -expected)
+        assert close(ta.star3(coeffs, g, sqrt_det_g), expected)
+        assert close(ta.star3(coeffs[:, 1], g, sqrt_det_g), expected[:, 1])
+        assert close(ta.star3(coeffs, g, -sqrt_det_g), -expected)
 
     def test_flux(self, fields, rng):
         _, q, _, _ = fields
         eta = rng.uniform(-1.0, 1.0, (self.POINTS, 3, 4))
-        assert self.close(ta._product(q, eta), oracles.product_loop(q, eta))
+        assert close(ta._product(q, eta), oracles.product_loop(q, eta))
