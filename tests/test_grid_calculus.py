@@ -210,6 +210,17 @@ class TestCodiff2:
                      * mu).sum() * lat.cell_volume)
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
+    def test_not_positive_named_point(self):
+        # the single star of the right-hand side names the failing lattice
+        # point of a metric field
+        lat = gc.Lattice((4, 4, 4, 4))
+        g = np.broadcast_to(np.eye(4), lat.shape + (4, 4)).copy()
+        g[1, 2, 3, 0] = -np.eye(4)
+        mu = np.ones(lat.shape)
+        beta = np.zeros(lat.shape + (6,))
+        with pytest.raises(NotPositive, match=r"lattice index \(1, 2, 3, 0\)"):
+            ta.hodge2(beta, g, mu)
+
 
 class TestPeriods:
     def test_standard_form(self):
