@@ -12,26 +12,20 @@ import configparser
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, fields
 
 from . import grid_calculus as gc
 from . import initial_data
 from .flow_engine import FlowConfig
 from .errors import ValidationError
 
-_INT, _FLOAT, _STR = int, float, str
 
-
-def _int_list(text):
-    if isinstance(text, (list, tuple)):
-        return [int(v) for v in text]
-    return [int(v) for v in str(text).replace(",", " ").split()]
-
-
-def _float_list(text):
-    if isinstance(text, (list, tuple)):
-        return [float(v) for v in text]
-    return [float(v) for v in str(text).replace(",", " ").split()]
+def _list(kind):
+    def coerce(text):
+        if not isinstance(text, (list, tuple)):
+            text = str(text).replace(",", " ").split()
+        return tuple(kind(v) for v in text)
+    return coerce
 
 
 def _opt_float(text):
@@ -40,32 +34,15 @@ def _opt_float(text):
     return float(text)
 
 
-_BY_ANNOTATION = {"int": _INT, "float": _FLOAT, "str": _STR, "float | None": _opt_float}
-
-# section -> key -> (coercer for INI strings, default)
-_SCHEMA = {
-    "lattice": {
-        "n": (_int_list, [16, 8, 8, 8]),
-        "l": (_float_list, [1.0, 1.0, 1.0, 1.0]),
-    },
-    "initial": {
-        "generator": (_STR, "hyperkahler-standard"),
-        "amplitude": (_FLOAT, 0.0),
-        "seed": (_INT, 0),
-        "modes": (_INT, 1),
-    },
-    # every FlowConfig field with its default, coerced by its annotation
-    "flow": {f.name: (_BY_ANNOTATION[f.type], f.default) for f in fields(FlowConfig)},
-    "output": {
-        "dir": (_STR, "runs/out"),
-    },
-}
+# every key is coerced by the annotation of the field it sets
+_BY_ANNOTATION = {"int": int, "float": float, "str": str, "float | None": _opt_float,
+                  "tuple[int, ...]": _list(int), "tuple[float, ...]": _list(float)}
 
 
 @dataclass
 class ExperimentConfig:
-    lattice_n: tuple = (16, 8, 8, 8)
-    lattice_L: tuple = (1.0, 1.0, 1.0, 1.0)
+    lattice_n: tuple[int, ...] = (16, 8, 8, 8)
+    lattice_L: tuple[float, ...] = (1.0, 1.0, 1.0, 1.0)
     generator: str = "hyperkahler-standard"
     amplitude: float = 0.0
     initial_seed: int = 0
@@ -93,13 +70,9 @@ class ExperimentConfig:
         return gc.Lattice(tuple(self.lattice_n), tuple(self.lattice_L))
 
     def sections(self) -> dict:
-        return {
-            "lattice": {"n": list(self.lattice_n), "l": list(self.lattice_L)},
-            "initial": {"generator": self.generator, "amplitude": self.amplitude,
-                        "seed": self.initial_seed, "modes": self.modes},
-            "flow": asdict(self.flow),
-            "output": {"dir": self.out_dir},
-        }
+        return {section: {key: getattr(self.flow if section == "flow" else self, name)
+                          for key, name in keys.items()}
+                for section, keys in _KEYS.items()}
 
     def to_json(self) -> str:
         return json.dumps(self.sections(), indent=2, sort_keys=True) + "\n"
@@ -116,43 +89,44 @@ class ExperimentConfig:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
+# section -> key -> the field it sets: a FlowConfig field under [flow], else
+# an ExperimentConfig one; the fields hold the defaults
+_KEYS = {
+    "lattice": {"n": "lattice_n", "l": "lattice_L"},
+    "initial": {"generator": "generator", "amplitude": "amplitude", "seed": "initial_seed",
+                "modes": "modes"},
+    "flow": {f.name: f.name for f in fields(FlowConfig)},
+    "output": {"dir": "out_dir"},
+}
+_COERCE = {f.name: _BY_ANNOTATION[f.type]
+           for cls in (ExperimentConfig, FlowConfig) for f in fields(cls) if f.name != "flow"}
+
+
 def _from_sections(raw: dict) -> ExperimentConfig:
     values = {}
-    for section, keys in _SCHEMA.items():
+    for section, keys in _KEYS.items():
         got = {str(k).lower(): v for k, v in (raw.get(section) or {}).items()}
         unknown = set(got) - set(keys)
         if unknown:
-            raise ValidationError(
-                f"unknown key(s) {sorted(unknown)} in section [{section}]")
+            raise ValidationError(f"unknown key(s) {sorted(unknown)} in section [{section}]")
         values[section] = {}
-        for key, (coerce, default) in keys.items():
+        for key, name in keys.items():
             if key in got:
                 try:
-                    values[section][key] = coerce(got[key])
+                    values[section][name] = _COERCE[name](got[key])
                 except (TypeError, ValueError) as exc:
-                    raise ValidationError(
-                        f"bad value for {section}.{key}: {got[key]!r}") from exc
-            else:
-                values[section][key] = default
-    unknown_sections = set(raw) - set(_SCHEMA)
+                    raise ValidationError(f"bad value for {section}.{key}: {got[key]!r}") from exc
+    unknown_sections = set(raw) - set(_KEYS)
     if unknown_sections:
         raise ValidationError(f"unknown section(s) {sorted(unknown_sections)}")
-    lat = values["lattice"]
-    if len(lat["n"]) != 4 or len(lat["l"]) != 4:
-        raise ValidationError("lattice.n and lattice.L need four entries")
+    flow = values.pop("flow")
     # an explicit fixed dt supersedes the default CFL policy
-    flow_given = {str(k).lower() for k in (raw.get("flow") or {})}
-    if "dt" in flow_given and "cfl" not in flow_given:
-        if values["flow"]["dt"] is not None:
-            values["flow"]["cfl"] = None
-    fc = FlowConfig(**values["flow"])
-    cfg = ExperimentConfig(
-        lattice_n=tuple(lat["n"]), lattice_L=tuple(lat["l"]),
-        generator=values["initial"]["generator"],
-        amplitude=values["initial"]["amplitude"],
-        initial_seed=values["initial"]["seed"],
-        modes=values["initial"]["modes"],
-        flow=fc, out_dir=values["output"]["dir"])
+    if flow.get("dt") is not None and "cfl" not in flow:
+        flow["cfl"] = None
+    cfg = ExperimentConfig(flow=FlowConfig(**flow),
+                           **{name: v for given in values.values() for name, v in given.items()})
+    if len(cfg.lattice_n) != 4 or len(cfg.lattice_L) != 4:
+        raise ValidationError("lattice.n and lattice.L need four entries")
     return cfg.validate()
 
 

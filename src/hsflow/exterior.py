@@ -5,9 +5,7 @@ basis of index tuples.  Basis tuples may be given in non-sorted order (the
 4-dimensional 2-form basis uses ``(3, 1)`` for e31); all signs produced here
 account for that.  Everything in this module is metric-free but
 :func:`apply_metric`, the one kernel that applies Lambda^k of a symmetric
-matrix to k-forms; the Gram matrix of a form basis and the Hodge star from
-the pairing are built on it, take the inverse metric as input and broadcast
-over arbitrary leading axes.
+matrix to k-forms; it broadcasts over arbitrary leading axes.
 """
 
 from __future__ import annotations
@@ -244,28 +242,6 @@ def apply_metric(h: np.ndarray, coeffs: np.ndarray, tuples) -> np.ndarray:
     for _ in range(k):   # contract the leading index, then rotate it to the back
         t = np.swapaxes(h @ t.reshape(batch + (n, -1)), -1, -2)
     return t.reshape(batch + (n ** k,))[..., pos[0]]
-
-
-def metric_gram(h: np.ndarray, tuples) -> np.ndarray:
-    """Gram matrix of the degree-k basis under the inner product induced by g.
-
-    ``h`` is the inverse metric g^{-1}, shape (..., n, n).  Entry [m, l] is
-    det(h[I_m, I_l]), the tuples taken in their stored order: the kernel
-    :func:`apply_metric` on each basis form.  Broadcasts over leading axes.
-    """
-    m = len(tuples)
-    return np.swapaxes(apply_metric(h[..., None, :, :], np.eye(m), tuples), -1, -2)
-
-
-def star_via_pairing(coeffs: np.ndarray, h: np.ndarray, sqrt_det_g: np.ndarray,
-                     tuples_k, w_inv: np.ndarray) -> np.ndarray:
-    """Hodge star from the defining relation α ∧ *β = <α, β>_g vol_g.
-
-    ``w_inv`` is the inverse of ``pairing_matrix(tuples_k, tuples_{n-k}, n)``.
-    Broadcasts: coeffs (..., m), h (..., n, n), sqrt_det_g (...).
-    """
-    out = apply_metric(h, coeffs, tuples_k) @ w_inv.T
-    return out * sqrt_det_g[..., None] if np.ndim(sqrt_det_g) else out * sqrt_det_g
 
 
 def d_entries(tuples_in, tuples_out, n: int):

@@ -174,8 +174,8 @@ def hodge7(coeffs: np.ndarray, g7: np.ndarray, degree: int) -> np.ndarray:
     for start in range(0, len(c), _BLOCK):
         cb, gb = c[start:start + _BLOCK], g[start:start + _BLOCK]
         if degree == 3:   # the pairing is a signed permutation: its inverse is the transpose
-            out[start:start + _BLOCK] = exterior.star_via_pairing(
-                cb, np.linalg.inv(gb), np.sqrt(np.linalg.det(gb)), LAMBDA3_7, _W43)
+            out[start:start + _BLOCK] = exterior.apply_metric(
+                np.linalg.inv(gb), cb, LAMBDA3_7) @ _W34 * np.sqrt(np.linalg.det(gb))[:, None]
         else:             # Lambda^4(g^-1) = _W43 Lambda^3(g) _W43^T / det g
             out[start:start + _BLOCK] = exterior.apply_metric(
                 gb, cb @ _W43, LAMBDA3_7) / np.sqrt(np.linalg.det(gb))[:, None]

@@ -20,7 +20,7 @@ so steps that degenerate are rejected rather than projected back.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 

@@ -127,14 +127,12 @@ def _t3_star_oracle(degree: int, q: np.ndarray) -> np.ndarray:
     factor; row b of the result is the star of the b-th basis form."""
     one = exterior.lex_tuples(3, 1)
     hat = ((1, 2), (2, 0), (0, 1))
+    tuples, comp = (one, hat) if degree == 1 else (hat, one)
     h = np.linalg.inv(q)
     sq = np.sqrt(np.linalg.det(q))
-    if degree == 1:
-        W = exterior.pairing_matrix(one, hat, 3)
-        G = exterior.metric_gram(h, one)
-    else:
-        W = exterior.pairing_matrix(hat, one, 3)
-        G = exterior.metric_gram(h, hat)
+    W = exterior.pairing_matrix(tuples, comp, 3)
+    # the basis Gram matrix: column b is Lambda^k(h) applied to the b-th basis form
+    G = np.swapaxes(exterior.apply_metric(h[..., None, :, :], np.eye(3), tuples), -1, -2)
     return np.swapaxes(np.linalg.solve(W, G), -1, -2) * sq[..., None, None]
 
 

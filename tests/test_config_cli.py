@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -5,6 +6,7 @@ import struct
 import subprocess
 import sys
 import threading
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -87,6 +89,27 @@ def test_hash_ignores_output_dir():
     a = config_mod.loads(INI.format(out="runs/x"))
     b = config_mod.loads(INI.format(out="runs/elsewhere"))
     assert a.config_hash() == b.config_hash()
+
+
+def test_config_artifacts_pinned():
+    # the hash is written into every diagnostics.csv and snapshot sidecar, and
+    # to_json is the config.json of a run: both must outlive parser rewrites
+    cfg = config_mod.loads(INI.format(out="runs/x"))
+    assert cfg.config_hash() == "47d60e390a1948dc"
+    assert hashlib.sha256(cfg.to_json().encode()).hexdigest().startswith("7f30b9075170010d")
+    assert config_mod.loads("{}").config_hash() == "891933aea7fb4a41"
+
+
+def test_every_field_has_one_key():
+    reached = sorted(("FlowConfig" if section == "flow" else "ExperimentConfig", name)
+                     for section, keys in config_mod._KEYS.items() for name in keys.values())
+    expected = sorted([("ExperimentConfig", f.name)
+                       for f in fields(config_mod.ExperimentConfig) if f.name != "flow"]
+                      + [("FlowConfig", f.name) for f in fields(fe.FlowConfig)])
+    assert reached == expected
+    documented = {section: sorted(spec["properties"])
+                  for section, spec in SCHEMA["properties"].items()}
+    assert documented == {section: sorted(keys) for section, keys in config_mod._KEYS.items()}
 
 
 def test_schema_validates_json_form():
@@ -446,13 +469,10 @@ def test_lift_report_matches_per_point_loop(tmp_path, monkeypatch):
 
 
 def test_lift_calls_each_fiber_kernel_once(tmp_path, monkeypatch, capsys):
-    # and the 7-dimensional star forms no Gram matrix
-    from hsflow import exterior
     from hsflow import fiber_g2 as fg
     path = _exact_snapshot(tmp_path)
     calls = {}
     _record_calls(monkeypatch, fg, ("metric_from_phi", "hodge7"), calls)
-    _record_calls(monkeypatch, exterior, ("metric_gram",), calls)
     assert cli.main(["lift", "--snapshot", str(path), "--samples", "200"]) == 0
     assert json.loads(capsys.readouterr().out)["points_sampled"] == 200
     assert {name: len(args) for name, args in calls.items()} == {
