@@ -28,6 +28,12 @@ def _list(kind):
     return coerce
 
 
+def _int(value):   # not JSON's booleans or fractions; 4.0 is an integer, as in the schema
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"not an integer: {value!r}")
+    return int(value)
+
+
 def _opt_float(text):
     if text is None or str(text).lower() in ("none", "null", ""):
         return None
@@ -35,8 +41,8 @@ def _opt_float(text):
 
 
 # every key is coerced by the annotation of the field it sets
-_BY_ANNOTATION = {"int": int, "float": float, "str": str, "float | None": _opt_float,
-                  "tuple[int, ...]": _list(int), "tuple[float, ...]": _list(float)}
+_BY_ANNOTATION = {"int": _int, "float": float, "str": str, "float | None": _opt_float,
+                  "tuple[int, ...]": _list(_int), "tuple[float, ...]": _list(float)}
 
 
 @dataclass

@@ -84,8 +84,8 @@ class FlowConfig:
 class FlowState:
     """Evolving triple, run baselines, and what is computed once per state:
     normalization, the guard's Gram eigenvalue results, and in ``kept`` the
-    periods and, per stencil order, the closedness defect, the RHS and
-    sigma and d sigma at the sample points.
+    periods and, per stencil order, the closedness defect, a row's RHS (not
+    a step's k1: :func:`step`) and sigma and d sigma at the sample points.
     ``q`` and ``g`` are views of the component-major memory that the
     right-hand side reads, and so is ``tf.c`` after a step (:func:`step`).
     ``work`` (:data:`_WORK`) is made by :func:`init_state`, or by
@@ -123,7 +123,7 @@ class FlowState:
 def _dual(lat: gc.Lattice, c: np.ndarray, q: np.ndarray, order: int, sigma, dsigma):
     """sigma = Q^-1 w per slab (det q = 1, so adjugate = inverse) and its
     lattice-wide d, written into ``sigma`` and ``dsigma`` (:data:`_WORK`)."""
-    gc._by_slab(lat.shape, lambda at, out: ta._product(ta.adj3(q[at]), c[at], out), sigma)
+    gc._by_slab(lat.shape, lambda out, q, c: ta._product(ta.adj3(q), c, out), sigma, q, c)
     return sigma, gc._d(lat, sigma, 2, order, dsigma)
 
 
@@ -143,11 +143,11 @@ def evaluate_rhs(lat: gc.Lattice, c: np.ndarray, order: int = 4,
     by then; else, without ``work``, into this call's own sigma, else into
     new memory.
 
-    The pointwise stages before and after the first d run once per slab of
-    the lattice, on ``grid_calculus.slab_threads`` when there are several
-    (see ``grid_calculus._slabs``), each slab writing its part of one
-    lattice-wide array; the derivatives hand their output components to the
-    same threads.  The result is the same at any worker count, bit for bit.
+    The pointwise stages before and after the first d run per slab of the
+    lattice, on ``grid_calculus.slab_threads`` when there are several, each
+    piece of a slab writing its part of one lattice-wide array (see
+    ``grid_calculus._by_slab``); the derivatives hand their output
+    components to the same threads.  Any worker count gives the same bits.
     ``seen(sigma, dsigma)``, when given, is shown the lattice-wide dual
     triple and its derivative (see :func:`_dual`) before they are dropped.
     """
@@ -157,13 +157,13 @@ def evaluate_rhs(lat: gc.Lattice, c: np.ndarray, order: int = 4,
     else:
         q, g, mu = fields
 
-    def flux(at, out):    # Q d* sigma = Q (-*3 d sigma); out, d sigma's slab, is read first
-        return ta._product(q[at], ta.star3(dsigma[at], g[at], np.negative(mu[at])), out)
+    def flux(out, q, g, mu):   # Q d* sigma = Q (-*3 d sigma); out, d sigma, is read first
+        return ta._product(q, ta.star3(out, g, np.negative(mu)), out)
 
     _dual(lat, c, q, order, sigma, dsigma)
     if seen is not None:
         seen(sigma, dsigma)
-    gc._by_slab(lat.shape, flux, dsigma)   # eta, over d sigma
+    gc._by_slab(lat.shape, flux, dsigma, q, g, mu)   # eta, over d sigma
     return gc._d(lat, dsigma, 1, order, sigma if work is None and out is None else out)
 
 
@@ -194,13 +194,15 @@ def stable_dt(state: FlowState, cfl: float) -> float:
     the guard's bracket of each point's largest Gram eigenvalue and a
     closed-form estimate of its smallest metric eigenvalue bound the product
     everywhere, and LAPACK runs only at points whose bound reaches the
-    largest lower bound.
+    largest lower bound; the bounds are made piece by piece.
     """
-    top_lo, top_hi = state.q_top
-    floor, radius = ta._metric_floor(state.g)
-    upper = np.divide(top_hi, floor - radius, out=np.full_like(top_hi, np.inf),
-                      where=floor - radius > 0)
-    suspect = upper >= np.max(top_lo / (floor + radius))
+    def bounds(upper, lower, g, top_lo, top_hi):
+        floor, radius = ta._metric_floor(g)
+        np.divide(top_hi, floor - radius, out=upper, where=floor - radius > 0)
+        np.divide(top_lo, floor + radius, out=lower)
+    upper, lower = np.full_like(state.mu, np.inf), np.empty_like(state.mu)
+    gc._by_slab(state.tf.lattice.shape, bounds, upper, lower, state.g, *state.q_top)
+    suspect = upper >= np.max(lower)
     _, lam_q = ta._screened_eigvalsh(state.q, suspect)
     _, lam_g = ta._screened_eigvalsh(state.g, suspect)
     lam = float((lam_q[:, -1] * (1.0 / lam_g[:, 0])).max())
@@ -212,38 +214,35 @@ def step(state: FlowState, dt: float, config: FlowConfig) -> FlowState:
     """One explicit step (classical RK4, or forward Euler when configured).
 
     Every stage increment is a discrete-exact form, so the step conserves
-    closedness and periods to roundoff.  RK4 runs in place with the
-    operations, so the bits, of ``c0 + a*dt*k`` and ``c0 + (dt/6.0)*(k1 +
-    2.0*k2 + 2.0*k3 + k4)``: the stage inputs share one buffer, k2 to k4
-    ``state.work``'s sigma, and the sum the new state's component-major
-    ``c``.  Raises StepRejected when any stage or the post-step state fails
-    the positivity guard.
+    closedness and periods to roundoff.  RK4 runs in place, piece by piece
+    (``grid_calculus._by_slab``), with the operations, so the bits, of ``c0 +
+    a*dt*k`` and ``c0 + (dt/6.0)*(k1 + 2.0*k2 + 2.0*k3 + k4)``: the stage
+    inputs share one buffer, k2 to k4 ``state.work``'s sigma, and the sum
+    k1's memory (a row's k1 is copied: :func:`rhs`), the new state's ``c``.
+    Raises StepRejected when a stage or the post-step state fails the guard.
     """
-    lat = state.tf.lattice
-    order = config.stencil_order
-    thr = config.degeneration_threshold
-    c0 = state.tf.c
+    lat, order, c0 = state.tf.lattice, config.stencil_order, state.tf.c
     work = state.work or gc._fields(lat.shape, *_WORK)
+
+    def scaled_sum(out, u, s, v, via=None):   # out = u * s + v, with u * s in via or out
+        gc._by_slab(lat.shape, lambda o, u, v, t: np.add(np.multiply(u, s, out=t), v, out=o),
+                    out, u, v, out if via is None else via)
     try:
-        k1 = rhs(state, order)
-        if config.method == "euler":
-            c_new = c0 + dt * k1
-        else:   # the stage inputs c0 + a dt k in x; k2, k3 and k4 in turn in k
-            x, k = np.multiply(k1, 0.5 * dt), work[3]
-            evaluate_rhs(lat, np.add(x, c0, out=x), order, work=work, out=k)
-            np.add(np.multiply(k, 0.5 * dt, out=x), c0, out=x)
-            c_new = k1 + np.multiply(k, 2.0, out=k)
-            evaluate_rhs(lat, x, order, work=work, out=k)
-            np.add(np.multiply(k, dt, out=x), c0, out=x)
-            c_new += np.multiply(k, 2.0, out=k)
-            c_new += evaluate_rhs(lat, x, order, work=work, out=k)
+        k1 = state.kept.get(("rhs", order))   # a row's; else made in the sum's memory
+        acc = (evaluate_rhs(lat, c0, order, state.ensure_fields(), work=work) if k1 is None
+               else np.copy(k1, order="K"))
+        if config.method == "rk4":
+            x, k = gc._fields(lat.shape, (3, 6))[0], acc
+            for a, w in ((0.5, 2.0), (0.5, 2.0), (1.0, 1.0)):
+                scaled_sum(x, k, a * dt, c0)   # the stage input
+                k = evaluate_rhs(lat, x, order, work=work, out=work[3])   # k2, k3, k4
+                scaled_sum(acc, k, w, acc, x)
             del x   # before the guard's normalization
-            c_new *= dt / 6.0
-            c_new += c0
-        new_state = FlowState(state.time + dt, gc.TripleField(lat, c_new),
+        scaled_sum(acc, acc, dt / 6.0 if config.method == "rk4" else dt, c0)
+        new_state = FlowState(state.time + dt, gc.TripleField(lat, acc),
                               base_periods=state.base_periods,
                               sample_points=state.sample_points, work=work)
-        new_state.ensure_fields(thr)   # post-step positivity guard
+        new_state.ensure_fields(config.degeneration_threshold)   # post-step positivity guard
     except NotPositive as exc:
         raise StepRejected(
             f"step from t={state.time:.6g} with dt={dt:.3e} left the positive "

@@ -87,12 +87,12 @@ class Lattice:
         return tuple(out)
 
 
-# Each slab holds at least SLAB_POINTS points.  One right-hand side in two
-# slabs against one, on 2 cores (medians of 9 alternating runs): 8192 points
-# 31 -> 30 ms (faster in 4 of 9), 16384 points 47-56 -> 42-52 ms (mixed),
-# 32768 points 108-115 -> 83 ms, 65536 points 172-206 -> 112-117 ms.  Slabs
-# of 32768 points stay well past that crossover; lattices under 65536
-# points, 64x4x4x4 and 16x8x8x8 among them, run on one thread.
+# Each slab holds at least SLAB_POINTS points, and each piece of a stage at most (256 kB
+# per scalar temporary: see _by_slab).  One right-hand side in two slabs against one, on
+# 2 cores (medians of 9 alternating runs): 8192 points 31 -> 30 ms (faster in 4 of 9),
+# 16384 points 47-56 -> 42-52 ms (mixed), 32768 points 108-115 -> 83 ms, 65536 points
+# 172-206 -> 112-117 ms.  Slabs of 32768 points stay well past that crossover; lattices
+# under 65536 points, 64x4x4x4 and 16x8x8x8 among them, run on one thread.
 SLAB_POINTS = 32768
 _pool, _workers = None, 1   # the threads of slab_threads, while it holds them
 
@@ -152,19 +152,25 @@ def _fields(shape: tuple, *cores) -> tuple:
     return tuple(ta._pointwise(np.empty(core + shape), len(core)) for core in cores)
 
 
-def _by_slab(shape: tuple, stage, *outs) -> None:
-    """``stage(slab, *out)`` for every slab of a lattice of ``shape`` (see
-    :func:`_slabs`), ``out`` the slab's parts of ``outs``, lattice-wide
-    arrays such as :func:`_fields` makes, which the stage's kernels write.
-    A NotPositive in one of several slabs is raised again by the stage run
-    as one slab, so that its message, which names the first failing lattice
-    index of the whole lattice, is word for word a serial run's."""
-    slabs = _slabs(shape)
+def _by_slab(shape: tuple, stage, *arrays) -> None:
+    """``stage(*parts)`` for every slab of a lattice of ``shape`` (see
+    :func:`_slabs`), in pieces of at most SLAB_POINTS points (whole axis-0
+    planes, one if it holds more), ``parts`` the piece's parts of ``arrays``,
+    lattice-wide arrays that the stage reads or writes.  A NotPositive in one
+    of several pieces is raised again by the stage run on the whole lattice,
+    so that its message, naming the first failing lattice index, is word for
+    word that of a run in one piece."""
+    planes = max(1, SLAB_POINTS // math.prod(shape[1:]))
+
+    def pieces(slab):
+        start, stop, _ = (slice(None) if slab is ... else slab).indices(shape[0])
+        for a in range(start, stop, planes):
+            stage(*(x[a:min(a + planes, stop)] for x in arrays))
     try:
-        _each(lambda at: stage(at, *(out[at] for out in outs)), slabs)
+        _each(pieces, _slabs(shape))
     except NotPositive:
-        if len(slabs) > 1:
-            stage(..., *outs)
+        if planes < shape[0]:
+            stage(*arrays)
         raise
 
 
@@ -231,13 +237,11 @@ def _d(lat: Lattice, f: np.ndarray, k: int, order: int = 4, out=None) -> np.ndar
 
     def components(share):   # the terms of every count-th output component
         for dst, src, axis, sign in _D_TABLE[k]:
-            if dst % count != share:
-                continue
-            term = partial(lat, f[..., src, :, :, :, :], axis, order).reshape(out[..., dst, :].shape)
-            if sign > 0:
-                out[..., dst, :] += term
-            else:
-                out[..., dst, :] -= term
+            if dst % count == share:   # each term is dropped before the next is made
+                row = out[..., dst, :]
+                (np.add if sign > 0 else np.subtract)(
+                    row, partial(lat, f[..., src, :, :, :, :], axis, order).reshape(row.shape),
+                    out=row)
     count = len(_slabs(lat.shape))
     _each(components, range(count))
     return ta._pointwise(out.reshape(out.shape[:-1] + lat.shape), tail)
@@ -320,24 +324,29 @@ def _normalize_fields(c: np.ndarray, threshold: float | None = None, out=None):
     smallest eigenvalue lies within its radius of the threshold or of the
     lattice minimum (see ``triple_algebra.SCREEN_MARGIN``).  ``top`` is an
     estimate, the bracket ``(lo, hi)`` that holds each point's largest Gram
-    eigenvalue.
+    eigenvalue.  The guard's estimates are made per piece of the slabs, too.
     """
-    def slab(at, q, g, s):
-        ta.metric_from_triple(c[at], 0.0, g, s)
-        ta.gram(c[at], s, q)
+    def slab(q, g, s, c):
+        ta.gram(c, ta.metric_from_triple(c, 0.0, g, s)[1], q)
+
+    def extremes(q, *bounds):   # each estimate less and plus its radius
+        bottom, top, radius = ta._gram_extremes(q)
+        for o, e, op in zip(bounds, (bottom, bottom, top, top), (np.subtract, np.add) * 2):
+            op(e, radius, out=o)
     q, g, s = out or _fields(c.shape[:-2], (3, 3), (4, 4), ())
-    _by_slab(c.shape[:-2], slab, q, g, s)
+    _by_slab(c.shape[:-2], slab, q, g, s, c)
     if threshold is None:
         return q, g, s, None
-    bottom, top, radius = ta._gram_extremes(q)
-    decides = max(threshold, float(np.min(bottom + radius)))
-    index, lam = ta._screened_eigvalsh(q, bottom - radius <= decides)
+    bottom_lo, bottom_hi, top_lo, top_hi = bounds = _fields(c.shape[:-2], *[()] * 4)
+    _by_slab(c.shape[:-2], extremes, q, *bounds)
+    decides = max(threshold, float(np.min(bottom_hi)))
+    index, lam = ta._screened_eigvalsh(q, bottom_lo <= decides)
     min_eig = lam[:, 0]
     lowest = float(min_eig.min())
     ok = np.ones(q.shape[:-2], dtype=bool)
     ok.flat[index] = min_eig > threshold
     ta._require_positive(ok, f"Gram matrix eigenvalue {lowest:.3e} <= {threshold:g}")
-    return q, g, s, ((top - radius, top + radius), lowest)
+    return q, g, s, ((top_lo, top_hi), lowest)
 
 
 def pointwise_normalize(tf: TripleField, threshold: float = 1e-6):

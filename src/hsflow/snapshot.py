@@ -34,9 +34,8 @@ def write_snapshot(path, tf: gc.TripleField, time: float = 0.0) -> None:
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(_HEADER.pack(*lat.n, *lat.L, float(time), 3))
-        for i in range(3):
-            block = np.ascontiguousarray(tf.c[..., i, :], dtype="<f8")
-            fh.write(block.tobytes())
+        for i in range(3):   # written from the array's own buffer, not a bytes copy
+            fh.write(np.ascontiguousarray(tf.c[..., i, :], dtype="<f8"))
 
 
 def read_snapshot(path):

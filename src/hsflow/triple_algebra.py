@@ -426,8 +426,10 @@ def _gram_extremes(q: np.ndarray):
     e2 = 0.5 * (9.0 * t * t - square)
     det = (b0 * (b1 * b2 - b12 * b12) - b01 * (b01 * b2 - b12 * b02)
            + b02 * (b01 * b12 - b1 * b02))
-    p = e2 - 3.0 * t * t                    # x = w + t depresses x^3 - 3t x^2 + e2 x - det
-    lo, hi = _cubic_extremes(p, e2 * t - 2.0 * t * t * t - det)
+    # x = w + t depresses x^3 - 3t x^2 + e2 x - det; the rest is dropped before the cubic
+    p, r = e2 - 3.0 * t * t, e2 * t - 2.0 * t * t * t - det
+    del b0, b1, b2, square, e2, det
+    lo, hi = _cubic_extremes(p, r)
     centre = m + t
     return centre + lo, centre + hi, _radius(np.sqrt(np.maximum(-2.0 * p, 0.0)), centre)
 

@@ -79,6 +79,25 @@ def test_bad_value_rejected():
         config_mod.loads("[flow]\nmax_steps = soon\n")
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("initial", "seed", 1.7), ("initial", "seed", True), ("flow", "max_steps", True),
+    ("flow", "max_steps", 12.0), ("flow", "seed", float("inf")), ("initial", "modes", 2.5),
+    ("lattice", "n", [4, 4, 4, 4.9]), ("lattice", "n", [4, 4, 4, 4.0]),
+    ("lattice", "n", [4, 4, 4, True])])
+def test_json_integers_as_the_schema_has_them(section, key, value):
+    # a JSON boolean or fraction is no integer: it is neither truncated nor
+    # read as 1; a number with no fraction, such as 4.0, is one under the schema
+    jsonschema = pytest.importorskip("jsonschema")
+    raw = {section: {key: value}}
+    if jsonschema.Draft202012Validator(SCHEMA).is_valid(raw):
+        got = config_mod.loads(json.dumps(raw)).sections()[section][key]
+        got = got if isinstance(got, tuple) else (got,)
+        assert got == tuple(np.ravel(value)) and all(type(v) is int for v in got)
+    else:
+        with pytest.raises(ValidationError, match=rf"bad value for {section}\.{key}"):
+            config_mod.loads(json.dumps(raw))
+
+
 def test_hash_changes_with_content():
     a = config_mod.loads(INI.format(out="runs/x"))
     b = config_mod.loads(INI.format(out="runs/x").replace("0.05", "0.06"))
