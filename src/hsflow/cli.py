@@ -74,10 +74,11 @@ def cmd_flow(args) -> int:
         cfg.out_dir = args.out
     workers = _workers()
     # the initial data come before the run directory, so degenerate data
-    # leave none; their guarded normalization goes on to the first state
-    tf = initial_data._generate(
+    # leave none; their guarded normalization goes on to the first state,
+    # and the field itself too: the holder is emptied as the run takes it
+    initial = [initial_data._generate(
         cfg.lattice(), cfg.generator, cfg.amplitude, cfg.initial_seed, cfg.modes,
-        cfg.flow.stencil_order, cfg.flow.degeneration_threshold)
+        cfg.flow.stencil_order, cfg.flow.degeneration_threshold)]
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     chash = cfg.config_hash()
@@ -105,7 +106,7 @@ def cmd_flow(args) -> int:
 
     try:
         with gc.slab_threads(workers):
-            result = fe.run(cfg.flow, tf, row_sink, checkpoint_sink)
+            result = fe.run(cfg.flow, initial.pop(), row_sink, checkpoint_sink)
     finally:
         fh.close()
     if result.aborted:

@@ -33,9 +33,9 @@ DIAG_COLUMNS = ("step", "time", "dt", "max_dw", "min_eig_Q",
                 "q_dev", "torsion_sample")
 
 CLOSEDNESS_GATE = 1e-10
-# the memory a run's right-hand sides share, by core: q, g and mu of the unguarded
-# normalization, sigma, which a stage's result may overwrite, and d sigma, which eta does
-_WORK = ((3, 3), (4, 4), (), (3, 6), (3, 4))
+# the memory a run's right-hand sides share, by core: sigma, which a stage's result
+# may overwrite, and d sigma, which eta does; a row's temporaries go there too
+_WORK = ((3, 6), (3, 4))
 
 
 @dataclass
@@ -88,8 +88,11 @@ class FlowState:
     a step's k1: :func:`step`) and sigma and d sigma at the sample points.
     ``q`` and ``g`` are views of the component-major memory that the
     right-hand side reads, and so is ``tf.c`` after a step (:func:`step`).
-    ``work`` (:data:`_WORK`) is made by :func:`init_state`, or by
-    :func:`step` for a state without it, and handed on by :func:`step`.
+    A stepped-from state has no ``q``, ``g``, ``mu``, ``q_top`` or kept RHS:
+    :func:`step` releases them once k1 is made, and ``ensure_fields``
+    recomputes them bit for bit.  ``work`` (:data:`_WORK`) is made by
+    :func:`init_state`, or by :func:`step` for a state without it, and
+    handed on by :func:`step`.
     ``q_eig_min`` is LAPACK's value; ``q_top`` is the closed-form estimate,
     a bracket ``(lo, hi)`` that holds each point's largest Gram eigenvalue
     (see ``grid_calculus._normalize_fields``)."""
@@ -132,13 +135,14 @@ def evaluate_rhs(lat: gc.Lattice, c: np.ndarray, order: int = 4,
     """One right-hand side evaluation on raw coefficients; shape (grid, 3, 6).
 
     The update is assembled strictly as d(applied to 1-form fields), so it
-    lies in the image of the discrete d.  Without ``fields`` (q, g, mu), as
-    at mid-stages, ``c`` is normalized here with no eigenvalue guard, only
-    the metric density's minors; the threshold guards committed states.
-    ``sigma = Q^-1 w`` is self-dual, so d* sigma = -*d sigma takes one star.
-    Every stage from ``sigma`` on, and the normalization, writes
-    component-major memory, ``work`` (:data:`_WORK`) or new, ``(3, 6, n0,
-    n1, n2, n3)`` for the triple; ``c`` is read in place when it is one too.
+    lies in the image of the discrete d.  Without ``fields`` (q, g, mu),
+    ``c`` is normalized here, into new memory, with no eigenvalue guard,
+    only the metric density's minors; the threshold guards committed states
+    (:func:`step` normalizes its mid-stages itself).  ``sigma = Q^-1 w`` is
+    self-dual, so d* sigma = -*d sigma takes one star.  Every stage from
+    ``sigma`` on writes component-major memory, ``work`` (:data:`_WORK`) or
+    new, ``(3, 6, n0, n1, n2, n3)`` for the triple; ``c`` is read in place
+    when it is one too.
     The result is written into ``out``, which may be ``work``'s sigma, dead
     by then; else, without ``work``, into this call's own sigma, else into
     new memory.
@@ -151,11 +155,8 @@ def evaluate_rhs(lat: gc.Lattice, c: np.ndarray, order: int = 4,
     ``seen(sigma, dsigma)``, when given, is shown the lattice-wide dual
     triple and its derivative (see :func:`_dual`) before they are dropped.
     """
-    q, g, mu, sigma, dsigma = work or gc._fields(lat.shape, *_WORK)
-    if fields is None:
-        gc._normalize_fields(c, None, (q, g, mu))
-    else:
-        q, g, mu = fields
+    sigma, dsigma = work or gc._fields(lat.shape, *_WORK)
+    q, g, mu = fields or gc._normalize_fields(c)[:3]
 
     def flux(out, q, g, mu):   # Q d* sigma = Q (-*3 d sigma); out, d sigma, is read first
         return ta._product(q, ta.star3(out, g, np.negative(mu)), out)
@@ -219,36 +220,41 @@ def step(state: FlowState, dt: float, config: FlowConfig) -> FlowState:
     a*dt*k`` and ``c0 + (dt/6.0)*(k1 + 2.0*k2 + 2.0*k3 + k4)``: the stage
     inputs share one buffer, k2 to k4 ``state.work``'s sigma, and the sum
     k1's memory (a row's k1 is copied: :func:`rhs`), the new state's ``c``.
+    Once k1 is made, ``state``'s normalization and kept RHS are released
+    (:class:`FlowState`), and only then is the normalization of stages 2 to
+    4 made; the post-step guard normalizes the new ``c`` into that memory,
+    which the new state takes.  Both states are guarded at
+    ``config.degeneration_threshold``.
     Raises StepRejected when a stage or the post-step state fails the guard.
     """
     lat, order, c0 = state.tf.lattice, config.stencil_order, state.tf.c
-    work = state.work or gc._fields(lat.shape, *_WORK)
+    threshold, work = config.degeneration_threshold, state.work or gc._fields(lat.shape, *_WORK)
 
     def scaled_sum(out, u, s, v, via=None):   # out = u * s + v, with u * s in via or out
         gc._by_slab(lat.shape, lambda o, u, v, t: np.add(np.multiply(u, s, out=t), v, out=o),
                     out, u, v, out if via is None else via)
     try:
-        k1 = state.kept.get(("rhs", order))   # a row's; else made in the sum's memory
-        acc = (evaluate_rhs(lat, c0, order, state.ensure_fields(), work=work) if k1 is None
-               else np.copy(k1, order="K"))
+        k1 = state.kept.pop(("rhs", order), None)   # a row's; else made in the sum's memory
+        acc = (evaluate_rhs(lat, c0, order, state.ensure_fields(threshold), work=work)
+               if k1 is None else np.copy(k1, order="K"))
+        k1 = fields = state.q = state.g = state.mu = state.q_top = None   # read no more
         if config.method == "rk4":
             x, k = gc._fields(lat.shape, (3, 6))[0], acc
             for a, w in ((0.5, 2.0), (0.5, 2.0), (1.0, 1.0)):
                 scaled_sum(x, k, a * dt, c0)   # the stage input
-                k = evaluate_rhs(lat, x, order, work=work, out=work[3])   # k2, k3, k4
+                fields = gc._normalize_fields(x, None, fields)[:3]
+                k = evaluate_rhs(lat, x, order, fields, work=work, out=work[0])   # k2, k3, k4
                 scaled_sum(acc, k, w, acc, x)
             del x   # before the guard's normalization
         scaled_sum(acc, acc, dt / 6.0 if config.method == "rk4" else dt, c0)
-        new_state = FlowState(state.time + dt, gc.TripleField(lat, acc),
-                              base_periods=state.base_periods,
-                              sample_points=state.sample_points, work=work)
-        new_state.ensure_fields(config.degeneration_threshold)   # post-step positivity guard
+        q, g, mu, (top, lowest) = gc._normalize_fields(acc, threshold, fields)   # the guard
     except NotPositive as exc:
         raise StepRejected(
             f"step from t={state.time:.6g} with dt={dt:.3e} left the positive "
             f"cone ({exc}); retry with dt <= {dt / 2:.3e}",
             suggested_dt=dt / 2.0) from exc
-    return new_state
+    return FlowState(state.time + dt, gc.TripleField(lat, acc), q, g, mu, top, lowest,
+                     state.base_periods, state.sample_points, work=work)
 
 
 def draw_points(lat: gc.Lattice, k: int, seed: int) -> tuple:
@@ -281,7 +287,7 @@ def dual_lift_torsion(state: FlowState, points, order: int = 4) -> float:
     q, g, _ = state.ensure_fields()
     sigma, dsig = state.keep(("dual", order, points), lambda: _at(
         points, *_dual(state.tf.lattice, state.tf.c, q, order,
-                       *gc._fields(state.tf.lattice.shape, *_WORK[3:]))))
+                       *gc._fields(state.tf.lattice.shape, *_WORK))))
     q_at, g_at = _at(points, q, g)
     trace = fg.torsion_trace(fg.build_phi(sigma), fg.assemble_dphi(dsig),
                              fg.metric7_block(ta.adj3(q_at), g_at))
@@ -291,10 +297,10 @@ def dual_lift_torsion(state: FlowState, points, order: int = 4) -> float:
 def diagnostics(state: FlowState, config: FlowConfig, step_index: int = 0,
                 dt: float = 0.0) -> dict:
     """Named diagnostic values of a state (see DIAG_COLUMNS)."""
-    lat = state.tf.lattice
-    order = config.stencil_order
+    lat, order = state.tf.lattice, config.stencil_order
+    sigma, dsigma = state.work or (None, None)   # the row's d w and r * r go there
     q = state.ensure_fields(config.degeneration_threshold)[0]
-    max_dw = state.keep(("max_dw", order), lambda: state.tf.max_dabs(order))
+    max_dw = state.keep(("max_dw", order), lambda: state.tf.max_dabs(order, dsigma))
     det_dev = float(np.abs(ta.det3(q) - 1.0).max())
     if state.base_periods is not None:
         periods = state.keep("periods", state.tf.periods)
@@ -302,7 +308,7 @@ def diagnostics(state: FlowState, config: FlowConfig, step_index: int = 0,
     else:
         drift = 0.0
     r = rhs(state, order)
-    rhs_l2 = float(np.sqrt((r * r).sum() * lat.cell_volume))
+    rhs_l2 = float(np.sqrt(np.multiply(r, r, out=sigma).sum() * lat.cell_volume))
     # numpy's sums of a grid-first q: each mean's sequential, a point's nine squares pairwise
     s = [(row - np.cumsum(row)[-1] / row.size) ** 2 for row in ta._entries(q).reshape(9, -1)]
     s = ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7])) + s[8]
@@ -339,7 +345,7 @@ def init_state(config: FlowConfig, tf: gc.TripleField) -> FlowState:
     config.validate()
     order = config.stencil_order
     state = FlowState(0.0, tf, work=gc._fields(tf.lattice.shape, *_WORK))
-    max_dw = state.keep(("max_dw", order), lambda: tf.max_dabs(order))
+    max_dw = state.keep(("max_dw", order), lambda: tf.max_dabs(order, state.work[1]))
     if max_dw > CLOSEDNESS_GATE:
         raise ValidationError(
             f"initial triple field is not closed: max |dw| = {max_dw:.3e} "
@@ -362,6 +368,7 @@ def run(config: FlowConfig, initial: gc.TripleField, row_sink=None,
     lattices run in slabs on its threads (see :func:`evaluate_rhs`).
     """
     state = init_state(config, initial)
+    del initial   # the first state holds it, until the first step
     rows = []
     cad = config.checkpoint_cadence
 

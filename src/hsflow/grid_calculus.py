@@ -294,9 +294,11 @@ class TripleField:
             return kept[1]
         return _normalize_fields(self.c, threshold)
 
-    def max_dabs(self, order: int = 4) -> float:
-        """Sup-norm of the exterior derivatives of the three forms."""
-        return float(np.abs(_d(self.lattice, self.c, 2, order)).max())
+    def max_dabs(self, order: int = 4, out=None) -> float:
+        """Sup-norm of the exterior derivatives of the three forms, which
+        are written into ``out`` (:func:`_fields`, core ``(3, 4)``) when given."""
+        dw = _d(self.lattice, self.c, 2, order, out)
+        return float(np.abs(dw, out=dw).max())
 
     def periods(self) -> np.ndarray:
         """(3, 6) array of the cohomology periods of each form."""
