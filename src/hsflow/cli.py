@@ -210,11 +210,10 @@ def cmd_report(args) -> int:
         json.dumps(summary, indent=2, sort_keys=True) + "\n")
     with open(run_dir / "report.csv", "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["time", "q_dev", "rhs_l2", "max_dw", "period_drift"])
+        columns = ("time", "q_dev", "rhs_l2", "max_dw", "period_drift")
+        w.writerow(columns)
         for i in range(len(rows)):
-            w.writerow([_fmt(series[k][i])
-                        for k in ("time", "q_dev", "rhs_l2", "max_dw",
-                                  "period_drift")])
+            w.writerow([_fmt(series[k][i]) for k in columns])
     print(json.dumps(summary, indent=2, sort_keys=True))
     return EXIT_OK
 

@@ -183,12 +183,16 @@ class RowProducts:
         """The entries, written into the rows of ``out`` (entries, points);
         the rows of x are those of the (rows, points) arrays ``xs`` in turn.
         With a pointwise ``row`` (points,), each entry ends as
-        ``op(entry, row)``."""
+        ``op(entry, row)``.  ``out`` may be the memory of an operand: then
+        each block's entries are made in a block of scratch and copied out."""
         scratch = np.empty((2, min(self.block, out.shape[1])))
+        made = np.empty((len(out), scratch.shape[1])) if any(
+            np.shares_memory(rows, out) for rows in xs) else None
         for start in range(0, out.shape[1], self.block):
             at = slice(start, start + self.block)
-            x, entry = [r for rows in xs for r in rows[:, at]], list(out[:, at])
-            pair, term = scratch[:, :len(entry[0])]
+            x = [r for rows in xs for r in rows[:, at]]
+            pair, term = scratch[:, :len(x[0])]
+            entry = list(out[:, at] if made is None else made[:, :len(x[0])])
             for prefix, terms in self._groups:
                 p = x[prefix[0]] if len(prefix) == 1 else np.multiply(
                     x[prefix[0]], x[prefix[1]], out=pair)
@@ -207,6 +211,8 @@ class RowProducts:
                     op(entry[e], row[at], out=entry[e])
                 if mirror != e:
                     entry[mirror][...] = entry[e]
+            if made is not None:
+                out[:, at] = made[:, :len(x[0])]
         return out
 
 

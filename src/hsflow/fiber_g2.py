@@ -65,14 +65,6 @@ _X3_TRIPLES = [tuple(x + 3 for x in t) for t in ta.LAMBDA3_TUPLES]
 _HAT_PAIRS = [(tuple(sorted(t)), exterior.tuple_parity(t)) for t in ((1, 2), (2, 0), (0, 1))]
 
 
-def _set3(idx, sign, out, value):
-    out[..., _POS3[idx]] += sign * value
-
-
-def _set4(idx, sign, out, value):
-    out[..., _POS4[idx]] += sign * value
-
-
 def build_phi(triple: np.ndarray) -> np.ndarray:
     """3-form dt123 - dt1 ∧ w1 - dt2 ∧ w2 - dt3 ∧ w3 as 35 coefficients."""
     triple = np.asarray(triple, dtype=float)
@@ -80,20 +72,19 @@ def build_phi(triple: np.ndarray) -> np.ndarray:
     out[..., _POS3[(0, 1, 2)]] = 1.0
     for i in range(3):
         for m, (pair, par) in enumerate(_X2_PAIRS):
-            _set3((i,) + pair, -par, out, triple[..., i, m])
+            out[..., _POS3[(i,) + pair]] += -par * triple[..., i, m]
     return out
 
 
 def build_psi(sigma: np.ndarray, mu_sigma) -> np.ndarray:
     """4-form mu_sigma - dt12 ∧ s3 - dt31 ∧ s2 - dt23 ∧ s1 as 35 coefficients."""
-    sigma = np.asarray(sigma, dtype=float)
-    mu_sigma = np.asarray(mu_sigma, dtype=float)
+    sigma, mu_sigma = np.asarray(sigma, dtype=float), np.asarray(mu_sigma, dtype=float)
     out = np.zeros(np.broadcast_shapes(sigma.shape[:-2], mu_sigma.shape) + (35,))
     out[..., _POS4[(3, 4, 5, 6)]] = mu_sigma
     # psi couples s_i to the 3-torus 2-form omitting dt^i
     for i, (tpair, tsign) in enumerate(_HAT_PAIRS):
         for m, (pair, par) in enumerate(_X2_PAIRS):
-            _set4(tpair + pair, -tsign * par, out, sigma[..., i, m])
+            out[..., _POS4[tpair + pair]] += -tsign * par * sigma[..., i, m]
     return out
 
 
@@ -124,8 +115,7 @@ def metric_from_phi(phi: np.ndarray):
 
 def metric7_block(q: np.ndarray, g4: np.ndarray) -> np.ndarray:
     """Assemble the product metric diag(q, g4) on the fiber coframe."""
-    q = np.asarray(q, dtype=float)
-    g4 = np.asarray(g4, dtype=float)
+    q, g4 = np.asarray(q, dtype=float), np.asarray(g4, dtype=float)
     shape = np.broadcast_shapes(q.shape[:-2], g4.shape[:-2])
     out = np.zeros(shape + (7, 7))
     out[..., :3, :3] = q
@@ -163,8 +153,7 @@ def hodge7(coeffs: np.ndarray, g7: np.ndarray, degree: int) -> np.ndarray:
     """
     if degree not in (3, 4):
         raise ValueError("degree must be 3 or 4")
-    coeffs = np.asarray(coeffs, dtype=float)
-    g7 = np.asarray(g7, dtype=float)
+    coeffs, g7 = np.asarray(coeffs, dtype=float), np.asarray(g7, dtype=float)
     ta._require_positive(np.linalg.eigvalsh(g7)[..., 0] > 0,
                          "hodge7 requires a positive definite metric", "batch index")
     shape = np.broadcast_shapes(coeffs.shape[:-1], g7.shape[:-2])
@@ -199,7 +188,7 @@ def assemble_dphi(domega: np.ndarray) -> np.ndarray:
     out = np.zeros(domega.shape[:-2] + (35,))
     for j in range(3):
         for m, trip in enumerate(_X3_TRIPLES):
-            _set4((j,) + trip, 1.0, out, domega[..., j, m])
+            out[..., _POS4[(j,) + trip]] += domega[..., j, m]
     return out
 
 

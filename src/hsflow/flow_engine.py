@@ -33,8 +33,8 @@ DIAG_COLUMNS = ("step", "time", "dt", "max_dw", "min_eig_Q",
                 "q_dev", "torsion_sample")
 
 CLOSEDNESS_GATE = 1e-10
-# the memory a run's right-hand sides share, by core: sigma, which a stage's result
-# may overwrite, and d sigma, which eta does; a row's temporaries go there too
+# the memory a run's right-hand sides share, by core: sigma, written over a step's stage
+# input and overwritten by its result, and d sigma, by eta; a row's temporaries go there
 _WORK = ((3, 6), (3, 4))
 
 
@@ -90,9 +90,9 @@ class FlowState:
     right-hand side reads, and so is ``tf.c`` after a step (:func:`step`).
     A stepped-from state has no ``q``, ``g``, ``mu``, ``q_top`` or kept RHS:
     :func:`step` releases them once k1 is made, and ``ensure_fields``
-    recomputes them bit for bit.  ``work`` (:data:`_WORK`) is made by
-    :func:`init_state`, or by :func:`step` for a state without it, and
-    handed on by :func:`step`.
+    recomputes them bit for bit, guarded at ``threshold``.  ``work``
+    (:data:`_WORK`) is made by :func:`init_state`, or by :func:`step` for a
+    state without it, and handed on by :func:`step`.
     ``q_eig_min`` is LAPACK's value; ``q_top`` is the closed-form estimate,
     a bracket ``(lo, hi)`` that holds each point's largest Gram eigenvalue
     (see ``grid_calculus._normalize_fields``)."""
@@ -109,11 +109,17 @@ class FlowState:
     diagnostics: dict = field(default_factory=dict)
     kept: dict = field(default_factory=dict)
     work: tuple | None = field(default=None, repr=False, compare=False)
+    threshold: float | None = None
 
-    def ensure_fields(self, threshold: float = 1e-6):
-        if self.q is None:
+    def ensure_fields(self, threshold: float | None = None):
+        """``(q, g, mu)`` guarded at ``threshold``, or with None at the held
+        ones' (else at 1e-6); made anew, in place of those held, when these
+        were guarded at another."""
+        if self.q is None or threshold not in (None, self.threshold):
+            self.q = self.g = self.mu = self.q_top = None   # one normalization alive
+            self.threshold = 1e-6 if threshold is None else threshold
             self.q, self.g, self.mu, (self.q_top, self.q_eig_min) = \
-                self.tf.normalized(threshold)
+                self.tf.normalized(self.threshold)
         return self.q, self.g, self.mu
 
     def keep(self, key, compute):
@@ -125,7 +131,8 @@ class FlowState:
 
 def _dual(lat: gc.Lattice, c: np.ndarray, q: np.ndarray, order: int, sigma, dsigma):
     """sigma = Q^-1 w per slab (det q = 1, so adjugate = inverse) and its
-    lattice-wide d, written into ``sigma`` and ``dsigma`` (:data:`_WORK`)."""
+    lattice-wide d, written into ``sigma`` and ``dsigma`` (:data:`_WORK`);
+    ``c`` may be ``sigma``, which is then written over it."""
     gc._by_slab(lat.shape, lambda out, q, c: ta._product(ta.adj3(q), c, out), sigma, q, c)
     return sigma, gc._d(lat, sigma, 2, order, dsigma)
 
@@ -143,9 +150,10 @@ def evaluate_rhs(lat: gc.Lattice, c: np.ndarray, order: int = 4,
     ``sigma`` on writes component-major memory, ``work`` (:data:`_WORK`) or
     new, ``(3, 6, n0, n1, n2, n3)`` for the triple; ``c`` is read in place
     when it is one too.
-    The result is written into ``out``, which may be ``work``'s sigma, dead
-    by then; else, without ``work``, into this call's own sigma, else into
-    new memory.
+    ``c`` may be ``work``'s sigma, which sigma is written over (see
+    :func:`step`).  The result is written into ``out``, which may be
+    ``work``'s sigma, dead by then; else, without ``work``, into this call's
+    own sigma, else into new memory.
 
     The pointwise stages before and after the first d run per slab of the
     lattice, on ``grid_calculus.slab_threads`` when there are several, each
@@ -215,37 +223,41 @@ def step(state: FlowState, dt: float, config: FlowConfig) -> FlowState:
     """One explicit step (classical RK4, or forward Euler when configured).
 
     Every stage increment is a discrete-exact form, so the step conserves
-    closedness and periods to roundoff.  RK4 runs in place, piece by piece
-    (``grid_calculus._by_slab``), with the operations, so the bits, of ``c0 +
-    a*dt*k`` and ``c0 + (dt/6.0)*(k1 + 2.0*k2 + 2.0*k3 + k4)``: the stage
-    inputs share one buffer, k2 to k4 ``state.work``'s sigma, and the sum
-    k1's memory (a row's k1 is copied: :func:`rhs`), the new state's ``c``.
-    Once k1 is made, ``state``'s normalization and kept RHS are released
-    (:class:`FlowState`), and only then is the normalization of stages 2 to
-    4 made; the post-step guard normalizes the new ``c`` into that memory,
-    which the new state takes.  Both states are guarded at
+    closedness and periods to roundoff.  RK4 runs in place, a component row
+    of a piece at a time (``grid_calculus._by_slab``), with the operations,
+    so the bits, of ``c0 + a*dt*k`` and ``c0 + (dt/6.0)*(k1 + 2.0*k2 +
+    2.0*k3 + k4)``: each stage input is written into ``state.work``'s sigma,
+    over k2 and k3, and k2 to k4 then over it; the sum is k1's memory, the
+    new state's ``c``.  Once k1 is made, ``state``'s normalization and kept
+    RHS are released (:class:`FlowState`), a row's k1 (:func:`rhs`) only then
+    copied into new memory, and only then is the normalization of stages 2
+    to 4 made; the post-step guard normalizes the new ``c`` into that
+    memory, which the new state takes.  Both states are guarded at
     ``config.degeneration_threshold``.
     Raises StepRejected when a stage or the post-step state fails the guard.
     """
     lat, order, c0 = state.tf.lattice, config.stencil_order, state.tf.c
     threshold, work = config.degeneration_threshold, state.work or gc._fields(lat.shape, *_WORK)
 
-    def scaled_sum(out, u, s, v, via=None):   # out = u * s + v, with u * s in via or out
-        gc._by_slab(lat.shape, lambda o, u, v, t: np.add(np.multiply(u, s, out=t), v, out=o),
-                    out, u, v, out if via is None else via)
+    def scaled_sum(out, u, s, v):   # out = u * s + v, each u * s in a row of a piece
+        def rows(out, u, v):
+            t = np.empty(out.shape[:-2])
+            for i in np.ndindex(3, 6):
+                np.add(np.multiply(u[(...,) + i], s, out=t), v[(...,) + i], out=out[(...,) + i])
+        gc._by_slab(lat.shape, rows, out, u, v)
     try:
-        k1 = state.kept.pop(("rhs", order), None)   # a row's; else made in the sum's memory
-        acc = (evaluate_rhs(lat, c0, order, state.ensure_fields(threshold), work=work)
-               if k1 is None else np.copy(k1, order="K"))
+        k1 = state.kept.pop(("rhs", order), None)   # a row's, read-only; else made in the sum
+        fields = state.ensure_fields(threshold)
+        acc = evaluate_rhs(lat, c0, order, fields, work=work) if k1 is None else k1
         k1 = fields = state.q = state.g = state.mu = state.q_top = None   # read no more
+        acc = acc if acc.flags.writeable else np.copy(acc, order="K")   # a kept k1, copied
         if config.method == "rk4":
-            x, k = gc._fields(lat.shape, (3, 6))[0], acc
+            x, k = work[0], acc
             for a, w in ((0.5, 2.0), (0.5, 2.0), (1.0, 1.0)):
-                scaled_sum(x, k, a * dt, c0)   # the stage input
+                scaled_sum(x, k, a * dt, c0)   # the stage input, over k after k1
                 fields = gc._normalize_fields(x, None, fields)[:3]
-                k = evaluate_rhs(lat, x, order, fields, work=work, out=work[0])   # k2, k3, k4
-                scaled_sum(acc, k, w, acc, x)
-            del x   # before the guard's normalization
+                k = evaluate_rhs(lat, x, order, fields, work=work, out=x)   # k2, k3, k4
+                scaled_sum(acc, k, w, acc)
         scaled_sum(acc, acc, dt / 6.0 if config.method == "rk4" else dt, c0)
         q, g, mu, (top, lowest) = gc._normalize_fields(acc, threshold, fields)   # the guard
     except NotPositive as exc:
@@ -254,7 +266,7 @@ def step(state: FlowState, dt: float, config: FlowConfig) -> FlowState:
             f"cone ({exc}); retry with dt <= {dt / 2:.3e}",
             suggested_dt=dt / 2.0) from exc
     return FlowState(state.time + dt, gc.TripleField(lat, acc), q, g, mu, top, lowest,
-                     state.base_periods, state.sample_points, work=work)
+                     state.base_periods, state.sample_points, work=work, threshold=threshold)
 
 
 def draw_points(lat: gc.Lattice, k: int, seed: int) -> tuple:
@@ -310,9 +322,13 @@ def diagnostics(state: FlowState, config: FlowConfig, step_index: int = 0,
     r = rhs(state, order)
     rhs_l2 = float(np.sqrt(np.multiply(r, r, out=sigma).sum() * lat.cell_volume))
     # numpy's sums of a grid-first q: each mean's sequential, a point's nine squares pairwise
-    s = [(row - np.cumsum(row)[-1] / row.size) ** 2 for row in ta._entries(q).reshape(9, -1)]
-    s = ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7])) + s[8]
-    q_dev = float(np.sqrt(s).max())
+    means, peaks = [np.cumsum(row)[-1] / row.size for row in ta._entries(q).reshape(9, -1)], []
+
+    def deviation(q):   # piece by piece
+        s = [(row - m) ** 2 for row, m in zip(ta._entries(q).reshape(9, -1), means)]
+        s = ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7])) + s[8]
+        peaks.append(np.sqrt(s).max())
+    gc._by_slab(lat.shape, deviation, q)
     row = {
         "step": step_index,
         "time": state.time,
@@ -322,7 +338,7 @@ def diagnostics(state: FlowState, config: FlowConfig, step_index: int = 0,
         "max_abs_detQ_minus_1": det_dev,
         "period_drift": drift,
         "rhs_l2": rhs_l2,
-        "q_dev": q_dev,
+        "q_dev": float(np.max(peaks)),
         "torsion_sample": dual_lift_torsion(state, state.sample_points, order),
     }
     state.diagnostics = row

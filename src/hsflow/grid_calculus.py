@@ -79,16 +79,12 @@ class Lattice:
 
     def grids(self):
         """Coordinate arrays broadcastable to the grid shape."""
-        out = []
-        for a in range(4):
-            shape = [1, 1, 1, 1]
-            shape[a] = self.n[a]
-            out.append(self.axis_coords(a).reshape(shape))
-        return tuple(out)
+        return tuple(self.axis_coords(a).reshape([-1 if b == a else 1 for b in range(4)])
+                     for a in range(4))
 
 
 # Each slab holds at least SLAB_POINTS points, and each piece of a stage at most (256 kB
-# per scalar temporary: see _by_slab).  One right-hand side in two slabs against one, on
+# per scalar temporary: see _pieces).  One right-hand side in two slabs against one, on
 # 2 cores (medians of 9 alternating runs): 8192 points 31 -> 30 ms (faster in 4 of 9),
 # 16384 points 47-56 -> 42-52 ms (mixed), 32768 points 108-115 -> 83 ms, 65536 points
 # 172-206 -> 112-117 ms.  Slabs of 32768 points stay well past that crossover; lattices
@@ -126,6 +122,14 @@ def _slabs(shape: tuple) -> list:
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
+def _pieces(shape: tuple, slab=...) -> list:
+    """The ranges ``(a, b)`` of axis-0 planes covering ``slab`` (see :func:`_slabs`)
+    of ``shape``, at most SLAB_POINTS points each (one plane if it holds more)."""
+    planes = max(1, SLAB_POINTS // math.prod(shape[1:]))
+    start, stop, _ = (slice(None) if slab is ... else slab).indices(shape[0])
+    return [(a, min(a + planes, stop)) for a in range(start, stop, planes)]
+
+
 def _each(fn, items) -> None:
     """``fn(item)`` for every item: the first on the calling thread and the
     others on the slab threads, which there are when there are several.
@@ -154,22 +158,18 @@ def _fields(shape: tuple, *cores) -> tuple:
 
 def _by_slab(shape: tuple, stage, *arrays) -> None:
     """``stage(*parts)`` for every slab of a lattice of ``shape`` (see
-    :func:`_slabs`), in pieces of at most SLAB_POINTS points (whole axis-0
-    planes, one if it holds more), ``parts`` the piece's parts of ``arrays``,
-    lattice-wide arrays that the stage reads or writes.  A NotPositive in one
-    of several pieces is raised again by the stage run on the whole lattice,
-    so that its message, naming the first failing lattice index, is word for
-    word that of a run in one piece."""
-    planes = max(1, SLAB_POINTS // math.prod(shape[1:]))
-
+    :func:`_slabs`), in its pieces (:func:`_pieces`), ``parts`` the piece's
+    parts of ``arrays``, lattice-wide arrays that the stage reads or writes.
+    A NotPositive in one of several pieces is raised again by the stage run
+    on the whole lattice, so that its message, naming the first failing
+    lattice index, is word for word that of a run in one piece."""
     def pieces(slab):
-        start, stop, _ = (slice(None) if slab is ... else slab).indices(shape[0])
-        for a in range(start, stop, planes):
-            stage(*(x[a:min(a + planes, stop)] for x in arrays))
+        for a, b in _pieces(shape, slab):
+            stage(*(x[a:b] for x in arrays))
     try:
         _each(pieces, _slabs(shape))
     except NotPositive:
-        if planes < shape[0]:
+        if len(_pieces(shape)) > 1:
             stage(*arrays)
         raise
 
@@ -220,10 +220,13 @@ def _d(lat: Lattice, f: np.ndarray, k: int, order: int = 4, out=None) -> np.ndar
     copies ``f`` into unless ``f`` is already a view of it, and returns a
     view of component-major memory, ``out``'s when given (see :func:`_fields`).
 
-    Each output component sums its terms of the assembly table in table
-    order.  On a lattice of several slabs (see :func:`_slabs`), the
-    components are dealt out to one thread per slab, each summing into its
-    own memory, so the result is the same at any worker count.
+    It runs in pieces (:func:`_pieces`), a term along axis 0 on its piece
+    and ``order // 2`` wrapped halo planes each side (on the whole axis where
+    those reach round it).  Each output component sums its terms of the
+    assembly table in table order.  On a lattice of several slabs (see
+    :func:`_slabs`), the components are dealt out to one thread per slab, each
+    summing into its own memory, so the result is the same at any worker
+    count or piece size.
     """
     if k >= 4:
         raise ValueError("no 5-forms on a 4-manifold")
@@ -234,14 +237,24 @@ def _d(lat: Lattice, f: np.ndarray, k: int, order: int = 4, out=None) -> np.ndar
     flat = f.shape[:-5] + (NCOMP[k + 1], lat.num_points)
     out = np.empty(flat) if out is None else ta._entries(out, tail).reshape(flat)
     out.fill(0.0)
+    n0, halo, plane = lat.shape[0], order // 2, lat.num_points // lat.shape[0]
+
+    def term(src, axis, a, b):   # the derivative of a source component on planes a to b
+        g = f[..., src, :, :, :, :]
+        if axis > 0:
+            return partial(lat, g[..., a:b, :, :, :], axis, order)
+        lo, hi = (0, n0) if b - a + 2 * halo >= n0 else (a - halo, b + halo)
+        block = g[..., lo:hi, :, :, :] if 0 <= lo and hi <= n0 else np.take(
+            g, range(lo, hi), axis=-4, mode="wrap")   # a halo that wraps
+        return partial(lat, block, 0, order)[..., a - lo:b - lo, :, :, :]
 
     def components(share):   # the terms of every count-th output component
-        for dst, src, axis, sign in _D_TABLE[k]:
-            if dst % count == share:   # each term is dropped before the next is made
-                row = out[..., dst, :]
-                (np.add if sign > 0 else np.subtract)(
-                    row, partial(lat, f[..., src, :, :, :, :], axis, order).reshape(row.shape),
-                    out=row)
+        for a, b in _pieces(lat.shape):
+            for dst, src, axis, sign in _D_TABLE[k]:
+                if dst % count == share:   # each term is dropped before the next is made
+                    row = out[..., dst, a * plane:b * plane]
+                    (np.add if sign > 0 else np.subtract)(
+                        row, term(src, axis, a, b).reshape(row.shape), out=row)
     count = len(_slabs(lat.shape))
     _each(components, range(count))
     return ta._pointwise(out.reshape(out.shape[:-1] + lat.shape), tail)
@@ -261,9 +274,8 @@ def periods(lat: Lattice, w: np.ndarray) -> np.ndarray:
     are the cohomology pairings with the coordinate tori and are invariant,
     to roundoff, under adding any discrete-exact form.
     """
-    mean = w.mean(axis=(0, 1, 2, 3))
-    areas = np.array([lat.L[a] * lat.L[b] for a, b in ta.LAMBDA2_TUPLES])
-    return mean * areas
+    return w.mean(axis=(0, 1, 2, 3)) * np.array([lat.L[a] * lat.L[b]
+                                                 for a, b in ta.LAMBDA2_TUPLES])
 
 
 @dataclass

@@ -47,13 +47,9 @@ def read_snapshot(path):
         header = fh.read(_HEADER.size)
         if len(header) != _HEADER.size:
             raise ValidationError(f"{path}: truncated header")
-        vals = _HEADER.unpack(header)
-        n = tuple(vals[0:4])
-        L = tuple(vals[4:8])
-        time = vals[8]
-        nforms = vals[9]
+        *sizes, time, nforms = _HEADER.unpack(header)   # n0..n3, L0..L3, time, forms
         try:
-            lat = gc.Lattice(n, L)
+            lat = gc.Lattice(tuple(sizes[:4]), tuple(sizes[4:]))
         except ValueError as exc:
             raise ValidationError(f"{path}: bad lattice in header: {exc}") from exc
         count = lat.num_points * 6
@@ -63,8 +59,7 @@ def read_snapshot(path):
             if len(buf) != count * 8:
                 raise ValidationError(f"{path}: truncated payload")
             fields.append(np.frombuffer(buf, dtype="<f8").reshape(lat.shape + (6,)))
-        extra = fh.read(1)
-        if extra:
+        if fh.read(1):
             raise ValidationError(f"{path}: trailing bytes after payload")
     if nforms != 3:
         raise ValidationError(f"{path}: expected a triple (3 fields), got {nforms}")

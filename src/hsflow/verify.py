@@ -188,12 +188,8 @@ CHECKS = {
 
 # identities whose sampling is per-triple rather than per-matrix get fewer
 # draws so `verify --trials 1000` stays interactive
-_TRIAL_SCALE = {
-    "star7-dual-lift": 0.2,
-    "g2-metric-blocks": 0.2,
-    "t3-star-1forms": 0.2,
-    "t3-star-2forms": 0.2,
-}
+_TRIAL_SCALE = dict.fromkeys(
+    ("star7-dual-lift", "g2-metric-blocks", "t3-star-1forms", "t3-star-2forms"), 0.2)
 
 
 def run_suite(trials: int = 1000, seed: int = 1) -> dict:
@@ -203,8 +199,7 @@ def run_suite(trials: int = 1000, seed: int = 1) -> dict:
     identity once on the stack."""
     if trials < 1:
         raise ValidationError("trials must be >= 1")
-    results = {}
-    all_pass = True
+    results, all_pass = {}, True
     for name, (fn, bound) in CHECKS.items():
         n = max(1, int(trials * _TRIAL_SCALE.get(name, 1.0)))
         rng = np.random.default_rng(seed)

@@ -196,34 +196,48 @@ class TestLayout:
     def test_step_memory(self):
         # one RK4 step of a run writes the run's right-hand-side memory, and
         # releases the stepped-from state's normalization and kept RHS once
-        # k1 is made: c0, the sum (the new state's c), the stage input, sigma,
-        # d sigma and one normalization are what it keeps alive at once.
-        # Measured 7.09 over all live memory, 1.84 over the step's start; the
-        # bounds here and below leave about 0.3 and 0.1 to spare
+        # k1 is made: c0, the sum (the new state's c), sigma (which holds the
+        # stage input), d sigma and one normalization are what it keeps alive
+        # at once.  Measured 6.76 over all live memory, 1.51 over the step's
+        # start; the bounds here and below leave about 0.25 and 0.1 to spare
         peak, growth = self.step_peak((16, 8, 8, 8), 1, True)
-        assert peak <= 7.4 and growth <= 1.95
+        assert peak <= 7.0 and growth <= 1.6
 
     @pytest.mark.parametrize("n,workers,kept,peak,growth", [
-        ((16, 8, 8, 8), 1, False, 7.4, 2.95), ((32, 16, 16, 16), 2, True, 7.1, 1.7),
-        ((32, 16, 16, 16), 2, False, 7.1, 2.7)])
+        ((16, 8, 8, 8), 1, False, 7.0, 2.6), ((32, 16, 16, 16), 2, True, 5.9, 0.5),
+        ((32, 16, 16, 16), 2, False, 5.9, 1.5)],
+        ids=["16x8x8x8-1-unkept", "32x16x16x16-2-kept", "32x16x16x16-2-unkept"])
     def test_step_memory_with_k1_in_the_sum(self, n, workers, kept, peak, growth):
         # without a kept RHS the step evaluates k1 into the new state's
         # memory, so it keeps no more alive than with one; on 32x16x16x16 the
-        # pointwise stages run in pieces of SLAB_POINTS points.  Measured
-        # 7.09, 2.85 on 16x8x8x8 and 6.80, 1.58 (kept) and 6.80, 2.58 (not)
-        # on 32x16x16x16 at 2 workers
+        # pointwise stages and the derivatives run in pieces of SLAB_POINTS
+        # points.  Measured 6.76, 2.52 on 16x8x8x8 and 5.63, 0.41 (kept) and
+        # 5.64, 1.42 (not) on 32x16x16x16 at 2 workers
         measured = self.step_peak(n, workers, kept)
         assert measured[0] <= peak and measured[1] <= growth
 
-    @pytest.mark.parametrize("n,workers,peak", [((16, 8, 8, 8), 1, 7.4),
-                                                ((32, 16, 16, 16), 2, 7.1)])
+    @pytest.mark.parametrize("n,workers,peak", [((16, 8, 8, 8), 1, 7.0),
+                                                ((32, 16, 16, 16), 2, 5.9)],
+                             ids=["16x8x8x8-1", "32x16x16x16-2"])
     def test_run_memory(self, n, workers, peak):
         # a two-step run with a row after every step, handed its initial field:
         # one normalization alive at a time, and the initial field let go
-        # after the first step.  Measured 7.07 on 16x8x8x8 and 6.80 on
+        # after the first step.  Measured 6.74 on 16x8x8x8 and 5.64 on
         # 32x16x16x16 at 2 workers
         assert self.traced(n, workers, lambda lat, cfg, tf: [tf], lambda held, cfg: fe.run(
             cfg, held.pop()))[0] <= peak
+
+    @pytest.mark.parametrize("n,workers,peak,growth", [((16, 8, 8, 8), 1, 6.2, 1.85),
+                                                       ((32, 16, 16, 16), 2, 5.9, 1.5)],
+                             ids=["16x8x8x8-1", "32x16x16x16-2"])
+    def test_row_memory(self, n, workers, peak, growth):
+        # a diagnostics row after a step: its RHS in new memory, the rest in
+        # the run's right-hand-side memory, q_dev piece by piece.  Measured
+        # 5.95, 1.73 on 16x8x8x8 (one piece) and 5.64, 1.42 on 32x16x16x16
+        # at 2 workers (5.91, 1.69 with q_dev's nine rows lattice-wide)
+        measured = self.traced(n, workers, lambda lat, cfg, tf: fe.step(
+            fe.init_state(cfg, tf), 1e-5, cfg), fe.diagnostics)
+        assert measured[0] <= peak and measured[1] <= growth
 
 
 class TestNonFinite:
@@ -383,6 +397,38 @@ class TestStep:
         with pytest.raises(StepRejected, match=re.escape(
                 f"Gram matrix eigenvalue {lowest:.3e} <= {threshold:g}")):
             fe.step(fe.FlowState(0.0, tf), 1e-5, cfg)
+
+    def test_kept_rhs_does_not_skip_the_configured_guard(self):
+        # fe.rhs guards a fresh state at the default threshold; a step at a
+        # higher configured one still rejects it, in a fresh state's words
+        tf = t3_field()
+        lowest = gc._normalize_fields(tf.c, 1e-6)[3][1]
+        cfg = fe.FlowConfig(dt=1e-5, cfl=None, degeneration_threshold=1.0001 * lowest)
+        messages = []
+        for kept in (False, True):
+            state = fe.FlowState(0.0, gc.TripleField(tf.lattice, tf.c))
+            if kept:
+                fe.rhs(state)
+                assert state.threshold == 1e-6
+            with pytest.raises(StepRejected) as rejected:
+                fe.step(state, 1e-5, cfg)
+            messages.append(str(rejected.value))
+        assert messages[0] == messages[1]
+        assert re.search(r"Gram matrix eigenvalue .* at lattice index \(10, 0, 0, 0\)",
+                         messages[0])
+
+    def test_guard_kept_at_the_configured_threshold(self, monkeypatch):
+        # a run at a threshold of its own guards each state once: the rows'
+        # RHS and torsion samples take a state's guard as it is
+        tf = t3_field()
+        guarded, fn = [], gc._normalize_fields
+        monkeypatch.setattr(gc, "_normalize_fields", lambda c, threshold=None, out=None: (
+            guarded.append(threshold) or fn(c, threshold, out)))
+        cfg = fe.FlowConfig(dt=1e-5, cfl=None, max_steps=2, diag_cadence=1, fiber_samples=2,
+                            degeneration_threshold=1e-3)
+        assert fe.run(cfg, tf).final_state.threshold == 1e-3
+        # the initial state's guard, then each step's three mid-stages and its guard
+        assert guarded == [1e-3] + [None, None, None, 1e-3] * 2
 
     def test_retry_from_a_released_state(self):
         # a step retried from the state that a step released gives the bytes
@@ -993,6 +1039,29 @@ class TestSlabs:
             assert str(pieced.value) == str(whole.value)
             messages.append(str(whole.value))
         assert all(re.search(what + r".* at lattice index \(21, 1, 2, 3\)", m) for m in messages)
+
+    @pytest.mark.parametrize("kept", [True, False])
+    def test_step_in_small_pieces(self, kept, monkeypatch):
+        # a step whose stages and derivatives run in pieces of one to three
+        # planes, halos wrapping, at 1 and 2 workers, gives the bytes of a
+        # step in one piece, and so does the row after it
+        lat = gc.Lattice((8, 4, 4, 4))
+        cfg = fe.FlowConfig(dt=2e-5, cfl=None, fiber_samples=2)
+        c = initial_data.generate_initial(lat, "exact-perturbation", 0.05, 7).c
+
+        def stepped():
+            state = fe.init_state(cfg, gc.TripleField(lat, c.copy()))
+            if kept:
+                fe.diagnostics(state, cfg)
+            new = fe.step(state, 2e-5, cfg)
+            return (_bytes(new.tf.c, new.q, new.g, new.mu, *new.q_top), new.q_eig_min,
+                    fe.diagnostics(new, cfg))
+        whole = stepped()
+        for workers, points in [(1, 64), (2, 64), (2, 192)]:
+            monkeypatch.setattr(gc, "SLAB_POINTS", points)
+            with gc.slab_threads(workers):
+                assert len(gc._slabs(lat.shape)) == workers
+                assert stepped() == whole
 
     def test_one_slab_starts_no_thread(self):
         cfg = fe.FlowConfig(max_steps=3, diag_cadence=1, fiber_samples=2)

@@ -287,6 +287,37 @@ class TestFourPointAxis:
                 assert np.all(out == 0.0) and not np.any(np.signbit(out))
 
 
+class TestPieces:
+    """The derivative runs in pieces of whole axis-0 planes: terms along
+    axis 0 read wrapped halo planes, or the whole axis where those would
+    reach round it, and every piece gives the bytes of one piece."""
+
+    @pytest.mark.parametrize("n", [(8, 4, 4, 4), (6, 4, 4, 4), (4, 4, 4, 8)])
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_bytes_of_one_piece(self, rng, monkeypatch, n, k, order):
+        lat = gc.Lattice(n, (1.0, 0.7, 1.3, 2.0))
+        f = rng.uniform(-1.0, 1.0, lat.shape + (3, gc.NCOMP[k]))   # a triple's batch axis
+        f[1, 2, 3, 0, 1, 3] = np.inf   # differentiated along axis 0: a wide difference on a
+        # 4-point axis 0 would take inf - inf
+        whole = gc.d(lat, f, k, order).tobytes()
+        plane = lat.num_points // n[0]
+        for planes, workers in [(1, 1), (1, 2), (2, 2), (3, 1)]:
+            monkeypatch.setattr(gc, "SLAB_POINTS", planes * plane)
+            with gc.slab_threads(workers):
+                assert len(gc._slabs(lat.shape)) == workers
+                pieces = gc._pieces(lat.shape)
+                got = gc.d(lat, f, k, order).tobytes()
+            assert len(pieces) == -(-n[0] // planes) and got == whole
+
+    def test_pieces_cover_a_slab(self, monkeypatch):
+        monkeypatch.setattr(gc, "SLAB_POINTS", 96)   # one and a half planes of 64 points
+        assert gc._pieces((8, 4, 4, 4)) == [(a, a + 1) for a in range(8)]
+        assert gc._pieces((8, 4, 4, 4), slice(2, 5)) == [(2, 3), (3, 4), (4, 5)]
+        monkeypatch.setattr(gc, "SLAB_POINTS", 192)
+        assert gc._pieces((8, 4, 4, 4), slice(2, 7)) == [(2, 5), (5, 7)]
+
+
 def table_sum(table, x):
     """An ``exterior.RowProducts`` symmetric table evaluated point-major on
     the rows of ``x`` (points, nvar): each entry's monomials gathered per

@@ -524,3 +524,20 @@ class TestProductKernels:
         _, q, _, _ = fields
         eta = rng.uniform(-1.0, 1.0, (self.POINTS, 3, 4))
         assert close(ta._product(q, eta), oracles.product_loop(q, eta))
+
+    def test_written_over_an_operand(self, fields, monkeypatch):
+        # an out that is an operand's memory gets each block made in scratch
+        # and copied out: the bytes of a call into new memory, across blocks
+        t, q, _, mu = fields
+        for table in (ta._product_table(3, 3, 6), ta.GRAM):
+            monkeypatch.setattr(table, "block", 7)
+            assert self.POINTS % 7
+        sigma = ta._pointwise(np.array(ta._entries(t)))   # component-major, as in the flow
+        expected = ta._product(ta.adj3(q), sigma)
+        assert ta._product(ta.adj3(q), sigma, sigma) is sigma
+        assert sigma.tobytes() == expected.tobytes()
+        rows = np.array(ta._entries(t))   # the Gram matrix over the first nine rows
+        expected = ta.gram(ta._pointwise(rows), mu)
+        got = ta.gram(ta._pointwise(rows), mu, ta._pointwise(rows.reshape(18, -1)[:9].reshape(
+            (3, 3, -1))))
+        assert got.tobytes() == expected.tobytes()
