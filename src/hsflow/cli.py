@@ -6,11 +6,11 @@ abort (positivity degeneration), 3 I/O failure.
 HSF_WORKERS is the number of threads ``hsflow flow`` computes with; it
 defaults to the CPUs this process may run on and is recorded in artifacts.
 The flow, not its initial data, runs in
-``grid_calculus.slab_threads(HSF_WORKERS)``: its lattice is split into up
-to HSF_WORKERS axis-0 slabs of at least ``grid_calculus.SLAB_POINTS``
-points each, on which the right-hand side, the guarded normalization and
-the derivatives run in parallel; a lattice too small for two slabs runs on
-one thread.  Results are bit-identical at any value.
+``grid_calculus.slab_threads(HSF_WORKERS)``: a lattice of two or more
+slabs of ``grid_calculus.SLAB_POINTS`` points hands the pieces and
+derivative items of its right-hand side and guarded normalization to up to
+HSF_WORKERS threads; a smaller one runs on one thread.  Results are
+bit-identical at any value.
 """
 
 from __future__ import annotations

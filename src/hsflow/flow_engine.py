@@ -155,11 +155,10 @@ def evaluate_rhs(lat: gc.Lattice, c: np.ndarray, order: int = 4,
     ``work``'s sigma, dead by then; else, without ``work``, into this call's
     own sigma, else into new memory.
 
-    The pointwise stages before and after the first d run per slab of the
-    lattice, on ``grid_calculus.slab_threads`` when there are several, each
-    piece of a slab writing its part of one lattice-wide array (see
-    ``grid_calculus._by_slab``); the derivatives hand their output
-    components to the same threads.  Any worker count gives the same bits.
+    The pointwise stages hand their pieces, each writing its part of one
+    lattice-wide array, and the derivatives their items to the threads of
+    ``grid_calculus.slab_threads`` (see ``grid_calculus._each``).  Any
+    worker count gives the same bits.
     ``seen(sigma, dsigma)``, when given, is shown the lattice-wide dual
     triple and its derivative (see :func:`_dual`) before they are dropped.
     """
@@ -241,7 +240,7 @@ def step(state: FlowState, dt: float, config: FlowConfig) -> FlowState:
 
     def scaled_sum(out, u, s, v):   # out = u * s + v, each u * s in a row of a piece
         def rows(out, u, v):
-            t = np.empty(out.shape[:-2])
+            t, = gc._fields(out.shape[:-2], ())
             for i in np.ndindex(3, 6):
                 np.add(np.multiply(u[(...,) + i], s, out=t), v[(...,) + i], out=out[(...,) + i])
         gc._by_slab(lat.shape, rows, out, u, v)
@@ -381,7 +380,7 @@ def run(config: FlowConfig, initial: gc.TripleField, row_sink=None,
     loss the partial result is returned with ``aborted`` set to a message
     carrying full context.  In ``grid_calculus.slab_threads``, the
     right-hand side, the guard's normalization and the derivatives of large
-    lattices run in slabs on its threads (see :func:`evaluate_rhs`).
+    lattices run on its threads (see :func:`evaluate_rhs`).
     """
     state = init_state(config, initial)
     del initial   # the first state holds it, until the first step

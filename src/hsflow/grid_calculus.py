@@ -57,10 +57,7 @@ class Lattice:
             raise ValueError("period lengths must be positive and finite")
         object.__setattr__(self, 'n', tuple(int(m) for m in self.n))
         object.__setattr__(self, 'L', tuple(float(l) for l in self.L))
-
-    @property
-    def h(self) -> tuple[float, float, float, float]:
-        return tuple(l / m for l, m in zip(self.L, self.n))
+        object.__setattr__(self, 'h', tuple(l / m for l, m in zip(self.L, self.n)))   # spacings
 
     @property
     def shape(self) -> tuple[int, int, int, int]:
@@ -83,11 +80,11 @@ class Lattice:
                      for a in range(4))
 
 
-# Each slab holds at least SLAB_POINTS points, and each piece of a stage at most (256 kB
-# per scalar temporary: see _pieces).  One right-hand side in two slabs against one, on
-# 2 cores (medians of 9 alternating runs): 8192 points 31 -> 30 ms (faster in 4 of 9),
-# 16384 points 47-56 -> 42-52 ms (mixed), 32768 points 108-115 -> 83 ms, 65536 points
-# 172-206 -> 112-117 ms.  Slabs of 32768 points stay well past that crossover; lattices
+# Each slab holds at least SLAB_POINTS points, and each piece at most (256 kB per scalar
+# temporary, 768 kB per scratch row of a derivative on a triple).  One right-hand side in
+# two slabs against one, on 2 cores (medians of 9 alternating runs): 8192 points 31 -> 30
+# ms (faster in 4 of 9), 16384 points 47-56 -> 42-52 ms (mixed), 32768 points 108-115 ->
+# 83 ms, 65536 points 172-206 -> 112-117 ms.  Slabs of 32768 points stay well past that crossover; lattices
 # under 65536 points, 64x4x4x4 and 16x8x8x8 among them, run on one thread.
 SLAB_POINTS = 32768
 _pool, _workers = None, 1   # the threads of slab_threads, while it holds them
@@ -95,9 +92,9 @@ _pool, _workers = None, 1   # the threads of slab_threads, while it holds them
 
 @contextmanager
 def slab_threads(workers: int):
-    """Run the slabs (see :func:`_slabs`) of the block's stages on up to
-    ``workers`` threads, the calling one among them; on exit, also by a
-    raise, shut the others down and put back the previous ones."""
+    """Run the block's stages (see :func:`_each`) on up to ``workers``
+    threads, the calling one among them; on exit, also by a raise, shut the
+    others down and put back the previous ones."""
     from concurrent.futures import ThreadPoolExecutor   # here: only hsflow flow needs it
     global _pool, _workers
     saved = _pool, _workers
@@ -110,11 +107,11 @@ def slab_threads(workers: int):
 
 
 def _slabs(shape: tuple) -> list:
-    """The slabs, ranges of axis-0 planes, in which the pointwise stages run
-    on a lattice (or batch) of ``shape``: in :func:`slab_threads` of
-    ``workers``, ``min(workers, points // SLAB_POINTS, planes)`` of them,
-    the planes split as evenly as can be; else one, ``...``.  Every
-    pointwise kernel gives each point the same bits in any slab."""
+    """The slabs, ranges of axis-0 planes, of a lattice (or batch) of
+    ``shape``, one per thread that its pieces and items go to (:func:`_each`):
+    in :func:`slab_threads` of ``workers``, ``min(workers, points //
+    SLAB_POINTS, planes)`` of them, the planes split as evenly as can be;
+    else one, ``...``."""
     count = min(_workers, math.prod(shape) // SLAB_POINTS, shape[0])
     if count < 2:
         return [...]
@@ -130,19 +127,22 @@ def _pieces(shape: tuple, slab=...) -> list:
     return [(a, min(a + planes, stop)) for a in range(start, stop, planes)]
 
 
-def _each(fn, items) -> None:
-    """``fn(item)`` for every item: the first on the calling thread and the
-    others on the slab threads, which there are when there are several.
-    Returns when all are done and raises the first item's exception, if
-    any.  ``fn`` must not submit to the slab threads.
+def _each(fn, items, shape: tuple) -> None:
+    """``fn(item)`` for every item, each handed to whichever thread is free (a
+    fixed share would wait for the slower core of a shared machine): the
+    calling one and, on a lattice of ``shape`` with several slabs (see
+    :func:`_slabs`), a slab thread for each slab but one.  Returns when all
+    are done and raises an item's exception, if any.  ``fn`` must not submit
+    to the slab threads.  With every item on the slab threads, whose arenas
+    keep what their items freed, a 32x16x16x16 flow's RSS peaked 7% higher."""
+    todo = iter(items)   # next() on it is one C call under the interpreter lock
 
-    The calling thread takes a share, so ``n`` items occupy ``n - 1`` slab
-    threads.  Each thread's allocator arena keeps what its share freed; with
-    every share on the slab threads, the peak RSS of a 32x16x16x16 flow was
-    7% higher (387 against 361 MB)."""
-    futures = [_pool.submit(fn, item) for item in items[1:]]
+    def drain():
+        for item in todo:
+            fn(item)
+    futures = [_pool.submit(drain) for _ in range(min(len(_slabs(shape)), len(items)) - 1)]
     try:
-        fn(items[0])
+        drain()
     finally:
         for future in futures:
             future.exception()   # waits, without raising
@@ -152,42 +152,66 @@ def _each(fn, items) -> None:
 
 def _fields(shape: tuple, *cores) -> tuple:
     """New component-major arrays seen as ``shape + core``, one per core (a
-    shape such as ``(3, 6)``, or ``()`` for a scalar field)."""
-    return tuple(ta._pointwise(np.empty(core + shape), len(core)) for core in cores)
+    shape such as ``(3, 6)``, or ``()`` for a scalar field), 64-byte aligned."""
+    return tuple(ta._pointwise(exterior.aligned(core + shape), len(core)) for core in cores)
 
 
 def _by_slab(shape: tuple, stage, *arrays) -> None:
-    """``stage(*parts)`` for every slab of a lattice of ``shape`` (see
-    :func:`_slabs`), in its pieces (:func:`_pieces`), ``parts`` the piece's
-    parts of ``arrays``, lattice-wide arrays that the stage reads or writes.
-    A NotPositive in one of several pieces is raised again by the stage run
-    on the whole lattice, so that its message, naming the first failing
-    lattice index, is word for word that of a run in one piece."""
-    def pieces(slab):
-        for a, b in _pieces(shape, slab):
-            stage(*(x[a:b] for x in arrays))
+    """``stage(*parts)`` for every piece of a lattice of ``shape`` (see
+    :func:`_pieces`, :func:`_each`), ``parts`` the piece's parts of
+    ``arrays``, lattice-wide arrays that the stage reads or writes.  A
+    NotPositive in one of several pieces is raised again by the stage run on
+    the whole lattice, so that its message names the first failing index."""
+    pieces = _pieces(shape)
     try:
-        _each(pieces, _slabs(shape))
+        _each(lambda p: stage(*(x[p[0]:p[1]] for x in arrays)), pieces, shape)
     except NotPositive:
-        if len(_pieces(shape)) > 1:
+        if len(pieces) > 1:
             stage(*arrays)
         raise
 
 
-def _shift_difference(rows: np.ndarray, s: int) -> np.ndarray:
+def _shift_difference(rows: np.ndarray, s: int, out: np.ndarray, lo: int = 0) -> np.ndarray:
     """``f[j + s] - f[j - s]`` along the last axis of ``rows``, periodic in
-    each row.  The bulk is one subtraction over the flattened rows; the
-    ``s`` entries at each end of a row, which wrap, are then overwritten, for
-    s <= 2 (the innermost grid axis) one offset at a time: a (rows, 2) block
-    costs ~20 ns a row, a long strided run far less."""
-    out = np.empty(rows.shape)
+    each row, into ``out`` for the j from ``lo`` that its last axis spans
+    (all of each row when ``rows`` holds several).  The bulk is one
+    subtraction over the flattened rows; the entries that wrap are then
+    (over)written, for s <= 2 (the innermost grid axis) one offset at a
+    time: a (rows, 2) block costs ~20 ns a row, a long strided run far less."""
+    n, m = rows.shape[-1], out.shape[-1]
     flat, flat_out = rows.reshape(rows.shape[:-2] + (-1,)), out.reshape(out.shape[:-2] + (-1,))
-    np.subtract(flat[..., 2 * s:], flat[..., :-2 * s], out=flat_out[..., s:-s])
+    a = max(s - lo, 0)
+    b = max(a, flat_out.shape[-1] - max(lo + m + s - n, 0))
+    np.subtract(flat[..., a + lo + s:b + lo + s], flat[..., a + lo - s:b + lo - s],
+                out=flat_out[..., a:b])
     width = 1 if s <= 2 else s
-    for a in range(0, s, width):   # out[a:b] and out[c:c + width] wrap
-        b, c = a + width, rows.shape[-1] - s + a
-        np.subtract(rows[..., a + s:b + s], rows[..., c:c + width], out=out[..., a:b])
-        np.subtract(rows[..., a:b], rows[..., c - s:c - s + width], out=out[..., c:c + width])
+    for a in range(0, s, width):   # j from a wraps below, j from n - s + a above
+        for j, plus, minus in ((a, a + s, n - s + a), (n - s + a, a, n - 2 * s + a)):
+            x, y = max(j, lo), min(j + width, lo + m)
+            if x < y:
+                np.subtract(rows[..., plus + x - j:plus + y - j],
+                            rows[..., minus + x - j:minus + y - j], out=out[..., x - lo:y - lo])
+    return out
+
+
+def _difference(lat: Lattice, f, axis: int, order: int, out, spare, a=0, b=None):
+    """:func:`partial`'s difference of ``f`` on its axis-0 planes a to b,
+    written into ``out``, scratch of their size; at order 4 the wide
+    difference goes to ``spare``, 1-D memory of 7 elements more."""
+    if order not in (2, 4):
+        raise ValueError("stencil order must be 2 or 4")
+    n, s = f.shape[axis - 4], math.prod(f.shape[f.ndim - 3 + axis:])   # elements per step
+    f, lo = (f, a * s) if axis == 0 else (f[..., a:b, :, :, :], 0)
+    rows = f.reshape(f.shape[:-4] + (-1, n * s))
+    out = _shift_difference(rows, s, out.reshape(rows.shape[:-1] + (-1,)), lo)
+    if order == 2:
+        out /= 2.0 * lat.h[axis]
+    else:
+        out *= 8.0
+        if 4 % n:
+            out -= _shift_difference(rows, 2 * s, exterior.aligned(
+                out.shape, max(2 * s - lo, 0), spare), lo)
+        out /= 12.0 * lat.h[axis]
     return out
 
 
@@ -199,20 +223,9 @@ def partial(lat: Lattice, f: np.ndarray, axis: int, order: int = 4) -> np.ndarra
     axis are annihilated exactly, not merely to roundoff.  On a 4-point axis
     the wide difference f[j + 2] - f[j - 2] is +0 for finite f: not taken.
     """
-    if order not in (2, 4):
-        raise ValueError("stencil order must be 2 or 4")
     f = np.asarray(f, dtype=float)
-    n, step = f.shape[axis - 4], math.prod(f.shape[f.ndim - 3 + axis:])   # elements per step
-    rows = f.reshape(f.shape[:-4] + (-1, n * step))
-    out = _shift_difference(rows, step)
-    if order == 2:
-        out /= 2.0 * lat.h[axis]
-    else:
-        out *= 8.0
-        if 4 % n:
-            out -= _shift_difference(rows, 2 * step)
-        out /= 12.0 * lat.h[axis]
-    return out.reshape(f.shape)
+    return _difference(lat, f, axis, order, exterior.aligned(f.shape),
+                       np.empty(f.size + 7) if order == 4 else None).reshape(f.shape)
 
 
 def _d(lat: Lattice, f: np.ndarray, k: int, order: int = 4, out=None) -> np.ndarray:
@@ -220,43 +233,32 @@ def _d(lat: Lattice, f: np.ndarray, k: int, order: int = 4, out=None) -> np.ndar
     copies ``f`` into unless ``f`` is already a view of it, and returns a
     view of component-major memory, ``out``'s when given (see :func:`_fields`).
 
-    It runs in pieces (:func:`_pieces`), a term along axis 0 on its piece
-    and ``order // 2`` wrapped halo planes each side (on the whole axis where
-    those reach round it).  Each output component sums its terms of the
-    assembly table in table order.  On a lattice of several slabs (see
-    :func:`_slabs`), the components are dealt out to one thread per slab, each
-    summing into its own memory, so the result is the same at any worker
-    count or piece size.
-    """
+    Its items, (piece, output component) pairs, are handed out as
+    :func:`_by_slab`'s pieces.  An item sums its terms of the assembly table
+    in table order through two scratch rows, the first as ``0.0 +- term`` (a
+    sum's sign of zero); an axis-0 term reads the lattice array's planes,
+    split where the periodic wrap falls.  Any worker count or piece size
+    gives the same bits."""
     if k >= 4:
         raise ValueError("no 5-forms on a 4-manifold")
     tail = np.ndim(f) - 4
     f = ta._entries(f, tail)
+    batch, plane = f.shape[:-5], lat.num_points // lat.shape[0]
     # the sums run on a flat view of the grid, which numpy updates in place
     # without a temporary copy
-    flat = f.shape[:-5] + (NCOMP[k + 1], lat.num_points)
-    out = np.empty(flat) if out is None else ta._entries(out, tail).reshape(flat)
-    out.fill(0.0)
-    n0, halo, plane = lat.shape[0], order // 2, lat.num_points // lat.shape[0]
+    flat = batch + (NCOMP[k + 1], lat.num_points)
+    out = exterior.aligned(flat) if out is None else ta._entries(out, tail).reshape(flat)
 
-    def term(src, axis, a, b):   # the derivative of a source component on planes a to b
-        g = f[..., src, :, :, :, :]
-        if axis > 0:
-            return partial(lat, g[..., a:b, :, :, :], axis, order)
-        lo, hi = (0, n0) if b - a + 2 * halo >= n0 else (a - halo, b + halo)
-        block = g[..., lo:hi, :, :, :] if 0 <= lo and hi <= n0 else np.take(
-            g, range(lo, hi), axis=-4, mode="wrap")   # a halo that wraps
-        return partial(lat, block, 0, order)[..., a - lo:b - lo, :, :, :]
-
-    def components(share):   # the terms of every count-th output component
-        for a, b in _pieces(lat.shape):
-            for dst, src, axis, sign in _D_TABLE[k]:
-                if dst % count == share:   # each term is dropped before the next is made
-                    row = out[..., dst, a * plane:b * plane]
-                    (np.add if sign > 0 else np.subtract)(
-                        row, term(src, axis, a, b).reshape(row.shape), out=row)
-    count = len(_slabs(lat.shape))
-    _each(components, range(count))
+    def item(job):   # the terms of one output component on planes a to b
+        (a, b), dst = job
+        scratch = exterior.aligned(batch + ((b - a) * plane,))
+        spare = np.empty(scratch.size + 7) if order == 4 else None
+        row, total = out[..., dst, a * plane:b * plane], 0.0
+        for src, axis, sign in (t[1:] for t in _D_TABLE[k] if t[0] == dst):
+            term = _difference(lat, f[..., src, :, :, :, :], axis, order, scratch, spare, a, b)
+            total = (np.add if sign > 0 else np.subtract)(total, term.reshape(row.shape), out=row)
+    _each(item, [(p, dst) for p in _pieces(lat.shape) for dst in range(NCOMP[k + 1])],
+          lat.shape)
     return ta._pointwise(out.reshape(out.shape[:-1] + lat.shape), tail)
 
 
@@ -326,9 +328,8 @@ def _normalize_fields(c: np.ndarray, threshold: float | None = None, out=None):
     """``(q, g, mu, eig)``: see pointwise_normalize.  ``q``, ``g`` and
     ``mu`` are written into ``out`` (:func:`_fields`), else new memory, and
     ``c`` may be component-major too.  The metric and ``q`` are computed per
-    slab of the lattice (see :func:`_slabs`), on the slab threads when there
-    are several, each slab writing its part of the lattice-wide arrays;
-    every point's values are those of one serial run.
+    piece of the lattice (see :func:`_by_slab`), each writing its part of the
+    lattice-wide arrays; every point's values are those of one serial run.
 
     The Gram eigenvalue guard runs exactly when a ``threshold`` is given.
     ``eig`` is then ``(top, lowest)``, else None.  ``lowest``, the smallest
@@ -338,7 +339,7 @@ def _normalize_fields(c: np.ndarray, threshold: float | None = None, out=None):
     smallest eigenvalue lies within its radius of the threshold or of the
     lattice minimum (see ``triple_algebra.SCREEN_MARGIN``).  ``top`` is an
     estimate, the bracket ``(lo, hi)`` that holds each point's largest Gram
-    eigenvalue.  The guard's estimates are made per piece of the slabs, too.
+    eigenvalue.  The guard's estimates are made per piece, too.
     """
     def slab(q, g, s, c):
         ta.gram(c, ta.metric_from_triple(c, 0.0, g, s)[1], q)

@@ -88,13 +88,13 @@ def _generate(lat, generator, amplitude, seed, modes, stencil_order, threshold):
     if generator not in GENERATORS:
         raise ValidationError(f"unknown generator {generator!r}; "
                               f"choose one of {', '.join(GENERATORS)}")
-    base = ta._pointwise(np.empty((3, 6) + lat.shape))   # component-major, as flow states
+    base, c = gc._fields(lat.shape, (3, 6), (3, 6))   # component-major, as flow states
     base[...] = ta.standard_triple()
     if generator == "hyperkahler-standard" or amplitude == 0.0:
         return gc.TripleField(lat, base)
     pot = _sample_potential(lat, generator, amplitude, seed, modes)
     dpot = gc._d(lat, pot, 1, stencil_order)
-    c = base + dpot
+    np.add(base, dpot, out=c)
     try:
         return gc.TripleField(lat, c, (threshold, gc._normalize_fields(c, threshold)))
     except NotPositive as exc:

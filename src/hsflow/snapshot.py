@@ -63,10 +63,10 @@ def read_snapshot(path):
             raise ValidationError(f"{path}: trailing bytes after payload")
     if nforms != 3:
         raise ValidationError(f"{path}: expected a triple (3 fields), got {nforms}")
-    c = np.empty((3, 6) + lat.shape)   # component-major, as the flow's states
+    c, = gc._fields(lat.shape, (3, 6))   # component-major, as the flow's states
     for i, f in enumerate(fields):
-        c[i] = np.moveaxis(f, -1, 0)
-    return gc.TripleField(lat, np.moveaxis(c, (0, 1), (-2, -1))), time
+        c[..., i, :] = f
+    return gc.TripleField(lat, c), time
 
 
 def write_sidecar(path, payload: dict) -> None:

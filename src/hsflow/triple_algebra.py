@@ -134,7 +134,7 @@ def _apply(table, *operands, row=None, op=np.multiply, out=None) -> np.ndarray:
     size = math.prod(batch)
     xs = [_entries(a).reshape(math.prod(np.shape(a)[-2:]), size) for a in operands]
     if out is None:
-        out = _pointwise(np.empty(table.shape + batch))
+        out = _pointwise(exterior.aligned(table.shape + batch))
     rows = np.reshape(np.moveaxis(out, (-2, -1), (0, 1)), (len(table.coef), size), copy=False)
     if row is not None:
         row = np.broadcast_to(np.reshape(row, -1), (size,))

@@ -228,13 +228,15 @@ class TestLayout:
             cfg, held.pop()))[0] <= peak
 
     @pytest.mark.parametrize("n,workers,peak,growth", [((16, 8, 8, 8), 1, 6.2, 1.85),
-                                                       ((32, 16, 16, 16), 2, 5.9, 1.5)],
+                                                       ((32, 16, 16, 16), 2, 5.8, 1.45)],
                              ids=["16x8x8x8-1", "32x16x16x16-2"])
     def test_row_memory(self, n, workers, peak, growth):
         # a diagnostics row after a step: its RHS in new memory, the rest in
         # the run's right-hand-side memory, q_dev piece by piece.  Measured
-        # 5.95, 1.73 on 16x8x8x8 (one piece) and 5.64, 1.42 on 32x16x16x16
-        # at 2 workers (5.91, 1.69 with q_dev's nine rows lattice-wide)
+        # 5.96, 1.73 on 16x8x8x8 (one piece) and 5.49-5.54, 1.26-1.32 on
+        # 32x16x16x16 at 2 workers, as its threads take the items (5.64,
+        # 1.42 with a halo copy per axis-0 term; 5.91, 1.69 with q_dev's nine
+        # rows lattice-wide)
         measured = self.traced(n, workers, lambda lat, cfg, tf: fe.step(
             fe.init_state(cfg, tf), 1e-5, cfg), fe.diagnostics)
         assert measured[0] <= peak and measured[1] <= growth
@@ -1064,10 +1066,17 @@ class TestSlabs:
                 assert stepped() == whole
 
     def test_one_slab_starts_no_thread(self):
+        # the decay lattice is one slab: its derivatives' items and its
+        # pieces all run on the calling thread, even in two slab threads
         cfg = fe.FlowConfig(max_steps=3, diag_cadence=1, fiber_samples=2)
-        tf = initial_data.generate_initial(gc.Lattice((64, 4, 4, 4)), "t3-invariant", 0.05, 7)
-        before = threading.active_count()
+        lat = gc.Lattice((64, 4, 4, 4))
+        tf = initial_data.generate_initial(lat, "t3-invariant", 0.05, 7)
+        before, seen = threading.active_count(), set()
         with gc.slab_threads(2):
+            gc._d(lat, tf.c, 2)
+            gc._by_slab(lat.shape, lambda c: seen.add(threading.get_ident()), tf.c)
+            assert threading.active_count() == before
             res = fe.run(cfg, tf)
             assert threading.active_count() == before
+        assert seen == {threading.get_ident()}
         assert res.aborted is None and res.rows[-1]["step"] == 3

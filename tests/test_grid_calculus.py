@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import oracles
+from hsflow import exterior
+from hsflow import fiber_g2 as fg
 from hsflow import grid_calculus as gc
 from hsflow import initial_data
 from hsflow import triple_algebra as ta
@@ -288,9 +290,28 @@ class TestFourPointAxis:
 
 
 class TestPieces:
-    """The derivative runs in pieces of whole axis-0 planes: terms along
-    axis 0 read wrapped halo planes, or the whole axis where those would
-    reach round it, and every piece gives the bytes of one piece."""
+    """The derivative runs in (piece, output component) items, pieces of
+    whole axis-0 planes: a term along axis 0 differences the lattice array's
+    planes, split where the periodic wrap falls, and every piece gives the
+    bytes of one piece."""
+
+    @pytest.mark.parametrize("n0", [4, 5, 8])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    def test_bytes_of_the_oracle(self, rng, monkeypatch, n0, k, order, batch):
+        # pieces of one and two planes, so pieces at both lattice ends and,
+        # on 4 and 5 planes, axis-0 wraps that span every piece; many signed
+        # zeros, so a first term not written as 0.0 +- term shows
+        lat = gc.Lattice((n0, 5, 4, 6), (1.0, 0.7, 1.3, 2.0))
+        f = rng.choice([-0.0, 0.0, -0.0, 0.5, -1.5], lat.shape + batch + (gc.NCOMP[k],))
+        want = oracles.d_grid_first(f, k, lat.h, order).tobytes()
+        plane = lat.num_points // n0
+        for planes, workers in [(n0, 1), (1, 1), (1, 2), (2, 2)]:
+            monkeypatch.setattr(gc, "SLAB_POINTS", planes * plane)
+            with gc.slab_threads(workers):
+                assert len(gc._pieces(lat.shape)) == -(-n0 // planes)
+                assert gc.d(lat, f, k, order).tobytes() == want
 
     @pytest.mark.parametrize("n", [(8, 4, 4, 4), (6, 4, 4, 4), (4, 4, 4, 8)])
     @pytest.mark.parametrize("k", [1, 2])
@@ -316,6 +337,44 @@ class TestPieces:
         assert gc._pieces((8, 4, 4, 4), slice(2, 5)) == [(2, 3), (3, 4), (4, 5)]
         monkeypatch.setattr(gc, "SLAB_POINTS", 192)
         assert gc._pieces((8, 4, 4, 4), slice(2, 7)) == [(2, 5), (5, 7)]
+
+
+class TestAlignment:
+    """The kernels write 64-byte-aligned memory, where numpy's AVX-512
+    loops run at full speed."""
+
+    @staticmethod
+    def start(a):
+        return ta._entries(a, a.ndim - 4).ctypes.data % 64
+
+    def test_aligned(self):
+        within = np.empty(22)
+        for lead in range(8):
+            a = exterior.aligned((3, 5), lead)
+            assert a.shape == (3, 5) and (a.ctypes.data + 8 * lead) % 64 == 0
+            b = exterior.aligned((15,), lead, within)
+            assert np.shares_memory(b, within) and (b.ctypes.data + 8 * lead) % 64 == 0
+
+    def test_kernel_memory(self, monkeypatch):
+        lat = gc.Lattice((8, 4, 4, 4))
+        c = initial_data.generate_initial(lat, "exact-perturbation", 0.05, 3).c
+        made, aligned = [], exterior.aligned
+
+        def recorded(shape, lead=0, within=None):
+            made.append((aligned(shape, lead, within), lead))
+            return made[-1][0]
+        monkeypatch.setattr(exterior, "aligned", recorded)
+        monkeypatch.setattr(ta.DENSITY, "block", 200)
+        arrays = [*gc._fields(lat.shape, (3, 6), ()), gc._d(lat, c, 2), ta.metric_density(c)]
+        assert [self.start(a) for a in arrays] == [0] * 4
+        # the table's scratch rows: a pair product and a term, each aligned
+        assert any(a.shape == (2, 200) for a, _ in made)
+        assert all((a.ctypes.data + 8 * lead) % 64 == 0 for a, lead in made)
+
+    def test_blocks_of_whole_cache_lines(self):
+        for table in (ta.DENSITY, ta.GRAM, ta.ADJ3, ta._product_table(3, 3, 6),
+                      ta._hodge3_table(3), fg.DENSITY7):
+            assert table.block % 8 == 0 and table.block > 0
 
 
 def table_sum(table, x):
