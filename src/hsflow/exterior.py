@@ -114,14 +114,6 @@ def slot_terms(inner: np.ndarray, wedge: np.ndarray, pairing: np.ndarray):
     return a[ia[keep]], a[ib[keep]], u[ia[keep]], u[ib[keep]], w, s[keep].astype(np.intp)
 
 
-# Bytes of the rows one block of points works on: x's, the entries', one
-# prefix product and one term.  Fewer, longer rows save ufunc calls: one
-# serial right-hand side on 32x16x16x16 took 227, 217, 205 and 213 ms at 1,
-# 2, 4 and 8 MB, and 210, 161, 144 and 140 ms on two slab threads, on a
-# machine with 2 MB of L2 per core and a large L3.
-_BLOCK_BYTES = 4 << 20
-
-
 def aligned(shape, lead: int = 0, within=None) -> np.ndarray:
     """Float memory of ``shape`` whose flat element ``lead`` sits on a 64-byte
     boundary: a view of ``within``, 1-D float memory of 7 elements more, else
@@ -146,13 +138,13 @@ class RowProducts:
     exact.  A ``symmetric`` (n, n) matrix is evaluated on and above its
     diagonal and copied below it.
 
-    Evaluated by ufuncs on component rows, ``block`` points at a time: the
-    product of a monomial's factors but its last, once per distinct prefix
-    and in order, and with it every entry adds or subtracts its product with
-    the last factor.  So each entry sums its monomials in table order, then
-    takes its one |coefficient| and, given a pointwise row, ``op`` with it.
-    No gather, transpose or BLAS call is made: a point's bits do not depend
-    on its block, batch or layout.
+    Evaluated by ufuncs on component rows, in one pass over the given points:
+    the product of a monomial's factors but its last, once per distinct
+    prefix and in order, and with it every entry adds or subtracts its
+    product with the last factor.  So each entry sums its monomials in table
+    order, then takes its one |coefficient| and, given a pointwise row,
+    ``op`` with it.  No gather, transpose or BLAS call is made: a point's
+    bits do not depend on its piece, batch or layout.
     """
 
     def __init__(self, shape, terms, den=1, symmetric=False):
@@ -191,43 +183,36 @@ class RowProducts:
                                   (evaluated[at, mono] < 0).tolist(), first.tolist()):
             self._groups[group[k]][1].append((e, int(self.factors[-1, k]), neg, fst))
         self._entries = list(zip(rows.tolist(), mirrors.tolist(), scale.tolist()))
-        # whole multiples of 8 points, so that every block of an aligned row starts aligned
-        self.shape, self.block = tuple(shape), _BLOCK_BYTES // (64 * (nvar + len(rows) + 2)) * 8
+        self.shape = tuple(shape)
 
     def __call__(self, xs, out: np.ndarray, row=None, op=np.multiply) -> np.ndarray:
         """The entries, written into the rows of ``out`` (entries, points);
         the rows of x are those of the (rows, points) arrays ``xs`` in turn.
         With a pointwise ``row`` (points,), each entry ends as
-        ``op(entry, row)``.  ``out`` may be the memory of an operand: then
-        each block's entries are made in a block of scratch and copied out."""
-        scratch = aligned((2, -(-min(self.block, out.shape[1]) // 8) * 8))   # aligned rows
-        made = aligned((len(out), scratch.shape[1])) if any(
-            np.shares_memory(rows, out) for rows in xs) else None
-        for start in range(0, out.shape[1], self.block):
-            at = slice(start, start + self.block)
-            x = [r for rows in xs for r in rows[:, at]]
-            pair, term = scratch[:, :len(x[0])]
-            entry = list(out[:, at] if made is None else made[:, :len(x[0])])
-            for prefix, terms in self._groups:
-                p = x[prefix[0]] if len(prefix) == 1 else np.multiply(
-                    x[prefix[0]], x[prefix[1]], out=pair)
-                for e, f, neg, first in terms:
-                    if first:
-                        np.multiply(p, x[f], out=entry[e])
-                        if neg:
-                            np.negative(entry[e], out=entry[e])
-                    else:
-                        np.multiply(p, x[f], out=term)
-                        (np.subtract if neg else np.add)(entry[e], term, out=entry[e])
-            for e, mirror, scale in self._entries:
-                if scale != 1.0:
-                    entry[e] *= scale
-                if row is not None:
-                    op(entry[e], row[at], out=entry[e])
-                if mirror != e:
-                    entry[mirror][...] = entry[e]
-            if made is not None:
-                out[:, at] = made[:, :len(x[0])]
+        ``op(entry, row)``.  ``out`` must not share memory with an operand."""
+        if any(np.shares_memory(rows, out) for rows in xs):
+            raise ValueError("out shares memory with an operand")
+        x = [r for rows in xs for r in rows]
+        pair, term = aligned((2, out.shape[1]))   # a prefix product and a term
+        entry = list(out)
+        for prefix, terms in self._groups:
+            p = x[prefix[0]] if len(prefix) == 1 else np.multiply(
+                x[prefix[0]], x[prefix[1]], out=pair)
+            for e, f, neg, first in terms:
+                if first:
+                    np.multiply(p, x[f], out=entry[e])
+                    if neg:
+                        np.negative(entry[e], out=entry[e])
+                else:
+                    np.multiply(p, x[f], out=term)
+                    (np.subtract if neg else np.add)(entry[e], term, out=entry[e])
+        for e, mirror, scale in self._entries:
+            if scale != 1.0:
+                entry[e] *= scale
+            if row is not None:
+                op(entry[e], row, out=entry[e])
+            if mirror != e:
+                entry[mirror][...] = entry[e]
         return out
 
 

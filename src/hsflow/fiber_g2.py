@@ -10,11 +10,11 @@ Hodge stars, and evaluates the torsion trace.
 
 Every function is pure and broadcasts over leading batch axes: ``hsflow
 lift``, ``hsflow verify`` and the flow's torsion sample hand all their
-points or trials to each kernel in one call.  The two costly kernels, the
-metric density (a cubic form with 735 monomials, see
-``exterior.RowProducts``) and the 7-dimensional Hodge star, run in blocks
-of points, so their working set stays bounded whatever the batch.  The star
-forms no Gram matrix: it applies Lambda^3 of g^{-1} to a 3-form, and
+points or trials to each kernel in one call.  The metric density (a cubic
+form with 735 monomials, see ``exterior.RowProducts``) makes one pass over
+the batch, through two scratch rows; the 7-dimensional Hodge star runs in
+blocks of points, so its dense tensors stay small whatever the batch.  The
+star forms no Gram matrix: it applies Lambda^3 of g^{-1} to a 3-form, and
 Lambda^3 of g to the complement of a 4-form (:func:`exterior.apply_metric`).
 """
 

@@ -130,7 +130,7 @@ class FlowState:
 
 
 def _dual(lat: gc.Lattice, c: np.ndarray, q: np.ndarray, order: int, sigma, dsigma):
-    """sigma = Q^-1 w per slab (det q = 1, so adjugate = inverse) and its
+    """sigma = Q^-1 w per piece (det q = 1, so adjugate = inverse) and its
     lattice-wide d, written into ``sigma`` and ``dsigma`` (:data:`_WORK`);
     ``c`` may be ``sigma``, which is then written over it."""
     gc._by_slab(lat.shape, lambda out, q, c: ta._product(ta.adj3(q), c, out), sigma, q, c)

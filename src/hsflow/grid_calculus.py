@@ -80,12 +80,12 @@ class Lattice:
                      for a in range(4))
 
 
-# Each slab holds at least SLAB_POINTS points, and each piece at most (256 kB per scalar
-# temporary, 768 kB per scratch row of a derivative on a triple).  One right-hand side in
-# two slabs against one, on 2 cores (medians of 9 alternating runs): 8192 points 31 -> 30
-# ms (faster in 4 of 9), 16384 points 47-56 -> 42-52 ms (mixed), 32768 points 108-115 ->
-# 83 ms, 65536 points 172-206 -> 112-117 ms.  Slabs of 32768 points stay well past that crossover; lattices
-# under 65536 points, 64x4x4x4 and 16x8x8x8 among them, run on one thread.
+# The one bound on a kernel's working set: each pointwise stage, row-product table and
+# derivative item works on a piece of at most SLAB_POINTS points, and a lattice takes a
+# thread per SLAB_POINTS points, up to the workers.  One right-hand side on two threads
+# against one, on 2 cores (medians of 9 alternating runs): 8192 points 31 -> 30 ms (faster
+# in 4 of 9), 16384 points 47-56 -> 42-52 ms (mixed), 32768 points 108-115 -> 83 ms, 65536
+# points 172-206 -> 112-117 ms; so lattices under 65536 points run on one thread.
 SLAB_POINTS = 32768
 _pool, _workers = None, 1   # the threads of slab_threads, while it holds them
 
@@ -106,32 +106,23 @@ def slab_threads(workers: int):
             _pool, _workers = saved
 
 
-def _slabs(shape: tuple) -> list:
-    """The slabs, ranges of axis-0 planes, of a lattice (or batch) of
-    ``shape``, one per thread that its pieces and items go to (:func:`_each`):
-    in :func:`slab_threads` of ``workers``, ``min(workers, points //
-    SLAB_POINTS, planes)`` of them, the planes split as evenly as can be;
-    else one, ``...``."""
-    count = min(_workers, math.prod(shape) // SLAB_POINTS, shape[0])
-    if count < 2:
-        return [...]
-    bounds = [shape[0] * i // count for i in range(count + 1)]
-    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+def _threads(shape: tuple) -> int:
+    """Threads that the items of a lattice (or batch) of ``shape`` go to (see :func:`_each`)."""
+    return max(1, min(_workers, math.prod(shape) // SLAB_POINTS, shape[0]))
 
 
-def _pieces(shape: tuple, slab=...) -> list:
-    """The ranges ``(a, b)`` of axis-0 planes covering ``slab`` (see :func:`_slabs`)
-    of ``shape``, at most SLAB_POINTS points each (one plane if it holds more)."""
+def _pieces(shape: tuple) -> list:
+    """The ranges ``(a, b)`` of axis-0 planes of ``shape``, at most
+    SLAB_POINTS points each (one plane if it holds more)."""
     planes = max(1, SLAB_POINTS // math.prod(shape[1:]))
-    start, stop, _ = (slice(None) if slab is ... else slab).indices(shape[0])
-    return [(a, min(a + planes, stop)) for a in range(start, stop, planes)]
+    return [(a, min(a + planes, shape[0])) for a in range(0, shape[0], planes)]
 
 
 def _each(fn, items, shape: tuple) -> None:
     """``fn(item)`` for every item, each handed to whichever thread is free (a
     fixed share would wait for the slower core of a shared machine): the
-    calling one and, on a lattice of ``shape`` with several slabs (see
-    :func:`_slabs`), a slab thread for each slab but one.  Returns when all
+    calling one and, on a lattice of ``shape`` that takes several threads
+    (see :func:`_threads`), a slab thread for each but one.  Returns when all
     are done and raises an item's exception, if any.  ``fn`` must not submit
     to the slab threads.  With every item on the slab threads, whose arenas
     keep what their items freed, a 32x16x16x16 flow's RSS peaked 7% higher."""
@@ -140,7 +131,7 @@ def _each(fn, items, shape: tuple) -> None:
     def drain():
         for item in todo:
             fn(item)
-    futures = [_pool.submit(drain) for _ in range(min(len(_slabs(shape)), len(items)) - 1)]
+    futures = [_pool.submit(drain) for _ in range(min(_threads(shape), len(items)) - 1)]
     try:
         drain()
     finally:

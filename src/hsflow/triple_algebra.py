@@ -144,8 +144,22 @@ def _apply(table, *operands, row=None, op=np.multiply, out=None) -> np.ndarray:
 
 def _product(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
     """``a @ b`` at every point of (..., n, m) and (..., m, l) stacks of one
-    batch (:func:`_apply`); each entry sums its products in order of k."""
-    return _apply(_product_table(*np.shape(a)[-2:], np.shape(b)[-1]), a, b, out=out)
+    batch (:func:`_apply`); each entry sums its products in order of k.
+    ``out`` may be b itself, component-major: then each column j, which reads
+    only column j of b, is made in n scratch rows and copied out."""
+    (n, m), l = np.shape(a)[-2:], np.shape(b)[-1]
+    if out is None or np.shares_memory(a, out) or not np.shares_memory(b, out):
+        return _apply(_product_table(n, m, l), a, b, out=out)
+    size = math.prod(np.shape(b)[:-2])
+    xa, xb = _entries(a).reshape(n * m, size), _entries(b).reshape(m, l, size)
+    rows = np.reshape(np.moveaxis(out, (-2, -1), (0, 1)), (n, l, size), copy=False)
+    if (rows.ctypes.data, rows.shape, rows.strides) != (xb.ctypes.data, xb.shape, xb.strides):
+        raise ValueError("out shares memory with b but is not b")
+    column, table = exterior.aligned((n, size)), _product_table(n, m, 1)
+    for j in range(l):
+        table([xa, xb[:, j]], column)
+        rows[:, j] = column
+    return out
 
 
 def two_form(c01=0.0, c02=0.0, c03=0.0, c23=0.0, c31=0.0, c12=0.0) -> np.ndarray:

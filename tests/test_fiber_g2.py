@@ -140,10 +140,8 @@ class TestDensity7Table:
     def test_lifted_triples(self, rng):
         self.check(fg.build_phi(np.stack([random_triple(rng) for _ in range(200)])))
 
-    def test_batch_over_several_blocks(self, rng, monkeypatch):
-        # three full blocks and a partial one, of generic 3-forms near a lift;
-        # blocks of 40 points keep the oracle's (points, 7, 7, 35) array small
-        monkeypatch.setattr(fg.DENSITY7, "block", 40)
+    def test_batch_over_several_blocks(self, rng):
+        # 135 generic 3-forms near a lift, in one pass
         phi = fg.build_phi(np.broadcast_to(STD, (135, 3, 6)))
         self.check(phi + 0.2 * rng.uniform(-1, 1, phi.shape))
 

@@ -198,31 +198,31 @@ class TestLayout:
         # releases the stepped-from state's normalization and kept RHS once
         # k1 is made: c0, the sum (the new state's c), sigma (which holds the
         # stage input), d sigma and one normalization are what it keeps alive
-        # at once.  Measured 6.76 over all live memory, 1.51 over the step's
+        # at once.  Measured 6.09 over all live memory, 0.84 over the step's
         # start; the bounds here and below leave about 0.25 and 0.1 to spare
         peak, growth = self.step_peak((16, 8, 8, 8), 1, True)
-        assert peak <= 7.0 and growth <= 1.6
+        assert peak <= 6.35 and growth <= 0.95
 
     @pytest.mark.parametrize("n,workers,kept,peak,growth", [
-        ((16, 8, 8, 8), 1, False, 7.0, 2.6), ((32, 16, 16, 16), 2, True, 5.9, 0.5),
+        ((16, 8, 8, 8), 1, False, 6.35, 1.95), ((32, 16, 16, 16), 2, True, 5.9, 0.5),
         ((32, 16, 16, 16), 2, False, 5.9, 1.5)],
         ids=["16x8x8x8-1-unkept", "32x16x16x16-2-kept", "32x16x16x16-2-unkept"])
     def test_step_memory_with_k1_in_the_sum(self, n, workers, kept, peak, growth):
         # without a kept RHS the step evaluates k1 into the new state's
         # memory, so it keeps no more alive than with one; on 32x16x16x16 the
         # pointwise stages and the derivatives run in pieces of SLAB_POINTS
-        # points.  Measured 6.76, 2.52 on 16x8x8x8 and 5.63, 0.41 (kept) and
-        # 5.64, 1.42 (not) on 32x16x16x16 at 2 workers
+        # points.  Measured 6.09, 1.85 on 16x8x8x8 and 5.63, 0.41 (kept) and
+        # 5.63-5.64, 1.40-1.42 (not) on 32x16x16x16 at 2 workers
         measured = self.step_peak(n, workers, kept)
         assert measured[0] <= peak and measured[1] <= growth
 
-    @pytest.mark.parametrize("n,workers,peak", [((16, 8, 8, 8), 1, 7.0),
+    @pytest.mark.parametrize("n,workers,peak", [((16, 8, 8, 8), 1, 6.35),
                                                 ((32, 16, 16, 16), 2, 5.9)],
                              ids=["16x8x8x8-1", "32x16x16x16-2"])
     def test_run_memory(self, n, workers, peak):
         # a two-step run with a row after every step, handed its initial field:
         # one normalization alive at a time, and the initial field let go
-        # after the first step.  Measured 6.74 on 16x8x8x8 and 5.64 on
+        # after the first step.  Measured 6.07 on 16x8x8x8 and 5.63-5.64 on
         # 32x16x16x16 at 2 workers
         assert self.traced(n, workers, lambda lat, cfg, tf: [tf], lambda held, cfg: fe.run(
             cfg, held.pop()))[0] <= peak
@@ -324,7 +324,7 @@ class TestStep:
         state = fe.init_state(cfg, tf)
         dt = 2e-5
         with gc.slab_threads(workers):
-            assert len(gc._slabs(lat.shape)) == slabs
+            assert gc._threads(lat.shape) == slabs
             for _ in range(2):
                 c0 = state.tf.c
                 k1 = fe.rhs(state if kept else fe.FlowState(0.0, gc.TripleField(lat, c0.copy())))
@@ -842,20 +842,18 @@ class TestSlabs:
 
     def test_slab_count(self, workers):
         with gc.slab_threads(workers):
-            slabs = gc._slabs(self.LAT.shape)
-            assert len(slabs) == min(workers, 2)
-            assert gc._slabs(gc.Lattice((64, 4, 4, 4)).shape) == [...]
-        assert gc._slabs(self.LAT.shape) == [...]
+            assert gc._threads(self.LAT.shape) == min(workers, 2)
+            assert gc._threads(gc.Lattice((64, 4, 4, 4)).shape) == 1
+        assert gc._threads(self.LAT.shape) == 1
 
     def test_slabs_split_planes_evenly(self, monkeypatch):
+        # a thread per SLAB_POINTS points, at most one per axis-0 plane
         monkeypatch.setattr(gc, "SLAB_POINTS", 256)
         with gc.slab_threads(4):
-            assert gc._slabs((32, 8, 4, 4)) == [slice(0, 8), slice(8, 16),
-                                                slice(16, 24), slice(24, 32)]
-            assert gc._slabs((10, 5, 5, 5)) == [slice(0, 2), slice(2, 5),
-                                                slice(5, 7), slice(7, 10)]
-            assert gc._slabs((3, 32, 4, 4)) == [slice(0, 1), slice(1, 2), slice(2, 3)]
-            assert gc._slabs((5, 5, 2, 4)) == [...]   # 200 points
+            assert gc._threads((32, 8, 4, 4)) == 4
+            assert gc._threads((10, 5, 5, 5)) == 4
+            assert gc._threads((3, 32, 4, 4)) == 3
+            assert gc._threads((5, 5, 2, 4)) == 1   # 200 points
 
     @pytest.mark.parametrize("density,build", [
         (ta.metric_density, lambda c: c), (fg.metric_density7, fg.build_phi),
@@ -864,18 +862,13 @@ class TestSlabs:
                      id="sigma"),
         pytest.param(ta.star3, lambda c: _star3_inputs(c), id="star3"),
         pytest.param(ta._product, lambda c: _flux_inputs(c), id="flux")])
-    def test_density_bits_independent_of_partition(self, density, build, monkeypatch):
+    def test_density_bits_independent_of_partition(self, density, build):
         # a point's density, Gram matrix, sigma = adj(Q) w, star3 and Q eta are
-        # the same bits in any slab, batch or layout; blocks of 1000 points
-        # make the 4416 points span several
-        for table in (ta.DENSITY, fg.DENSITY7, ta.GRAM, ta._product_table(3, 3, 6),
-                      ta._hodge3_table(3), ta._product_table(3, 3, 4)):
-            monkeypatch.setattr(table, "block", 1000)
+        # the same bits in any piece, batch or layout
         lat = gc.Lattice((23, 4, 8, 6))
         inputs = build(initial_data.generate_initial(lat, "exact-perturbation", 0.05, 3).c)
         inputs = inputs if isinstance(inputs, tuple) else (inputs,)
         whole = density(*inputs)
-        assert lat.num_points > ta.DENSITY.block
         cut = [0, 1, 4, 5, 17, 23]
         parts = np.concatenate([density(*(x[a:b] for x in inputs))
                                 for a, b in zip(cut, cut[1:])])
@@ -961,7 +954,7 @@ class TestSlabs:
         sys.setswitchinterval(1e-6)
         try:
             with gc.slab_threads(4):
-                assert len(gc._slabs(lat.shape)) == 4
+                assert gc._threads(lat.shape) == 4
                 for _ in range(3):
                     assert results() == serial
         finally:
@@ -972,9 +965,9 @@ class TestSlabs:
         c[12, 1, 2, 3, 2] *= -1.0
         with pytest.raises(NotPositive):
             with gc.slab_threads(2):
-                assert len(gc._slabs(self.LAT.shape)) == 2
+                assert gc._threads(self.LAT.shape) == 2
                 fe.evaluate_rhs(self.LAT, c)
-        assert gc._slabs(self.LAT.shape) == [...]
+        assert gc._threads(self.LAT.shape) == 1
         assert not any(t.name.startswith("hsflow-slab") and t.is_alive()
                        for t in threading.enumerate())
 
@@ -982,11 +975,11 @@ class TestSlabs:
         serial = _bytes(fe.evaluate_rhs(self.LAT, field))
         with gc.slab_threads(2):
             with gc.slab_threads(1):
-                assert gc._slabs(self.LAT.shape) == [...]
-            assert len(gc._slabs(self.LAT.shape)) == 2
+                assert gc._threads(self.LAT.shape) == 1
+            assert gc._threads(self.LAT.shape) == 2
             # the outer threads still run slabs
             assert _bytes(fe.evaluate_rhs(self.LAT, field)) == serial
-        assert gc._slabs(self.LAT.shape) == [...]
+        assert gc._threads(self.LAT.shape) == 1
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_pieces_hold_at_most_slab_points(self, workers, monkeypatch):
@@ -1007,7 +1000,7 @@ class TestSlabs:
         monkeypatch.setattr(gc, "_by_slab", spy)
         monkeypatch.setattr(gc, "SLAB_POINTS", 1024)
         with gc.slab_threads(workers):
-            assert len(gc._slabs(lat.shape)) == workers
+            assert gc._threads(lat.shape) == workers
             pieced = fe.run(cfg, tf)
         assert max(seen) == 1024 and pieced.rows == whole.rows
         assert _bytes(pieced.final_state.tf.c) == _bytes(whole.final_state.tf.c)
@@ -1062,7 +1055,7 @@ class TestSlabs:
         for workers, points in [(1, 64), (2, 64), (2, 192)]:
             monkeypatch.setattr(gc, "SLAB_POINTS", points)
             with gc.slab_threads(workers):
-                assert len(gc._slabs(lat.shape)) == workers
+                assert gc._threads(lat.shape) == workers
                 assert stepped() == whole
 
     def test_one_slab_starts_no_thread(self):

@@ -326,17 +326,10 @@ class TestPieces:
         for planes, workers in [(1, 1), (1, 2), (2, 2), (3, 1)]:
             monkeypatch.setattr(gc, "SLAB_POINTS", planes * plane)
             with gc.slab_threads(workers):
-                assert len(gc._slabs(lat.shape)) == workers
+                assert gc._threads(lat.shape) == workers
                 pieces = gc._pieces(lat.shape)
                 got = gc.d(lat, f, k, order).tobytes()
             assert len(pieces) == -(-n[0] // planes) and got == whole
-
-    def test_pieces_cover_a_slab(self, monkeypatch):
-        monkeypatch.setattr(gc, "SLAB_POINTS", 96)   # one and a half planes of 64 points
-        assert gc._pieces((8, 4, 4, 4)) == [(a, a + 1) for a in range(8)]
-        assert gc._pieces((8, 4, 4, 4), slice(2, 5)) == [(2, 3), (3, 4), (4, 5)]
-        monkeypatch.setattr(gc, "SLAB_POINTS", 192)
-        assert gc._pieces((8, 4, 4, 4), slice(2, 7)) == [(2, 5), (5, 7)]
 
 
 class TestAlignment:
@@ -364,17 +357,11 @@ class TestAlignment:
             made.append((aligned(shape, lead, within), lead))
             return made[-1][0]
         monkeypatch.setattr(exterior, "aligned", recorded)
-        monkeypatch.setattr(ta.DENSITY, "block", 200)
         arrays = [*gc._fields(lat.shape, (3, 6), ()), gc._d(lat, c, 2), ta.metric_density(c)]
         assert [self.start(a) for a in arrays] == [0] * 4
-        # the table's scratch rows: a pair product and a term, each aligned
-        assert any(a.shape == (2, 200) for a, _ in made)
+        # the table's scratch rows: a pair product and a term over all 512 points
+        assert any(a.shape == (2, 512) for a, _ in made)
         assert all((a.ctypes.data + 8 * lead) % 64 == 0 for a, lead in made)
-
-    def test_blocks_of_whole_cache_lines(self):
-        for table in (ta.DENSITY, ta.GRAM, ta.ADJ3, ta._product_table(3, 3, 6),
-                      ta._hodge3_table(3), fg.DENSITY7):
-            assert table.block % 8 == 0 and table.block > 0
 
 
 def table_sum(table, x):

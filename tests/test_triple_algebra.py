@@ -392,13 +392,13 @@ class TestDensityTable:
         assert np.array_equal(rows, rows.transpose(1, 0, 2))
 
     def test_lattice_against_six_products(self, rng, monkeypatch):
-        monkeypatch.setattr(ta.DENSITY, "block", 3000)
-        shape = (13, 7, 8, 11)   # 8008 points: two full blocks and a partial one
-        npts = int(np.prod(shape))
-        assert npts > ta.DENSITY.block and npts % ta.DENSITY.block != 0
+        monkeypatch.setattr(gc, "SLAB_POINTS", 3000)
+        shape = (13, 7, 8, 11)   # 8008 points: three pieces of 2464 and one of 616
+        assert gc._pieces(shape) == [(0, 4), (4, 8), (8, 12), (12, 13)]
         c = (np.broadcast_to(STD, shape + (3, 6))
              + 0.3 * rng.uniform(-1, 1, shape + (3, 6)))
-        got = ta.metric_density(c)
+        got, = gc._fields(shape, (4, 4))
+        gc._by_slab(shape, lambda out, c: ta.metric_density(c, out), got, c)
         expected = oracles.metric_density_six_products(c)
         assert got.shape == shape + (4, 4)
         assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
@@ -525,19 +525,40 @@ class TestProductKernels:
         eta = rng.uniform(-1.0, 1.0, (self.POINTS, 3, 4))
         assert close(ta._product(q, eta), oracles.product_loop(q, eta))
 
-    def test_written_over_an_operand(self, fields, monkeypatch):
-        # an out that is an operand's memory gets each block made in scratch
-        # and copied out: the bytes of a call into new memory, across blocks
+    def test_written_over_an_operand(self, fields):
+        # a product may be written over its right operand, which the flow's
+        # sigma = adj(Q) x does over its stage input: the bytes of a call into
+        # new memory; no other out may share memory with an operand
         t, q, _, mu = fields
-        for table in (ta._product_table(3, 3, 6), ta.GRAM):
-            monkeypatch.setattr(table, "block", 7)
-            assert self.POINTS % 7
         sigma = ta._pointwise(np.array(ta._entries(t)))   # component-major, as in the flow
         expected = ta._product(ta.adj3(q), sigma)
         assert ta._product(ta.adj3(q), sigma, sigma) is sigma
         assert sigma.tobytes() == expected.tobytes()
         rows = np.array(ta._entries(t))   # the Gram matrix over the first nine rows
-        expected = ta.gram(ta._pointwise(rows), mu)
-        got = ta.gram(ta._pointwise(rows), mu, ta._pointwise(rows.reshape(18, -1)[:9].reshape(
-            (3, 3, -1))))
-        assert got.tobytes() == expected.tobytes()
+        with pytest.raises(ValueError, match="shares memory"):
+            ta.gram(ta._pointwise(rows), mu,
+                    ta._pointwise(rows.reshape(18, -1)[:9].reshape((3, 3, -1))))
+        adj = ta.adj3(q)
+        with pytest.raises(ValueError, match="shares memory"):   # over the left operand
+            ta._product(adj, ta.adj3(q), adj)
+        shifted = ta._pointwise(np.array(ta._entries(t)))   # over b, one column along
+        with pytest.raises(ValueError, match="is not b"):
+            ta._product(adj, shifted[..., :5], shifted[..., 1:])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sigma_over_its_stage_input_in_pieces(self, rng, workers, monkeypatch):
+        # sigma = adj(Q) x over x, as the flow's stages make it, in four
+        # pieces on one or two threads: the bytes of a call into new memory,
+        # signed zeros among the inputs and the products
+        lat = gc.Lattice((8, 4, 4, 4))
+        x = rng.choice([-0.0, 0.0, 0.5, -1.5], lat.shape + (3, 6))
+        q = rng.choice([-0.0, 0.0, 1.0, -2.0], lat.shape + (3, 3))
+        expected = ta._product(ta.adj3(q), x).tobytes()
+        sigma, = gc._fields(lat.shape, (3, 6))
+        sigma[...] = x
+        monkeypatch.setattr(gc, "SLAB_POINTS", 128)
+        with gc.slab_threads(workers):
+            assert len(gc._pieces(lat.shape)) == 4 and gc._threads(lat.shape) == workers
+            gc._by_slab(lat.shape, lambda out, q, c: ta._product(ta.adj3(q), c, out),
+                        sigma, q, sigma)
+        assert np.ascontiguousarray(sigma).tobytes() == expected
