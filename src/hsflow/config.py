@@ -131,8 +131,6 @@ def _from_sections(raw: dict) -> ExperimentConfig:
         flow["cfl"] = None
     cfg = ExperimentConfig(flow=FlowConfig(**flow),
                            **{name: v for given in values.values() for name, v in given.items()})
-    if len(cfg.lattice_n) != 4 or len(cfg.lattice_L) != 4:
-        raise ValidationError("lattice.n and lattice.L need four entries")
     return cfg.validate()
 
 

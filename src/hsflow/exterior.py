@@ -2,10 +2,11 @@
 
 Degree-k forms are stored as flat coefficient vectors over an explicit ordered
 basis of index tuples.  Basis tuples may be given in non-sorted order (the
-4-dimensional 2-form basis uses ``(3, 1)`` for e31); all signs produced here
-account for that.  Everything in this module is metric-free but
-:func:`apply_metric`, the one kernel that applies Lambda^k of a symmetric
-matrix to k-forms; it broadcasts over arbitrary leading axes.
+4-dimensional 2-form basis uses ``(3, 1)`` for e31).  Every sign comes from
+:func:`wedge_table`, which accounts for that: the interior, pairing and
+derivative tables are read from it.  Everything in this module is
+metric-free but :func:`apply_metric`, the one kernel that applies Lambda^k of
+a symmetric matrix to k-forms; it broadcasts over arbitrary leading axes.
 """
 
 from __future__ import annotations
@@ -44,24 +45,9 @@ def wedge_sign(i_tuple, j_tuple):
     return s, tuple(sorted(cat))
 
 
-def pairing_matrix(tuples_a, tuples_b, n: int) -> np.ndarray:
-    """Matrix W with e^{I_m} ∧ e^{J_l} = W[m, l] * e^{0...n-1}.
-
-    Nonzero only for complementary index sets, so for complementary degrees W
-    is a signed permutation matrix (hence W^{-1} = W^T).
-    """
-    full = tuple(range(n))
-    W = np.zeros((len(tuples_a), len(tuples_b)))
-    for m, I in enumerate(tuples_a):
-        for l, J in enumerate(tuples_b):
-            s, sorted_t = wedge_sign(I, J)
-            if s and sorted_t == full:
-                W[m, l] = s
-    return W
-
-
 def wedge_table(tuples_a, tuples_b, tuples_out) -> np.ndarray:
-    """Dense structure tensor T with (α ∧ β)_p = T[m, l, p] α_m β_l."""
+    """Dense structure tensor T with (α ∧ β)_p = T[m, l, p] α_m β_l, the one
+    place a sign is computed; ``tuples_out`` must hold every nonzero product."""
     pos = {}
     for p, K in enumerate(tuples_out):
         pos[tuple(sorted(K))] = (p, tuple_parity(K))
@@ -77,31 +63,28 @@ def wedge_table(tuples_a, tuples_b, tuples_out) -> np.ndarray:
     return T
 
 
+def pairing_matrix(tuples_a, tuples_b, n: int) -> np.ndarray:
+    """Matrix W with e^{I_m} ∧ e^{J_l} = W[m, l] * e^{0...n-1}, for bases of
+    complementary degree only: a signed permutation matrix, so W^{-1} = W^T."""
+    return wedge_table(tuples_a, tuples_b, (tuple(range(n)),))[..., 0]
+
+
 def interior_table(tuples_in, tuples_out, n: int) -> np.ndarray:
-    """Structure tensor C with (e_a ⌟ β)_q = C[a, m, q] β_m."""
-    pos = {}
-    for q, K in enumerate(tuples_out):
-        pos[tuple(sorted(K))] = (q, tuple_parity(K))
-    C = np.zeros((n, len(tuples_in), len(tuples_out)))
-    for m, I in enumerate(tuples_in):
-        par_in = tuple_parity(I)
-        I_sorted = tuple(sorted(I))
-        for j, a in enumerate(I_sorted):
-            rest = I_sorted[:j] + I_sorted[j + 1:]
-            q, par_out = pos[rest]
-            C[a, m, q] = par_in * par_out * (-1) ** j
-    return C
+    """Structure tensor C with (e_a ⌟ β)_q = C[a, m, q] β_m: on the coordinate
+    basis e_a ⌟ is the transpose of e^a ∧, so C is its wedge table transposed."""
+    return wedge_table(lex_tuples(n, 1), tuples_out, tuples_in).transpose(0, 2, 1)
 
 
-def slot_terms(inner: np.ndarray, wedge: np.ndarray, pairing: np.ndarray):
-    """Nonzero terms of (e_a ⌟ e^u) ∧ (e_b ⌟ e^v) ∧ e^w = s e^{0...n-1}.
-
-    ``inner`` is the :func:`interior_table` of the degree-k basis, ``wedge``
-    the :func:`wedge_table` of two (k-1)-forms and ``pairing`` the
-    :func:`pairing_matrix` of their product against degree k.  Each product
-    of basis forms has at most one nonzero coefficient, so the tables are
-    read as lookups.  Returns integer arrays ``(a, b, u, v, w, s)``.
-    """
+def slot_terms(tuples_k, n: int):
+    """Nonzero terms of (e_a ⌟ e^u) ∧ (e_b ⌟ e^v) ∧ e^w = s e^{0...n-1}, u, v
+    and w indexing the degree-k basis ``tuples_k`` on R^n, n = 3k - 2.  Each
+    product of basis forms has at most one nonzero coefficient, so the
+    interior, wedge and pairing tables are read as lookups.  Returns integer
+    arrays ``(a, b, u, v, w, s)``."""
+    k = len(tuples_k[0])
+    inner = interior_table(tuples_k, lex_tuples(n, k - 1), n)
+    wedge = wedge_table(lex_tuples(n, k - 1), lex_tuples(n, k - 1), lex_tuples(n, n - k))
+    pairing = pairing_matrix(lex_tuples(n, n - k), tuples_k, n)
     a, u, r = np.nonzero(inner)
     sign = inner[a, u, r]
     ia = np.repeat(np.arange(len(a)), len(a))
@@ -142,8 +125,8 @@ class RowProducts:
     the product of a monomial's factors but its last, once per distinct
     prefix and in order, and with it every entry adds or subtracts its
     product with the last factor.  So each entry sums its monomials in table
-    order, then takes its one |coefficient| and, given a pointwise row,
-    ``op`` with it.  No gather, transpose or BLAS call is made: a point's
+    order, then takes its one |coefficient| and, given a pointwise divisor,
+    divides by it.  No gather, transpose or BLAS call is made: a point's
     bits do not depend on its piece, batch or layout.
     """
 
@@ -185,11 +168,11 @@ class RowProducts:
         self._entries = list(zip(rows.tolist(), mirrors.tolist(), scale.tolist()))
         self.shape = tuple(shape)
 
-    def __call__(self, xs, out: np.ndarray, row=None, op=np.multiply) -> np.ndarray:
+    def __call__(self, xs, out: np.ndarray, divisor=None) -> np.ndarray:
         """The entries, written into the rows of ``out`` (entries, points);
         the rows of x are those of the (rows, points) arrays ``xs`` in turn.
-        With a pointwise ``row`` (points,), each entry ends as
-        ``op(entry, row)``.  ``out`` must not share memory with an operand."""
+        With a pointwise ``divisor`` (points,), each entry ends divided by
+        it.  ``out`` must not share memory with an operand."""
         if any(np.shares_memory(rows, out) for rows in xs):
             raise ValueError("out shares memory with an operand")
         x = [r for rows in xs for r in rows]
@@ -209,8 +192,8 @@ class RowProducts:
         for e, mirror, scale in self._entries:
             if scale != 1.0:
                 entry[e] *= scale
-            if row is not None:
-                op(entry[e], row, out=entry[e])
+            if divisor is not None:
+                entry[e] /= divisor
             if mirror != e:
                 entry[mirror][...] = entry[e]
         return out
@@ -251,21 +234,10 @@ def apply_metric(h: np.ndarray, coeffs: np.ndarray, tuples) -> np.ndarray:
 
 
 def d_entries(tuples_in, tuples_out, n: int):
-    """Assembly table for the coefficientwise exterior derivative.
-
-    Returns a list of ``(dst_comp, src_comp, axis, sign)``: the derivative of
-    source component ``src_comp`` along ``axis`` contributes with ``sign`` to
-    output component ``dst_comp``.
-    """
-    pos = {}
-    for p, K in enumerate(tuples_out):
-        pos[tuple(sorted(K))] = (p, tuple_parity(K))
-    entries = []
-    for m, I in enumerate(tuples_in):
-        for a in range(n):
-            s, sorted_t = wedge_sign((a,), I)
-            if not s:
-                continue
-            p, par = pos[sorted_t]
-            entries.append((p, m, a, s * par))
-    return entries
+    """Assembly table of the exterior derivative, d(f e^I) = sum_a (df/dx^a)
+    e^a ∧ e^I, from the wedge table: ``(dst_comp, src_comp, axis, sign)``, the
+    derivative of component ``src_comp`` along ``axis`` added with ``sign`` to
+    ``dst_comp``, in order of ``src_comp``, then of ``axis``."""
+    T = wedge_table(lex_tuples(n, 1), tuples_in, tuples_out).transpose(1, 0, 2)
+    m, a, p = np.nonzero(T)
+    return list(zip(p.tolist(), m.tolist(), a.tolist(), T[m, a, p].astype(int).tolist()))

@@ -28,14 +28,10 @@ from .errors import DetNotOne
 
 LAMBDA3_7 = exterior.lex_tuples(7, 3)
 LAMBDA4_7 = exterior.lex_tuples(7, 4)
-_LAMBDA2_7 = exterior.lex_tuples(7, 2)
 
 _POS3 = {t: i for i, t in enumerate(LAMBDA3_7)}
 _POS4 = {t: i for i, t in enumerate(LAMBDA4_7)}
 
-# interior product and wedge structure tensors (built once; all small)
-_INT3 = exterior.interior_table(LAMBDA3_7, _LAMBDA2_7, 7)        # e_a . Lambda^3 -> Lambda^2
-_W22_4 = exterior.wedge_table(_LAMBDA2_7, _LAMBDA2_7, LAMBDA4_7)  # Lambda^2 ∧ Lambda^2
 _W43 = exterior.pairing_matrix(LAMBDA4_7, LAMBDA3_7, 7)
 _W34 = _W43.T       # a 3-form and a 4-form commute under the wedge
 
@@ -46,7 +42,7 @@ def _density_table() -> exterior.RowProducts:
     """The metric density as a cubic form in the 35 coefficients of phi:
     6 K_ab e(0..6) = (e_a ⌟ phi) ∧ (e_b ⌟ phi) ∧ phi, expanded over the
     nonzero entries of the interior, wedge and pairing tables."""
-    a, b, u, v, w, s = exterior.slot_terms(_INT3, _W22_4, _W43)
+    a, b, u, v, w, s = exterior.slot_terms(LAMBDA3_7, 7)
     return exterior.RowProducts((7, 7), np.stack([7 * a + b, u, v, w, s], axis=1), 6,
                                 symmetric=True)
 
@@ -54,15 +50,19 @@ def _density_table() -> exterior.RowProducts:
 # 735 monomials, coefficients ±1/2, ±1
 DENSITY7 = _density_table()
 
-# embedding of the R^4 2-form basis (package order) as signed sorted pairs on
-# coframe indices 3..6
-_X2_PAIRS = [(tuple(sorted(x + 3 for x in t)), exterior.tuple_parity(t))
-             for t in ta.LAMBDA2_TUPLES]
 
-_X3_TRIPLES = [tuple(x + 3 for x in t) for t in ta.LAMBDA3_TUPLES]
+def _embedding(torus, base, tuples_out) -> list:
+    """``(p, i, m, s)`` for each e^{torus_i} ∧ e^{base_m} = s e^{tuples_out_p},
+    the R^4 basis ``base`` moved to coframe indices 3..6: where component m of
+    the i-th base form goes in the wedge with the i-th 3-torus form."""
+    T = exterior.wedge_table(torus, [tuple(x + 3 for x in t) for t in base], tuples_out)
+    i, m, p = np.nonzero(T)
+    return list(zip(p.tolist(), i.tolist(), m.tolist(), T[i, m, p].tolist()))
 
-# 2-form pieces of the 3-torus: hat basis (dt23, dt31, dt12) paired with dt^j
-_HAT_PAIRS = [(tuple(sorted(t)), exterior.tuple_parity(t)) for t in ((1, 2), (2, 0), (0, 1))]
+
+_PHI = _embedding(((0,), (1,), (2,)), ta.LAMBDA2_TUPLES, LAMBDA3_7)        # dt^i ∧ w_i
+_PSI = _embedding(((1, 2), (2, 0), (0, 1)), ta.LAMBDA2_TUPLES, LAMBDA4_7)  # hat(dt^i) ∧ s_i
+_DPHI = _embedding(((0,), (1,), (2,)), ta.LAMBDA3_TUPLES, LAMBDA4_7)       # dt^j ∧ d(w_j)
 
 
 def build_phi(triple: np.ndarray) -> np.ndarray:
@@ -70,9 +70,8 @@ def build_phi(triple: np.ndarray) -> np.ndarray:
     triple = np.asarray(triple, dtype=float)
     out = np.zeros(triple.shape[:-2] + (35,))
     out[..., _POS3[(0, 1, 2)]] = 1.0
-    for i in range(3):
-        for m, (pair, par) in enumerate(_X2_PAIRS):
-            out[..., _POS3[(i,) + pair]] += -par * triple[..., i, m]
+    for p, i, m, s in _PHI:
+        out[..., p] += -s * triple[..., i, m]
     return out
 
 
@@ -82,9 +81,8 @@ def build_psi(sigma: np.ndarray, mu_sigma) -> np.ndarray:
     out = np.zeros(np.broadcast_shapes(sigma.shape[:-2], mu_sigma.shape) + (35,))
     out[..., _POS4[(3, 4, 5, 6)]] = mu_sigma
     # psi couples s_i to the 3-torus 2-form omitting dt^i
-    for i, (tpair, tsign) in enumerate(_HAT_PAIRS):
-        for m, (pair, par) in enumerate(_X2_PAIRS):
-            out[..., _POS4[tpair + pair]] += -tsign * par * sigma[..., i, m]
+    for p, i, m, s in _PSI:
+        out[..., p] += -s * sigma[..., i, m]
     return out
 
 
@@ -186,9 +184,8 @@ def assemble_dphi(domega: np.ndarray) -> np.ndarray:
     """
     domega = np.asarray(domega, dtype=float)
     out = np.zeros(domega.shape[:-2] + (35,))
-    for j in range(3):
-        for m, trip in enumerate(_X3_TRIPLES):
-            out[..., _POS4[(j,) + trip]] += domega[..., j, m]
+    for p, j, m, s in _DPHI:
+        out[..., p] += s * domega[..., j, m]
     return out
 
 

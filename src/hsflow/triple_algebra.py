@@ -92,9 +92,7 @@ def _density_table() -> exterior.RowProducts:
     each form, so it is named by three indices into the flattened (3, 6)
     triple, one per form.
     """
-    a, b, u, v, w, s = exterior.slot_terms(
-        exterior.interior_table(LAMBDA2_TUPLES, LAMBDA1_TUPLES, 4),
-        exterior.wedge_table(LAMBDA1_TUPLES, LAMBDA1_TUPLES, LAMBDA2_TUPLES), WEDGE2)
+    a, b, u, v, w, s = exterior.slot_terms(LAMBDA2_TUPLES, 4)
     perms = list(zip(*np.nonzero(EPS3)))   # w_i fills the first slot, w_j the second
     return exterior.RowProducts((4, 4), np.concatenate(
         [np.stack([4 * a + b, 6 * i + u, 6 * j + v, 6 * k + w, EPS3[i, j, k] * s], axis=1)
@@ -125,9 +123,9 @@ def _pointwise(e: np.ndarray, k: int = 2) -> np.ndarray:
     return np.moveaxis(e, tuple(range(k)), tuple(range(-k, 0)))
 
 
-def _apply(table, *operands, row=None, op=np.multiply, out=None) -> np.ndarray:
-    """``table`` (an ``exterior.RowProducts``, ``op`` with a pointwise
-    ``row`` when given) at every point of ``operands``, (..., n, m) stacks of
+def _apply(table, *operands, divisor=None, out=None) -> np.ndarray:
+    """``table`` (an ``exterior.RowProducts``, over a pointwise ``divisor``
+    when given) at every point of ``operands``, (..., n, m) stacks of
     one batch whose rows it reads in turn; written into ``out``, a
     (..., *table.shape) view of component-major memory, or into a new one."""
     batch = np.shape(operands[0])[:-2]
@@ -136,9 +134,9 @@ def _apply(table, *operands, row=None, op=np.multiply, out=None) -> np.ndarray:
     if out is None:
         out = _pointwise(exterior.aligned(table.shape + batch))
     rows = np.reshape(np.moveaxis(out, (-2, -1), (0, 1)), (len(table.coef), size), copy=False)
-    if row is not None:
-        row = np.broadcast_to(np.reshape(row, -1), (size,))
-    table(xs, rows, row, op)
+    if divisor is not None:
+        divisor = np.broadcast_to(np.reshape(divisor, -1), (size,))
+    table(xs, rows, divisor)
     return out
 
 
@@ -185,7 +183,7 @@ def gram(triple: np.ndarray, mu=1.0, out=None) -> np.ndarray:
     """Gram matrix Q with w_i ∧ w_j = 2 Q_ij * (mu e0123): :data:`GRAM` over
     ``mu``, exactly symmetric; written into ``out``, a (..., 3, 3) view of
     component-major memory, when given."""
-    return _apply(GRAM, np.asarray(triple, dtype=float), row=mu, op=np.divide, out=out)
+    return _apply(GRAM, np.asarray(triple, dtype=float), divisor=mu, out=out)
 
 
 def is_positive(q: np.ndarray, tol: float = 0.0):
@@ -357,8 +355,7 @@ def star3(coeffs: np.ndarray, g: np.ndarray, sqrt_det_g) -> np.ndarray:
     """
     coeffs = np.asarray(coeffs, dtype=float)
     c = coeffs.reshape(g.shape[:-2] + (-1, 4))
-    return _apply(_hodge3_table(c.shape[-2]), c, g, row=sqrt_det_g,
-                  op=np.divide).reshape(coeffs.shape)
+    return _apply(_hodge3_table(c.shape[-2]), c, g, divisor=sqrt_det_g).reshape(coeffs.shape)
 
 
 def hodge2(b: np.ndarray, g: np.ndarray, mu_g) -> np.ndarray:

@@ -142,13 +142,24 @@ def test_schema_validates_json_form():
 SCHEMA = json.loads((Path(__file__).parent.parent / "docs" / "config.schema.json").read_text())
 
 
+# an entry each list key accepts, to fill the lists of the schema cases
+_FILL = {("lattice", "n"): 4, ("lattice", "l"): 1}
+
+
 def _schema_limits():
     """``(section, key, value, accepted)`` for every limit of the schema: the
-    last value it accepts and the first one past it, and for an enum each
-    member and one value outside it."""
+    last value it accepts and the first one past it, for an enum each member
+    and one value outside it, and for a list's length the whole list."""
     cases = []
     for section, keys in SCHEMA["properties"].items():
         for key, prop in keys["properties"].items():
+            at = (section, key)
+            if "minItems" in prop:
+                cases += [(*at, [_FILL[at]] * prop["minItems"], True),
+                          (*at, [_FILL[at]] * (prop["minItems"] - 1), False)]
+            if "maxItems" in prop:
+                cases += [(*at, [_FILL[at]] * prop["maxItems"], True),
+                          (*at, [_FILL[at]] * (prop["maxItems"] + 1), False)]
             spec = prop.get("items", prop)   # a list's limits hold for each entry
             if spec.get("type") == "integer":
                 def past(x, d):
@@ -156,7 +167,6 @@ def _schema_limits():
             else:
                 def past(x, d):
                     return math.nextafter(x, d * math.inf)
-            at = (section, key)
             if "minimum" in spec:
                 cases += [(*at, spec["minimum"], True), (*at, past(spec["minimum"], -1), False)]
             if "exclusiveMinimum" in spec:
@@ -175,9 +185,11 @@ def _schema_limits():
 @pytest.mark.parametrize("section,key,value,accepted", _schema_limits())
 def test_schema_limits_are_enforced(section, key, value, accepted):
     sections = {"lattice": {"n": "4 4 4 4"}}
-    defaults = {("lattice", "n"): [4, 4, 4], ("lattice", "l"): [1, 1, 1]}
+    fill = [_FILL[section, key]] * 3 if (section, key) in _FILL else []
+    # a list case is the whole list; a scalar limit is a list key's first entry
+    entries = value if isinstance(value, list) else [value] + fill
     sections.setdefault(section, {})[key] = " ".join(
-        v if isinstance(v, str) else repr(v) for v in [value] + defaults.get((section, key), []))
+        v if isinstance(v, str) else repr(v) for v in entries)
     ini = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
                   for name, keys in sections.items())
     if accepted:

@@ -1,8 +1,11 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 import oracles
 from hsflow import exterior
+from hsflow import grid_calculus as gc
 
 
 def test_tuple_parity():
@@ -86,3 +89,24 @@ def test_d_entries_unsorted_destination():
         ((1,),), ((0, 1), (0, 2), (0, 3), (2, 3), (1, 3), (1, 2)), 4)
     by_axis_sorted = {axis: (dstc, sign) for dstc, _, axis, sign in entries_sorted}
     assert by_axis_sorted[3] == (4, -1)
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_derivative_table_matches_bitmask_oracle(k):
+    # the entries and their order, by source component then axis, which is
+    # the order in which grid_calculus._d sums its terms
+    table = gc._D_TABLE[k]
+    assert table == oracles.d_table(k)
+    assert all(type(x) is int for entry in table for x in entry)
+
+
+@pytest.mark.parametrize("n,tuples_in,tuples_out", [
+    (4, oracles.PAIRS, [(0,), (1,), (2,), (3,)]),   # package labels, (3, 1) among them
+    (7, list(combinations(range(7), 3)), list(combinations(range(7), 2)))])
+def test_interior_table_matches_bitmask_oracle(n, tuples_in, tuples_out):
+    C = exterior.interior_table(tuples_in, tuples_out, n)
+    assert C.shape == (n, len(tuples_in), len(tuples_out))
+    for a in range(n):
+        for m, I in enumerate(tuples_in):
+            f = oracles.interior(a, oracles.mono(*I))
+            assert list(C[a, m]) == [oracles.coeff(f, *K) for K in tuples_out]

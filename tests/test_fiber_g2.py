@@ -76,6 +76,19 @@ class TestBuildPsi:
                           - to_vec(psi_oracle(sigma, mu), fg.LAMBDA4_7)).max() < 1e-14
 
 
+@pytest.mark.parametrize("entries,torus,base,tuples_out", [
+    (fg._PHI, [(0,), (1,), (2,)], oracles.PAIRS, fg.LAMBDA3_7),          # dt^i ∧ w_i
+    (fg._PSI, [(1, 2), (2, 0), (0, 1)], oracles.PAIRS, fg.LAMBDA4_7),    # hat(dt^i) ∧ s_i
+    (fg._DPHI, [(0,), (1,), (2,)], oracles.TRIPLES4, fg.LAMBDA4_7)])    # dt^j ∧ d(w_j)
+def test_embeddings_match_bitmask_oracle(entries, torus, base, tuples_out):
+    # each (p, i, m, s): e^{torus_i} ∧ e^{base_m + 3} = s e^{tuples_out_p}, every (i, m) once
+    assert sorted((i, m) for _, i, m, _ in entries) == [
+        (i, m) for i in range(3) for m in range(len(base))]
+    for p, i, m, s in entries:
+        form = oracles.wedge(oracles.mono(*torus[i]), oracles.mono(*[x + 3 for x in base[m]]))
+        assert oracles.coeff(form, *tuples_out[p]) == s != 0
+
+
 class TestMetricFromPhi:
     def test_flat_model(self):
         g7, vol = fg.metric_from_phi(fg.build_phi(STD))
