@@ -111,7 +111,10 @@ _COERCE = {f.name: _BY_ANNOTATION[f.type]
 def _from_sections(raw: dict) -> ExperimentConfig:
     values = {}
     for section, keys in _KEYS.items():
-        got = {str(k).lower(): v for k, v in (raw.get(section) or {}).items()}
+        given = raw.get(section, {})
+        if not isinstance(given, dict):
+            raise ValidationError(f"section [{section}] must be an object, got {given!r}")
+        got = {str(k).lower(): v for k, v in given.items()}
         unknown = set(got) - set(keys)
         if unknown:
             raise ValidationError(f"unknown key(s) {sorted(unknown)} in section [{section}]")

@@ -18,6 +18,7 @@ time, and the diagnostics row at write time.
 from __future__ import annotations
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -53,14 +54,14 @@ def read_snapshot(path):
         except ValueError as exc:
             raise ValidationError(f"{path}: bad lattice in header: {exc}") from exc
         count = lat.num_points * 6
-        fields = []
-        for _ in range(nforms):
-            buf = fh.read(count * 8)
-            if len(buf) != count * 8:
-                raise ValidationError(f"{path}: truncated payload")
-            fields.append(np.frombuffer(buf, dtype="<f8").reshape(lat.shape + (6,)))
-        if fh.read(1):
+        # sizes from the header are checked against the file before any read
+        payload = os.fstat(fh.fileno()).st_size - fh.tell()
+        if payload < nforms * count * 8:
+            raise ValidationError(f"{path}: truncated payload")
+        if payload > nforms * count * 8:
             raise ValidationError(f"{path}: trailing bytes after payload")
+        fields = [np.frombuffer(fh.read(count * 8), dtype="<f8").reshape(lat.shape + (6,))
+                  for _ in range(nforms)]
     if nforms != 3:
         raise ValidationError(f"{path}: expected a triple (3 fields), got {nforms}")
     c, = gc._fields(lat.shape, (3, 6))   # component-major, as the flow's states

@@ -74,6 +74,12 @@ def test_unknown_section_rejected():
         config_mod.loads("[latice]\nn = 4 4 4 4\n")
 
 
+@pytest.mark.parametrize("text", ['{"lattice": 5}', '{"flow": [1]}', '{"initial": null}'])
+def test_section_not_an_object_rejected(text):
+    with pytest.raises(ValidationError, match="must be an object"):
+        config_mod.loads(text)
+
+
 def test_bad_value_rejected():
     with pytest.raises(ValidationError, match="bad value"):
         config_mod.loads("[flow]\nmax_steps = soon\n")
@@ -237,6 +243,13 @@ class TestCliFlow:
         p.write_text("[flow]\nmax_steps = soon\n")
         assert cli.main(["flow", "--config", str(p)]) == 1
 
+    @pytest.mark.parametrize("text", ['{"lattice": 5}', '{"flow": [1]}'])
+    def test_section_not_an_object_is_validation_error(self, tmp_path, capsys, text):
+        p = tmp_path / "bad.json"
+        p.write_text(text)
+        assert cli.main(["flow", "--config", str(p)]) == 1
+        assert "validation error: section [" in capsys.readouterr().err
+
     def test_bad_lattice_is_validation_error(self, tmp_path, capsys):
         p = tmp_path / "exp.ini"
         p.write_text(INI.format(out=tmp_path / "r").replace("8 4 4 4", "2 4 4 4"))
@@ -334,6 +347,14 @@ def test_lift_non_finite_header_length_is_validation_error(tmp_path, capsys):
     path.write_bytes(bytes(raw))
     assert cli.main(["lift", "--snapshot", str(path)]) == 1
     assert "bad lattice in header" in capsys.readouterr().err
+
+
+def test_lift_huge_header_is_validation_error(tmp_path, capsys):
+    # 65535^4 points in the header and no payload: checked before any read
+    path = tmp_path / "state.hsf"
+    path.write_bytes(b"HSF1" + struct.pack("<4I4ddI", *[65535] * 4, *[1.0] * 4, 0.0, 3))
+    assert cli.main(["lift", "--snapshot", str(path)]) == 1
+    assert "validation error: " in capsys.readouterr().err
 
 
 def test_lift_evaluates_each_field_once(tmp_path, monkeypatch, capsys):

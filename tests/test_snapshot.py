@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -59,3 +61,21 @@ def test_sidecar_round_trip(tmp_path):
     payload = {"config_hash": "abc", "step": 12, "time": 0.5}
     snap.write_sidecar(path, payload)
     assert snap.read_sidecar(path) == payload
+
+
+def test_trailing_bytes(tmp_path):
+    path = tmp_path / "state.hsf"
+    snap.write_snapshot(path, initial_data.generate_initial(gc.Lattice((4, 4, 4, 4)),
+                                                            "hyperkahler-standard"))
+    path.write_bytes(path.read_bytes() + b"\0")
+    with pytest.raises(ValidationError, match="trailing bytes"):
+        snap.read_snapshot(path)
+
+
+def test_huge_header_is_checked_before_reading(tmp_path):
+    # 65535^4 points: the header's payload size is compared with the file's,
+    # so nothing of that size is read or allocated
+    path = tmp_path / "state.hsf"
+    path.write_bytes(b"HSF1" + struct.pack("<4I4ddI", *[65535] * 4, *[1.0] * 4, 0.0, 3))
+    with pytest.raises(ValidationError, match="truncated payload"):
+        snap.read_snapshot(path)

