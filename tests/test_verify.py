@@ -125,25 +125,41 @@ def test_batched_residual_matches_per_trial_loop(name, monkeypatch):
     assert batched <= bound and per_trial <= bound
 
 
-def _loop_mixes(seed, count, cond_max=100.0):
-    rng = np.random.default_rng(seed)
-    return np.stack([oracles.random_positive_mix(rng, cond_max) for _ in range(count)])
+class _ShortBlocks:
+    """A generator that hands out at most ``block`` candidates a request."""
+
+    def __init__(self, rng, block):
+        self.rng, self.block = rng, block
+
+    def uniform(self, low, high, size):
+        return self.rng.uniform(low, high, (min(size[0], self.block),) + tuple(size[1:]))
 
 
-def test_sampler_takes_the_loops_mixes():
+def _assert_draws_like_loop(seed, count, extra, block=None, cond_max=100.0):
     # the mixes are, byte for byte, the ones a per-trial rejection loop on the
-    # same seed accepts; where the generator is left afterwards is not part of
-    # the contract
+    # same seed accepts, also from a generator ``extra`` draws into its stream;
+    # where the generator is left afterwards is not part of the contract
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    rng.uniform(size=extra)
+    ref.uniform(size=extra)
+    mixes = verify.random_positive_mixes(_ShortBlocks(rng, block) if block else rng,
+                                         count, cond_max=cond_max)
+    ref_mixes = np.stack([oracles.random_positive_mix(ref, cond_max) for _ in range(count)])
+    assert mixes.shape == ref_mixes.shape and mixes.tobytes() == ref_mixes.tobytes()
+    assert (np.linalg.det(mixes) >= 0.05).all() and (np.linalg.cond(mixes) <= cond_max).all()
+
+
+@pytest.mark.parametrize("block", [None, 8])
+@pytest.mark.parametrize("extra", [0, 4])
+def test_sampler_draws_like_per_trial_loop(extra, block):
+    # blocks of at most 8 candidates make the draw take many blocks
     for seed in range(50):
         for count in (1, 7, 1000):
-            mixes = verify.random_positive_mixes(np.random.default_rng(seed), count)
-            ref = _loop_mixes(seed, count)
-            assert mixes.shape == ref.shape and mixes.tobytes() == ref.tobytes()
+            _assert_draws_like_loop(seed, count, extra, block)
 
 
-def test_sampler_under_strict_condition():
+@pytest.mark.parametrize("extra", [0, 4])
+def test_sampler_grows_blocks_under_strict_condition(extra):
     # cond <= 2 passes ~4% of candidates, so the draw takes many blocks
     for seed in range(10):
-        mixes = verify.random_positive_mixes(np.random.default_rng(seed), 40, cond_max=2.0)
-        assert (np.linalg.det(mixes) >= 0.05).all() and (np.linalg.cond(mixes) <= 2.0).all()
-        assert mixes.tobytes() == _loop_mixes(seed, 40, 2.0).tobytes()
+        _assert_draws_like_loop(seed, 40, extra, cond_max=2.0)
