@@ -29,7 +29,6 @@ from . import flow_engine as fe
 from . import grid_calculus as gc
 from . import initial_data
 from . import snapshot as snap
-from . import triple_algebra as ta
 from . import verify as verify_mod
 from .errors import NotPositive, StepRejected, ValidationError
 
@@ -124,7 +123,7 @@ def _lift_report(tf: gc.TripleField, time: float, samples: int, seed: int,
     run that produced it, used for ``max_dw`` and the torsion."""
     from . import fiber_g2 as fg
     state = fe.FlowState(time, tf)
-    q, _, mu = state.ensure_fields()
+    mu = state.ensure_fields()[2]
     dome = gc.d(tf.lattice, tf.c, 2, order)
     points = fe.draw_points(tf.lattice, samples, seed)
     # the dual triple's lift is the non-closed one; it runs first, so that its
@@ -133,9 +132,8 @@ def _lift_report(tf: gc.TripleField, time: float, samples: int, seed: int,
     star_worst = 0.0
     if points:
         at = tuple(np.transpose(points))   # one index array per lattice axis
-        w = tf.c[at]
-        phi = fg.build_phi(w)
-        psi = fg.build_psi(ta._product(ta.adj3(q[at]), w), mu[at])   # sigma, as fe._dual
+        phi = fg.build_phi(tf.c[at])
+        psi = fg.build_psi(state.kept[("dual", order, points)][0], mu[at])   # sigma, kept above
         g7, _ = fg.metric_from_phi(phi)
         star_worst = fg.check_star7(phi, psi, g7)
         torsion_worst = max(torsion_worst, float(np.abs(

@@ -4,7 +4,8 @@ Degree-k forms are stored as flat coefficient vectors over an explicit ordered
 basis of index tuples.  Basis tuples may be given in non-sorted order (the
 4-dimensional 2-form basis uses ``(3, 1)`` for e31).  Every sign comes from
 :func:`wedge_table`, which accounts for that: the interior, pairing and
-derivative tables are read from it.  Everything in this module is
+derivative tables are read from it, and :func:`density_table`, the one
+builder of a metric density, reads those.  Everything in this module is
 metric-free but :func:`apply_metric`, the one kernel that applies Lambda^k of
 a symmetric matrix to k-forms; it broadcasts over arbitrary leading axes.
 """
@@ -73,28 +74,6 @@ def interior_table(tuples_in, tuples_out, n: int) -> np.ndarray:
     """Structure tensor C with (e_a ⌟ β)_q = C[a, m, q] β_m: on the coordinate
     basis e_a ⌟ is the transpose of e^a ∧, so C is its wedge table transposed."""
     return wedge_table(lex_tuples(n, 1), tuples_out, tuples_in).transpose(0, 2, 1)
-
-
-def slot_terms(tuples_k, n: int):
-    """Nonzero terms of (e_a ⌟ e^u) ∧ (e_b ⌟ e^v) ∧ e^w = s e^{0...n-1}, u, v
-    and w indexing the degree-k basis ``tuples_k`` on R^n, n = 3k - 2.  Each
-    product of basis forms has at most one nonzero coefficient, so the
-    interior, wedge and pairing tables are read as lookups.  Returns integer
-    arrays ``(a, b, u, v, w, s)``."""
-    k = len(tuples_k[0])
-    inner = interior_table(tuples_k, lex_tuples(n, k - 1), n)
-    wedge = wedge_table(lex_tuples(n, k - 1), lex_tuples(n, k - 1), lex_tuples(n, n - k))
-    pairing = pairing_matrix(lex_tuples(n, n - k), tuples_k, n)
-    a, u, r = np.nonzero(inner)
-    sign = inner[a, u, r]
-    ia = np.repeat(np.arange(len(a)), len(a))
-    ib = np.tile(np.arange(len(a)), len(a))
-    pair = r[ia] * wedge.shape[1] + r[ib]
-    p = np.abs(wedge).argmax(axis=-1).ravel()[pair]
-    s = sign[ia] * sign[ib] * wedge.sum(axis=-1).ravel()[pair] * pairing.sum(axis=-1)[p]
-    keep = np.flatnonzero(s)
-    w = np.abs(pairing).argmax(axis=-1)[p[keep]]
-    return a[ia[keep]], a[ib[keep]], u[ia[keep]], u[ib[keep]], w, s[keep].astype(np.intp)
 
 
 def aligned(shape, lead: int = 0, within=None) -> np.ndarray:
@@ -197,6 +176,32 @@ class RowProducts:
             if mirror != e:
                 entry[mirror][...] = entry[e]
         return out
+
+
+def density_table(tuples_k, n: int, forms) -> RowProducts:
+    """The metric density of degree-k forms on R^n (n = 3k - 2, the basis
+    ``tuples_k``) as a cubic form in their coefficients, flattened form-major:
+    6 K_ab e^{0...n-1} = sum s (e_a ⌟ x_i) ∧ (e_b ⌟ x_j) ∧ x_k over the
+    ``(i, j, k, s)`` of ``forms``, exactly symmetric.  Each product of basis
+    forms has at most one nonzero coefficient, so the interior, wedge and
+    pairing tables are read as lookups."""
+    k, m = len(tuples_k[0]), len(tuples_k)
+    inner = interior_table(tuples_k, lex_tuples(n, k - 1), n)
+    wedge = wedge_table(lex_tuples(n, k - 1), lex_tuples(n, k - 1), lex_tuples(n, n - k))
+    pairing = pairing_matrix(lex_tuples(n, n - k), tuples_k, n)
+    a, u, r = np.nonzero(inner)
+    sign = inner[a, u, r]
+    ia = np.repeat(np.arange(len(a)), len(a))
+    ib = np.tile(np.arange(len(a)), len(a))
+    pair = r[ia] * wedge.shape[1] + r[ib]
+    p = np.abs(wedge).argmax(axis=-1).ravel()[pair]
+    s = sign[ia] * sign[ib] * wedge.sum(axis=-1).ravel()[pair] * pairing.sum(axis=-1)[p]
+    keep = np.flatnonzero(s)
+    ia, ib, s = ia[keep], ib[keep], s[keep]
+    w = np.abs(pairing).argmax(axis=-1)[p[keep]]
+    return RowProducts((n, n), np.concatenate([np.stack(
+        [n * a[ia] + a[ib], m * i + u[ia], m * j + u[ib], m * l + w, sf * s], axis=1)
+        for i, j, l, sf in forms]), 6, symmetric=True)
 
 
 @lru_cache(maxsize=16)

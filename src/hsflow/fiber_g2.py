@@ -38,17 +38,9 @@ _W34 = _W43.T       # a 3-form and a 4-form commute under the wedge
 _BLOCK = 32   # points per block of hodge7: 32 x 7^3 dense tensor entries is 88 kB
 
 
-def _density_table() -> exterior.RowProducts:
-    """The metric density as a cubic form in the 35 coefficients of phi:
-    6 K_ab e(0..6) = (e_a ⌟ phi) ∧ (e_b ⌟ phi) ∧ phi, expanded over the
-    nonzero entries of the interior, wedge and pairing tables."""
-    a, b, u, v, w, s = exterior.slot_terms(LAMBDA3_7, 7)
-    return exterior.RowProducts((7, 7), np.stack([7 * a + b, u, v, w, s], axis=1), 6,
-                                symmetric=True)
-
-
-# 735 monomials, coefficients ±1/2, ±1
-DENSITY7 = _density_table()
+# 6 K_ab e(0..6) = (e_a ⌟ phi) ∧ (e_b ⌟ phi) ∧ phi, a cubic form in the 35 coefficients
+# of phi: 735 monomials, coefficients ±1/2, ±1
+DENSITY7 = exterior.density_table(LAMBDA3_7, 7, [(0, 0, 0, 1)])
 
 
 def _embedding(torus, base, tuples_out) -> list:

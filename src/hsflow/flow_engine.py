@@ -134,7 +134,7 @@ def _dual(lat: gc.Lattice, c: np.ndarray, q: np.ndarray, order: int, sigma, dsig
     lattice-wide d, written into ``sigma`` and ``dsigma`` (:data:`_WORK`);
     ``c`` may be ``sigma``, which is then written over it."""
     gc._by_slab(lat.shape, lambda out, q, c: ta._product(ta.adj3(q), c, out), sigma, q, c)
-    return sigma, gc._d(lat, sigma, 2, order, dsigma)
+    return sigma, gc.d(lat, sigma, 2, order, dsigma)
 
 
 def evaluate_rhs(lat: gc.Lattice, c: np.ndarray, order: int = 4,
@@ -172,7 +172,7 @@ def evaluate_rhs(lat: gc.Lattice, c: np.ndarray, order: int = 4,
     if seen is not None:
         seen(sigma, dsigma)
     gc._by_slab(lat.shape, flux, dsigma, q, g, mu)   # eta, over d sigma
-    return gc._d(lat, dsigma, 1, order, sigma if work is None and out is None else out)
+    return gc.d(lat, dsigma, 1, order, sigma if work is None and out is None else out)
 
 
 def rhs(state: FlowState, order: int = 4) -> np.ndarray:

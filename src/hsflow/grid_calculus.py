@@ -5,10 +5,10 @@ axis; a degree-k form field appends a trailing component axis over the same
 bases used by the pointwise modules (1-forms ``(e0..e3)``, 2-forms ``(e01,
 e02, e03, e23, e31, e12)``, 3-forms lexicographic), and any batch axes sit
 between the grid axes and the component axis (a triple field is ``(n0, n1,
-n2, n3, 3, 6)``).  That is the layout of the API.  The flow's states and
-right-hand side use the same shapes as views of component-major memory, ``(3,
-6, n0, n1, n2, n3)``, where each component is one contiguous scalar field
-that the stencils and pointwise kernels read without strides.
+n2, n3, 3, 6)``).  That is the layout of the API.  The fields this package
+makes, ``d``'s and the flow's, are such shapes as views of component-major
+memory, ``(3, 6, n0, n1, n2, n3)``, where each component is one contiguous
+scalar field that the stencils and pointwise kernels read without strides.
 
 Derivatives are periodic central differences (2nd or 4th order).  Because
 shifted stencils commute exactly, d ∘ d vanishes to roundoff and the period
@@ -219,10 +219,11 @@ def partial(lat: Lattice, f: np.ndarray, axis: int, order: int = 4) -> np.ndarra
                        np.empty(f.size + 7) if order == 4 else None).reshape(f.shape)
 
 
-def _d(lat: Lattice, f: np.ndarray, k: int, order: int = 4, out=None) -> np.ndarray:
-    """:func:`d`'s kernel: it differentiates component-major memory, which it
-    copies ``f`` into unless ``f`` is already a view of it, and returns a
-    view of component-major memory, ``out``'s when given (see :func:`_fields`).
+def d(lat: Lattice, f: np.ndarray, k: int, order: int = 4, out=None) -> np.ndarray:
+    """Exterior derivative of a degree-k form field (component axis last).
+    It differentiates component-major memory, which it copies ``f`` into
+    unless ``f`` is already a view of it, and returns a view of
+    component-major memory, ``out``'s when given (see :func:`_fields`).
 
     Its items, (piece, output component) pairs, are handed out as
     :func:`_by_slab`'s pieces.  An item sums its terms of the assembly table
@@ -251,12 +252,6 @@ def _d(lat: Lattice, f: np.ndarray, k: int, order: int = 4, out=None) -> np.ndar
     _each(item, [(p, dst) for p in _pieces(lat.shape) for dst in range(NCOMP[k + 1])],
           lat.shape)
     return ta._pointwise(out.reshape(out.shape[:-1] + lat.shape), tail)
-
-
-def d(lat: Lattice, f: np.ndarray, k: int, order: int = 4) -> np.ndarray:
-    """Exterior derivative of a degree-k form field (component axis last),
-    returned C-ordered."""
-    return np.ascontiguousarray(_d(lat, f, k, order))
 
 
 def periods(lat: Lattice, w: np.ndarray) -> np.ndarray:
@@ -302,16 +297,19 @@ class TripleField:
     def max_dabs(self, order: int = 4, out=None) -> float:
         """Sup-norm of the exterior derivatives of the three forms, which
         are written into ``out`` (:func:`_fields`, core ``(3, 4)``) when given."""
-        dw = _d(self.lattice, self.c, 2, order, out)
+        dw = d(self.lattice, self.c, 2, order, out)
         return float(np.abs(dw, out=dw).max())
 
     def periods(self) -> np.ndarray:
-        """(3, 6) array of the cohomology periods of each form."""
-        return np.stack([periods(self.lattice, self.c[..., i, :]) for i in range(3)])
+        """(3, 6) array of the cohomology periods of each form, the same
+        bits in any memory layout of ``c``."""
+        return np.stack([periods(self.lattice, np.moveaxis(w, 0, -1))
+                         for w in ta._entries(self.c)])
 
 
 def constant_triple_field(lat: Lattice, triple: np.ndarray) -> TripleField:
-    c = np.broadcast_to(np.asarray(triple, dtype=float), lat.shape + (3, 6)).copy()
+    c, = _fields(lat.shape, (3, 6))
+    c[...] = triple
     return TripleField(lat, c)
 
 

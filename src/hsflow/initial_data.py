@@ -93,7 +93,7 @@ def _generate(lat, generator, amplitude, seed, modes, stencil_order, threshold):
     if generator == "hyperkahler-standard" or amplitude == 0.0:
         return gc.TripleField(lat, base)
     pot = _sample_potential(lat, generator, amplitude, seed, modes)
-    dpot = gc._d(lat, pot, 1, stencil_order)
+    dpot = gc.d(lat, pot, 1, stencil_order)
     np.add(base, dpot, out=c)
     try:
         return gc.TripleField(lat, c, (threshold, gc._normalize_fields(c, threshold)))

@@ -84,24 +84,11 @@ def _product_table(n: int, m: int, l: int) -> exterior.RowProducts:
                                          for i in range(n) for j in range(l) for k in range(m)])
 
 
-def _density_table() -> exterior.RowProducts:
-    """The metric density as a cubic form in the 18 triple coefficients.
-
-    Expands K_ab e0123 = (1/6) eps_ijk (e_a ⌟ w_i) ∧ (e_b ⌟ w_j) ∧ w_k over
-    the interior and wedge tables.  Each monomial takes one coefficient from
-    each form, so it is named by three indices into the flattened (3, 6)
-    triple, one per form.
-    """
-    a, b, u, v, w, s = exterior.slot_terms(LAMBDA2_TUPLES, 4)
-    perms = list(zip(*np.nonzero(EPS3)))   # w_i fills the first slot, w_j the second
-    return exterior.RowProducts((4, 4), np.concatenate(
-        [np.stack([4 * a + b, 6 * i + u, 6 * j + v, 6 * k + w, EPS3[i, j, k] * s], axis=1)
-         for i, j, k in perms]), 6, symmetric=True)
-
-
-# K.ravel() = DENSITY_COEF @ (x[f0] * x[f1] * x[f2]) over the flattened triple x,
-# with (f0, f1, f2) the columns of DENSITY_FACTORS: 96 monomials, coefficients ±1/2, ±1
-DENSITY = _density_table()
+# K_ab e0123 = (1/6) eps_ijk (e_a ⌟ w_i) ∧ (e_b ⌟ w_j) ∧ w_k as a cubic form: K.ravel() =
+# DENSITY_COEF @ (x[f0] * x[f1] * x[f2]) over the flattened triple x, with (f0, f1, f2) the
+# columns of DENSITY_FACTORS: 96 monomials, coefficients ±1/2, ±1
+DENSITY = exterior.density_table(LAMBDA2_TUPLES, 4, [
+    (i, j, k, EPS3[i, j, k]) for i, j, k in zip(*np.nonzero(EPS3))])
 DENSITY_COEF, DENSITY_FACTORS = DENSITY.coef, DENSITY.factors
 
 

@@ -365,13 +365,13 @@ def test_lift_evaluates_each_field_once(tmp_path, monkeypatch, capsys):
     snap.write_snapshot(path, initial_data.generate_initial(
         lat, "exact-perturbation", 0.05, 3))
     calls = {"d": [], "eigvalsh": [], "max_dabs": 0}
-    d, eigvalsh, max_dabs = gc._d, np.linalg.eigvalsh, gc.TripleField.max_dabs
+    d, eigvalsh, max_dabs = gc.d, np.linalg.eigvalsh, gc.TripleField.max_dabs
 
     def counted_max_dabs(self, *args, **kw):
         calls["max_dabs"] += 1
         return max_dabs(self, *args, **kw)
-    # every exterior derivative, gc.d's among them, runs through gc._d
-    monkeypatch.setattr(gc, "_d", lambda lat_, f, *a, **kw: calls["d"].append(f.shape)
+    # every exterior derivative runs through gc.d
+    monkeypatch.setattr(gc, "d", lambda lat_, f, *a, **kw: calls["d"].append(f.shape)
                         or d(lat_, f, *a, **kw))
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda m, *a, **kw: calls["eigvalsh"].append(
         m.shape) or eigvalsh(m, *a, **kw))

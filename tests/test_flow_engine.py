@@ -500,6 +500,26 @@ class TestRun:
                 assert abs(row[key]) <= 1e-12, (key, row)
             assert row["min_eig_Q"] == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("layout", ["constant_triple_field", "grid-first"])
+    def test_mixed_constant_run_keeps_periods_exactly(self, layout):
+        # a fixed point whose periods' sums round: the stepped state's c has
+        # the initial bits, so its periods must too, whatever the initial layout
+        lat = gc.Lattice((16, 8, 8, 8))
+        m = np.array([[1.2, 0.1, 0.0], [0.0, 0.9, 0.2], [0.1, 0.0, 1.1]])
+        tf = gc.constant_triple_field(lat, m @ STD)
+        if layout == "grid-first":
+            tf = gc.TripleField(lat, np.ascontiguousarray(tf.c))
+        res = fe.run(fe.FlowConfig(max_steps=5, diag_cadence=1, fiber_samples=0), tf)
+        assert res.aborted is None and len(res.rows) == 6
+        assert res.column("period_drift").tolist() == [0.0] * 6
+
+    def test_periods_in_any_layout(self, rng):
+        lat = gc.Lattice((13, 7, 8, 11))
+        c = rng.uniform(-1, 1, lat.shape + (3, 6))
+        rows = ta._pointwise(ta._entries(c), 2)   # component-major
+        assert gc.TripleField(lat, c).periods().tobytes() == \
+            gc.TripleField(lat, rows).periods().tobytes()
+
     def test_perturbed_run_conserves_structure(self):
         tf = t3_field(amp=0.05)
         cfg = fe.FlowConfig(max_steps=60, diag_cadence=10, fiber_samples=4)
@@ -572,6 +592,21 @@ class TestReuse:
         assert len(rhss) == stages * 5 + 1
         # the initial state's, then per step its mid-stages' and the guard's
         assert len(normalized) == 1 + stages * 5
+
+    @pytest.mark.parametrize("samples", [0, 3])
+    def test_every_derivative_goes_through_d(self, monkeypatch, samples):
+        # the run's derivatives all pass gc.d, where the benchmark's tracer times them
+        tf, degrees, d = t3_field(), [], gc.d
+        monkeypatch.setattr(gc, "d", lambda lat, f, k, *a, **kw: degrees.append(k)
+                            or d(lat, f, k, *a, **kw))
+        res = fe.run(fe.FlowConfig(max_steps=5, diag_cadence=2, fiber_samples=samples), tf)
+        steps, rows = res.rows[-1]["step"], len(res.rows)
+        assert (steps, rows) == (5, 4)
+        # 4 per step and 1 per row, less the k1 of each step from a row's state
+        # (every row's but the last): 2 derivatives each; and a row's max_dw
+        rhss = 4 * steps + rows - (rows - 1)
+        assert len(degrees) == 2 * rhss + rows
+        assert degrees.count(1) == rhss
 
     @pytest.mark.parametrize("max_steps,expect", [(20, [10, 20]), (25, [10, 20, 25])])
     def test_checkpoint_once_per_step(self, max_steps, expect):
@@ -1066,7 +1101,7 @@ class TestSlabs:
         tf = initial_data.generate_initial(lat, "t3-invariant", 0.05, 7)
         before, seen = threading.active_count(), set()
         with gc.slab_threads(2):
-            gc._d(lat, tf.c, 2)
+            gc.d(lat, tf.c, 2)
             gc._by_slab(lat.shape, lambda c: seen.add(threading.get_ident()), tf.c)
             assert threading.active_count() == before
             res = fe.run(cfg, tf)
