@@ -161,19 +161,19 @@ def table_plans() -> dict:
 
 def outputs(directory: Path) -> dict:
     """Every pinned flow and lift output, made under ``directory``."""
-    flows = {}
+    flows, snapshots = {}, {}
     for name in FLOWS:
         runs = [flow_run(name, directory / f"{name}-{w}-{p}", w, p)
                 for w, p in THREADINGS.get(name, [(1, gc.SLAB_POINTS)])]
         (text, path), others = runs[0], runs[1:]
+        snapshots[name] = path
         flows[name] = {"diagnostics_sha256": digest(text),
                        "snapshot_sha256": digest(path.read_bytes()),
                        "rows": rows(text), "field": field_numbers(path),
                        "same_at_every_threading": all(
                            o == text and p.read_bytes() == path.read_bytes() for o, p in others)}
     name, samples, seed = LIFT
-    text = lift_text(directory / f"{name}-1-{gc.SLAB_POINTS}" / "out" / "snap_000020.hsf",
-                     samples, seed)
+    text = lift_text(snapshots[name], samples, seed)
     return {"flow": flows, "lift": {"sha256": digest(text), "report": json.loads(text)}}
 
 
